@@ -15,16 +15,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import ZeroCharge
 from .lattice import Context, MukaiVector, beta_data
-
-RatLike = Union[int, Fraction]
-
-
-def _frac(x: RatLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .surd import RatLike, frac
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,7 @@ class StabilityPoint:
     t_sq: Fraction
 
     def __init__(self, s: RatLike, t_sq: RatLike):
-        s, t_sq = _frac(s), _frac(t_sq)
+        s, t_sq = frac(s), frac(t_sq)
         if t_sq <= 0:
             raise ValueError("t^2 must be positive (upper half-plane)")
         object.__setattr__(self, "s", s)

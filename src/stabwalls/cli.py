@@ -33,6 +33,7 @@ from . import walls as walls_mod
 from . import fmgroup
 from . import oracle as oracle_mod
 from . import svg as svg_mod
+from .surd import is_perfect_square
 
 
 def _parse_window(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -55,26 +56,6 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _square_case_walls(n: int, ell: int, ctx: Context) -> list:
-    """Finite enumeration when sqrt(l*n) is an integer: all walls in s < 0
-    cross the rational abscissa -sqrt(l/n); mirror for s > 0; plus the
-    t-axis when it is a wall."""
-    v = MukaiVector(1, 0, -ell)
-    import math
-
-    s0 = -Fraction(math.isqrt(ell * n), n)
-    left = walls_mod.enumerate_walls_on_line(v, s0, ctx)
-    mirrored = [walls_mod._mirror_wall(w) for w in left]
-    axis = walls_mod.wall_between(v, MukaiVector(1, 0, 0), ctx)
-    out = list(left) + mirrored
-    if axis is not None:
-        label = walls_mod.vline_codim0_label(v, axis.shape, ctx)
-        out.append(
-            walls_mod.Wall(axis.shape, axis.witness, label is not None, label)
-        )
-    return walls_mod.sort_walls(out)
-
-
 def cmd_walls(args) -> dict:
     ctx = Context(args.n)
     window = _parse_window(args.window)
@@ -94,50 +75,24 @@ def cmd_walls(args) -> dict:
             "walls": [wall_record(w) for w in wall_list],
         }
         if args.verify:
-            brute = oracle_mod.brute_walls(v, s0, 10, ctx)
-            payload["verify"] = {
-                "agree": [w.shape for w in wall_list] == [w.shape for w in brute],
-                "brute_force_bound": 10,
-            }
-        if args.svg:
-            doc = svg_mod.render(wall_list, window, title=f"Walls for {vector_str(v)}")
-            with open(args.svg, "w") as fh:
-                fh.write(doc)
-            payload["svg"] = args.svg
-        return payload
-    if is_perfect_square_int(args.ell * args.n):
-        wall_list = _square_case_walls(args.n, args.ell, ctx)
-        pell_ctx = None
+            payload["verify"] = _verify_report(v, s0, wall_list, ctx)
+        title = f"Walls for {vector_str(v)}"
     else:
-        pell_ctx = pell_mod.solve_generator(args.n, args.ell)
-        fam = walls_mod.fundamental_walls(pell_ctx)
-        codim0 = walls_mod.codim0_walls(pell_ctx, _parse_m_range(args.m_range))
-        seen = {}
-        for w in list(fam) + list(codim0):
-            seen.setdefault(w.shape, w)
-        wall_list = walls_mod.sort_walls(seen.values())
-    payload = {
-        "n": args.n,
-        "ell": args.ell,
-        "v": vector_str(MukaiVector(1, 0, -args.ell)),
-        "walls": [wall_record(w) for w in wall_list],
-    }
-    if args.verify:
-        payload["verify"] = _verify_report(args.n, args.ell, ctx)
+        wall_list, _ = walls_mod.wall_set(args.n, args.ell, _parse_m_range(args.m_range))
+        payload = {
+            "n": args.n,
+            "ell": args.ell,
+            "v": vector_str(MukaiVector(1, 0, -args.ell)),
+            "walls": [wall_record(w) for w in wall_list],
+        }
+        if args.verify:
+            payload["verify"] = cmd_verify(args)
+        title = f"Walls for 1 - {args.ell}rho (n = {args.n})"
     if args.svg:
-        doc = svg_mod.render(
-            wall_list, window, title=f"Walls for 1 - {args.ell}rho (n = {args.n})"
-        )
         with open(args.svg, "w") as fh:
-            fh.write(doc)
+            fh.write(svg_mod.render(wall_list, window, title=title))
         payload["svg"] = args.svg
     return payload
-
-
-def is_perfect_square_int(k: int) -> bool:
-    import math
-
-    return k >= 0 and math.isqrt(k) ** 2 == k
 
 
 def cmd_pell(args) -> dict:
@@ -184,7 +139,7 @@ def cmd_pell(args) -> dict:
 
 
 def cmd_numsol(args) -> dict:
-    if is_perfect_square_int(args.n * args.ell):
+    if is_perfect_square(args.n * args.ell):
         return {
             "numerical_solutions": [
                 {"v1": "1,0,0", "v2": "0,0,1", "l1": 1, "l2": args.ell}
@@ -206,14 +161,7 @@ def cmd_classify(args) -> dict:
     ctx = Context(args.n)
     v = MukaiVector(1, 0, -args.ell)
     pt = StabilityPoint(parse_frac(args.s), parse_frac(args.t2))
-    if is_perfect_square_int(args.ell * args.n):
-        wall_list = _square_case_walls(args.n, args.ell, ctx)
-        pc = None
-    else:
-        pc = pell_mod.solve_generator(args.n, args.ell)
-        wall_list = list(walls_mod.fundamental_walls(pc)) + list(
-            walls_mod.codim0_walls(pc, _parse_m_range(args.m_range))
-        )
+    wall_list, pc = walls_mod.wall_set(args.n, args.ell, _parse_m_range(args.m_range))
     rep = walls_mod.classify_point(v, pt, wall_list, ctx)
     out = chamber_record(rep)
     if rep.kind == "OnWall" and pc is not None:
@@ -253,46 +201,34 @@ def cmd_mobius(args) -> dict:
 def cmd_wmax(args) -> dict:
     ctx = Context(args.n)
     v = MukaiVector(1, 0, -args.ell)
-    if is_perfect_square_int(args.ell * args.n):
-        wall_list = _square_case_walls(args.n, args.ell, ctx)
-    else:
-        pc = pell_mod.solve_generator(args.n, args.ell)
-        wall_list = walls_mod.fundamental_walls(pc)
+    wall_list, _ = walls_mod.wall_set(args.n, args.ell)
     return wmax_record(walls_mod.w_max_report(v, wall_list, ctx))
 
 
-def _verify_report(n: int, ell: int, ctx: Context) -> dict:
-    """Oracle cross-check on the fundamental cross-section.
+def _verify_report(v: MukaiVector, s0: Fraction, enumerated: list, ctx: Context) -> dict:
+    """Oracle cross-check of an enumeration at the cross-section s0.
 
     The brute scan is bound-limited: it can only see walls owning a witness
     with entries within the bound, so the sound check is containment (every
     brute wall must be enumerated); `exhaustive` reports whether the bound
     happened to cover everything the enumeration found."""
-    v = MukaiVector(1, 0, -ell)
-    if is_perfect_square_int(ell * n):
-        import math
-
-        s0 = -Fraction(math.isqrt(ell * n), n)
-    else:
-        pc = pell_mod.solve_generator(n, ell)
-        it = pell_mod.iterate(pc, -1)
-        s0 = pell_mod._ratio_over_sqrt_n(it.b, it.a, n)
     bound = 10
-    fast = walls_mod.enumerate_walls_on_line(v, s0, ctx)
-    brute = oracle_mod.brute_walls(v, s0, bound, ctx)
-    fast_shapes = {w.shape for w in fast}
+    brute = {w.shape for w in oracle_mod.brute_walls(v, s0, bound, ctx)}
+    fast = {w.shape for w in enumerated}
     return {
         "cross_section": frac_str(s0),
-        "enumerated": len(fast),
+        "enumerated": len(enumerated),
         "brute_force_bound": bound,
-        "agree": {w.shape for w in brute} <= fast_shapes,
-        "exhaustive": {w.shape for w in brute} == fast_shapes,
+        "agree": brute <= fast,
+        "exhaustive": brute == fast,
     }
 
 
 def cmd_verify(args) -> dict:
     ctx = Context(args.n)
-    return _verify_report(args.n, args.ell, ctx)
+    v = MukaiVector(1, 0, -args.ell)
+    s0, _ = walls_mod.cross_section(args.n, args.ell)
+    return _verify_report(v, s0, walls_mod.enumerate_walls_on_line(v, s0, ctx), ctx)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,10 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, m_range="-2..2"):
+    def common(p, m_range=None):
         p.add_argument("--n", type=int, required=True, help="(H^2)/2")
         p.add_argument("--ell", type=int, required=True, help="v = (1, 0, -ell)")
-        p.add_argument("--m-range", default=m_range, help="label range lo..hi")
+        if m_range:
+            p.add_argument("--m-range", default=m_range, help="label range lo..hi")
 
     p = sub.add_parser("walls", help="wall set, JSON and optional SVG")
     p.add_argument("--n", type=int, required=True, help="(H^2)/2")
@@ -328,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_numsol)
 
     p = sub.add_parser("classify", help="chamber classification of a point")
-    common(p)
+    common(p, m_range="-2..2")
     p.add_argument("--s", required=True, help="s coordinate (rational)")
     p.add_argument("--t2", required=True, help="t^2 coordinate (positive rational)")
     p.set_defaults(fn=cmd_classify)

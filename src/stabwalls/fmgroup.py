@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     DegenerateGamma,
@@ -24,10 +24,8 @@ from .errors import (
 )
 from .lattice import Context, MukaiVector, beta_data
 from .pell import PellContext
-from .surd import QnComplex, QnNumber, Surd, qn_rat, qn_sqrt_n, squarefree_decompose
+from .surd import QnComplex, QnNumber, RatLike, Surd, qn_rat, qn_sqrt_n, squarefree_decompose
 from .walls import Wall, wall_between
-
-RatLike = Union[int, Fraction]
 
 
 @dataclass(frozen=True)

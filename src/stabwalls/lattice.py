@@ -14,15 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import NonIntegral
-
-RatLike = Union[int, Fraction]
-
-
-def _frac(x: RatLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .surd import RatLike, frac
 
 
 @dataclass(frozen=True)
@@ -44,8 +38,8 @@ class MukaiVector:
 
     def __init__(self, r: int, d: RatLike, a: RatLike):
         object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "d", _frac(d))
-        object.__setattr__(self, "a", _frac(a))
+        object.__setattr__(self, "d", frac(d))
+        object.__setattr__(self, "a", frac(a))
 
     @property
     def is_integral(self) -> bool:
@@ -96,21 +90,21 @@ def self_pairing(v: MukaiVector, ctx: Context) -> Fraction:
 
 def twist(v: MukaiVector, s: RatLike, ctx: Context) -> MukaiVector:
     """v * e^{sH}: the pairing-preserving twist."""
-    s = _frac(s)
+    s = frac(s)
     n = ctx.n
     return MukaiVector(v.r, v.d + v.r * s, v.a + 2 * n * v.d * s + n * v.r * s * s)
 
 
 def beta_data(v: MukaiVector, s: RatLike, ctx: Context) -> tuple[int, Fraction, Fraction]:
     """(r_b, d_b, a_b) of v at beta = sH: r, d - r*s, a - 2n*d*s + n*r*s^2."""
-    s = _frac(s)
+    s = frac(s)
     n = ctx.n
     return (v.r, v.d - v.r * s, v.a - 2 * n * v.d * s + n * v.r * s * s)
 
 
 def exp_vector(s: RatLike, ctx: Context) -> MukaiVector:
     """e^{sH} = (1, s, n*s^2)."""
-    s = _frac(s)
+    s = frac(s)
     return MukaiVector(1, s, ctx.n * s * s)
 
 

@@ -9,12 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .lattice import Context, MukaiVector
-from .walls import Circle, VLine, Wall, sort_walls, wall_between
-
-RatLike = Union[int, Fraction]
+from .surd import RatLike
+from .walls import Circle, VLine, Wall, sort_walls, wall_between, witness_key
 
 
 @dataclass(frozen=True)
@@ -46,13 +45,9 @@ def brute_walls(v: MukaiVector, s0: RatLike, bound: int, ctx: Context) -> list[W
                 if w.shape.t_sq_at(s0) <= 0:
                     continue
                 prev = found.get(w.shape)
-                if prev is None or _key(v1) < _key(prev.witness):
+                if prev is None or witness_key(v1) < witness_key(prev.witness):
                     found[w.shape] = w
     return sort_walls(found.values())
-
-
-def _key(v: MukaiVector):
-    return (abs(v.r), abs(v.d), abs(v.a), v.r, v.d, v.a)
 
 
 def _alignment_defect(v: MukaiVector, w: MukaiVector, s: float, t: float, n: int) -> float:

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 from .errors import AccumulationPoint, SquareCase
 from .lattice import Context, MukaiVector, RHO, UNIT, pairing
-from .surd import Surd, is_perfect_square
+from .surd import Surd, divisors, is_perfect_square, squarefree_decompose
 
 _MAX_BRUTE = 10**6
 
@@ -80,6 +80,12 @@ class PellContext:
     @property
     def lattice(self) -> Context:
         return Context(self.n)
+
+    def lambda_0(self) -> Fraction:
+        """The abscissa b_-1/(a_-1*sqrt(n)): the endpoint of C_-1 where the
+        complete cross-section between C_0 and C_-1 sits."""
+        it = iterate(self, -1)
+        return ratio_over_sqrt_n(it.b, it.a, self.n)
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,7 @@ def _from_cf(n: int, ell: int) -> list[PellMatrix]:
             # only happens for (r, s) = (n, 1); covered by the square route too.
             if x % 2 == 0:
                 half = x // 2
-                for a in _divisors_of(abs(half)) if half else []:
+                for a in divisors(abs(half)) if half else []:
                     b, rem = divmod(abs(half), a)
                     if rem:
                         continue
@@ -168,16 +174,6 @@ def _from_cf(n: int, ell: int) -> list[PellMatrix]:
         if out:
             break
     return out
-
-
-def _divisors_of(k: int) -> list[int]:
-    out = []
-    for i in range(1, math.isqrt(k) + 1):
-        if k % i == 0:
-            out.append(i)
-            if i != k // i:
-                out.append(k // i)
-    return sorted(out)
 
 
 def solve_generator(n: int, ell: int, brute_limit: int = _MAX_BRUTE) -> PellContext:
@@ -241,25 +237,14 @@ def iterate(pell: PellContext, m: int) -> Iterate:
     return Iterate(m, a, b)
 
 
-def _ratio_over_sqrt_n(num: Surd, den: Surd, n: int) -> Fraction:
-    """num / (den * sqrt(n")), exact; asserts the value is rational."""
+def ratio_over_sqrt_n(num: Surd, den: Surd, n: int) -> Fraction:
+    """num / (den * sqrt(n)), exact; asserts the value is rational."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator in slope")
-    # num/(den*sqrt(n)) = (c_num/c_den) * sqrt(r_num / (r_den * n))
-    #                  = (c_num/(c_den * r_den)) * sqrt(r_num * r_den / n)... clear:
-    # multiply by sqrt(r_den)/sqrt(r_den): = c_num*sqrt(r_num*r_den) / (c_den*r_den*sqrt(n))
-    inner = num.rad * den.rad
-    # sqrt(inner)/sqrt(n) = sqrt(inner*n)/n
-    k, rest = _sqrt_exact(inner * n)
+    # num/(den*sqrt(n)) = c_num*sqrt(r_num*r_den*n) / (c_den*r_den*n)
+    k, rest = squarefree_decompose(num.rad * den.rad * n)
     assert rest == 1, f"slope {num}/({den}*sqrt({n})) is irrational"
     return Fraction(num.coef * k, 1) / (den.coef * den.rad * n)
-
-
-def _sqrt_exact(m: int) -> tuple[int, int]:
-    """m = k^2 * rest with rest squarefree (rest == 1 means perfect square)."""
-    from .surd import squarefree_decompose
-
-    return squarefree_decompose(m)
 
 
 def slope_endpoints(pell: PellContext, m: int) -> tuple[Fraction, Fraction]:
@@ -268,8 +253,8 @@ def slope_endpoints(pell: PellContext, m: int) -> tuple[Fraction, Fraction]:
     if m == 0:
         raise ValueError("m = 0 is the vertical line")
     it = iterate(pell, m)
-    lam1 = _ratio_over_sqrt_n(it.b, it.a, pell.n)
-    lam2 = _ratio_over_sqrt_n(Surd(pell.ell * it.a.coef, it.a.rad), it.b, pell.n)
+    lam1 = ratio_over_sqrt_n(it.b, it.a, pell.n)
+    lam2 = ratio_over_sqrt_n(Surd(pell.ell * it.a.coef, it.a.rad), it.b, pell.n)
     return lam1, lam2
 
 
@@ -283,7 +268,7 @@ def u_vectors(pell: PellContext, m: int) -> tuple[MukaiVector, MukaiVector]:
     r2 = it.b.square()
     # a_m * b_m / sqrt(n) is an integer
     prod = it.a * it.b
-    d = _ratio_over_sqrt_n(prod, Surd(1), pell.n)
+    d = ratio_over_sqrt_n(prod, Surd(1), pell.n)
     assert r1.denominator == 1 and r2.denominator == 1 and d.denominator == 1
     u = MukaiVector(int(r1), d, int(r2))
     u_prime = MukaiVector(int(r2), pell.ell * d, pell.ell**2 * int(r1))
@@ -413,7 +398,8 @@ def _in_piece(lam: Surd, lo: _Endpoint, hi: _Endpoint, starred: bool) -> bool:
     return lo_c <= 0 and hi_c > 0  # [lo, hi)
 
 
-def _member(pell: PellContext, lam: Surd, m: int, starred: bool) -> bool:
+def in_interval(pell: PellContext, lam: Surd, m: int, starred: bool) -> bool:
+    """Whether lam lies in I_m, or in its right-closed twin I_m* when starred."""
     return any(_in_piece(lam, lo, hi, starred) for lo, hi in _pieces(pell, m))
 
 
@@ -427,8 +413,8 @@ def interval_index(pell: PellContext, lam: Fraction) -> dict:
         raise AccumulationPoint(f"lambda^2 = {pell.ell}")
     order = [1, 0] + [k for pair in zip(range(2, 2000), range(-1, -1999, -1)) for k in pair]
     for m in order:
-        if _member(pell, lam_s, m, starred=False):
-            starred = _member(pell, lam_s, m, starred=True)
+        if in_interval(pell, lam_s, m, starred=False):
+            starred = in_interval(pell, lam_s, m, starred=True)
             return {"m": m, "starred": starred}
     raise AssertionError("interval search did not locate lambda")  # pragma: no cover
 
@@ -440,8 +426,8 @@ def sheaf_verdict(pell: PellContext, lam: Fraction, m: int) -> dict:
     if m > 0:
         raise ValueError("verdict defined for m <= 0")
     lam_s = Surd(Fraction(lam))
-    stable = _member(pell, lam_s, m, starred=False)
-    dual = _member(pell, lam_s, m, starred=True)
+    stable = in_interval(pell, lam_s, m, starred=False)
+    dual = in_interval(pell, lam_s, m, starred=True)
     if stable and dual:
         label = "Both"
     elif stable:

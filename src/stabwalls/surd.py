@@ -43,7 +43,20 @@ def is_perfect_square(m: int) -> bool:
     return m >= 0 and math.isqrt(m) ** 2 == m
 
 
-def _frac(x: RatLike) -> Fraction:
+def divisors(k: int) -> list[int]:
+    """The positive divisors of k >= 1, ascending."""
+    out = []
+    for i in range(1, math.isqrt(k) + 1):
+        if k % i == 0:
+            out.append(i)
+            if i != k // i:
+                out.append(k // i)
+    return sorted(out)
+
+
+def frac(x: RatLike) -> Fraction:
+    # the isinstance short-circuit matters: MukaiVector.__init__ calls this
+    # in the enumeration hot loop
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -58,7 +71,7 @@ class Surd:
     rad: int = 1
 
     def __init__(self, coef: RatLike, rad: int = 1):
-        coef = _frac(coef)
+        coef = frac(coef)
         k, d = squarefree_decompose(rad)
         coef *= k
         if coef == 0:
@@ -83,7 +96,7 @@ class Surd:
     def __mul__(self, other):
         if isinstance(other, Surd):
             return Surd(self.coef * other.coef, self.rad * other.rad)
-        return Surd(self.coef * _frac(other), self.rad)
+        return Surd(self.coef * frac(other), self.rad)
 
     __rmul__ = __mul__
 
@@ -146,7 +159,7 @@ class Surd:
 def _surd(x) -> Surd:
     if isinstance(x, Surd):
         return x
-    return Surd(_frac(x))
+    return Surd(frac(x))
 
 
 def sqrt_of_fraction(x: Fraction) -> Surd:
@@ -173,7 +186,7 @@ class QnNumber:
     def __init__(self, u: RatLike, v: RatLike, n: int):
         if n < 1:
             raise ValueError("n must be a positive integer")
-        u, v = _frac(u), _frac(v)
+        u, v = frac(u), frac(v)
         root = math.isqrt(n)
         if root * root == n:
             u, v = u + v * root, Fraction(0)
@@ -198,7 +211,7 @@ class QnNumber:
 
     def __mul__(self, other) -> "QnNumber":
         if not isinstance(other, QnNumber):
-            f = _frac(other)
+            f = frac(other)
             return QnNumber(self.u * f, self.v * f, self.n)
         self._check(other)
         return QnNumber(

@@ -53,10 +53,8 @@ from .lattice import (
     self_pairing,
 )
 from .charge import StabilityPoint
-from .pell import PellContext, iterate, slope_endpoints, u_vectors
-from .surd import QnNumber, is_perfect_square, sqrt_of_fraction
-
-RatLike = Union[int, Fraction]
+from .pell import PellContext, slope_endpoints, solve_generator, u_vectors
+from .surd import QnNumber, RatLike, divisors, is_perfect_square, sqrt_of_fraction
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,8 @@ def sort_walls(walls: Iterable[Wall]) -> list[Wall]:
     return sorted(walls, key=lambda w: _shape_sort_key(w.shape))
 
 
-def _witness_key(v: MukaiVector):
+def witness_key(v: MukaiVector):
+    """Order in which a wall's witnesses compete: smallest entries win."""
     return (abs(v.r), abs(v.d), abs(v.a), v.r, v.d, v.a)
 
 
@@ -231,7 +230,7 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
         if _crossing_t_sq(w, s0) is None:
             return
         prev = found.get(w.shape)
-        if prev is None or _witness_key(v1) < _witness_key(prev.witness):
+        if prev is None or witness_key(v1) < witness_key(prev.witness):
             found[w.shape] = w
 
     for j in range(0, int(D * q) + 1):
@@ -280,20 +279,10 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
                     if p_val > 0:
                         scaled = p_val * q * q
                         assert scaled.denominator == 1
-                        for r1 in _divisors(int(scaled)):
+                        for r1 in divisors(int(scaled)):
                             for sgn in (1, -1):
                                 consider(sgn * r1, p_val / (sgn * r1), d1t)
     return sort_walls(found.values())
-
-
-def _divisors(k: int) -> list[int]:
-    out = []
-    for i in range(1, math.isqrt(k) + 1):
-        if k % i == 0:
-            out.append(i)
-            if i != k // i:
-                out.append(k // i)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +333,7 @@ def fundamental_walls(pell: PellContext) -> list[Wall]:
         raise SquareCase("use enumerate_walls_on_line at the square abscissa")
     ctx = pell.lattice
     v = MukaiVector(1, 0, -pell.ell)
-    it = iterate(pell, -1)
-    from .pell import _ratio_over_sqrt_n
-
-    lam0 = _ratio_over_sqrt_n(it.b, it.a, pell.n)
+    lam0 = pell.lambda_0()
     c0 = codim0_walls(pell, range(0, 1))[0]
     cm1 = codim0_walls(pell, range(-1, 0))[0]
     between = [
@@ -372,25 +358,82 @@ def vline_codim0_label(v: MukaiVector, shape: VLine, ctx: Context) -> Optional[i
     return 0 if (v.r - 1) * (int(a0) - 1) == 0 else None
 
 
-def is_codim0(
-    w: Wall, pell: PellContext, search_bound: int = 32
-) -> Optional[int]:
-    """Label m when w matches a codimension-0 wall with |m| <= search_bound.
+def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
+    """Label m when w is the codimension-0 wall C_m, else None; exact and
+    with no bound on |m|.
 
-    Vertical lines are decided by the lattice criterion instead (see
-    vline_codim0_label)."""
+    C_m meets the real axis at the rational points b_m/(a_m*sqrt(n)) and
+    l*a_m/(b_m*sqrt(n)), and b_m^2 - l*a_m^2 = +-1, so |n*e^2 - l| is
+    1/a_m^2 at the first endpoint and l/b_m^2 = l/(l*a_m^2 +- 1) at the
+    second: a_m^2 <= 1/|n*e^2 - l| + 1 at both (n*e^2 != l, as l*n is not
+    a square).  A circle with irrational endpoints is no C_m.  The -m-th
+    iterate negates b_m/a_m, so C_-m is C_m mirrored in s = 0 and
+    a_{-m}^2 = a_m^2; and a_{k+1} = y*a_k + x*b_k > a_k for the generator
+    (x, y).  So the walk k = 1, 2, ... over m = -k, k ends once a_k^2
+    passes the bound and misses no label.  Vertical lines are decided by
+    the lattice criterion instead (see vline_codim0_label)."""
     v = MukaiVector(1, 0, -pell.ell)
     if isinstance(w.shape, VLine):
         return vline_codim0_label(v, w.shape, pell.lattice)
     if is_perfect_square(pell.ell * pell.n):
         return None
-    for m in range(-search_bound, search_bound + 1):
-        if m == 0:
-            continue
-        lam1, lam2 = slope_endpoints(pell, m)
-        if w.shape == Circle((lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2):
-            return m
-    return None
+    r_sq = w.shape.radius_sq
+    if not (is_perfect_square(r_sq.numerator) and is_perfect_square(r_sq.denominator)):
+        return None
+    rad = Fraction(math.isqrt(r_sq.numerator), math.isqrt(r_sq.denominator))
+    ends = (w.shape.center - rad, w.shape.center + rad)
+    bound = max(1 / abs(pell.n * e * e - pell.ell) for e in ends) + 1
+    k = 1
+    while True:
+        lam1, lam2 = slope_endpoints(pell, k)
+        if 1 / abs(pell.n * lam1 * lam1 - pell.ell) > bound:  # a_k^2
+            return None
+        center, radius_sq = (lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2
+        if w.shape == Circle(-center, radius_sq):
+            return -k
+        if w.shape == Circle(center, radius_sq):
+            return k
+        k += 1
+
+
+def cross_section(n: int, ell: int) -> tuple[Fraction, Optional[PellContext]]:
+    """Where one enumeration sees every wall of (1, 0, -l) that matters,
+    and the Pell group when there is one.
+
+    Square case (l*n a perfect square, no group): the rational abscissa
+    -sqrt(l/n), which every wall in s < 0 crosses.  Pell case: lambda_0
+    between C_0 and C_-1 (see fundamental_walls)."""
+    if is_perfect_square(ell * n):
+        return -Fraction(math.isqrt(ell * n), n), None
+    pell = solve_generator(n, ell)
+    return pell.lambda_0(), pell
+
+
+def wall_set(
+    n: int, ell: int, m_range: range = range(0)
+) -> tuple[list[Wall], Optional[PellContext]]:
+    """The wall set of (1, 0, -l), deduplicated by shape and sorted, with
+    the Pell group when there is one.
+
+    Square case: the walls crossing -sqrt(l/n), their mirrors in s > 0 and
+    the t-axis when it is a wall; the set is finite and complete.  Pell
+    case: the fundamental walls plus the labeled C_m for m in m_range."""
+    s0, pell = cross_section(n, ell)
+    if pell is not None:
+        found = fundamental_walls(pell) + codim0_walls(pell, m_range)
+    else:
+        ctx = Context(n)
+        v = MukaiVector(1, 0, -ell)
+        found = enumerate_walls_on_line(v, s0, ctx)
+        found += [_mirror_wall(w) for w in found]
+        axis = wall_between(v, UNIT, ctx)
+        if axis is not None:
+            label = vline_codim0_label(v, axis.shape, ctx)
+            found.append(Wall(axis.shape, axis.witness, label is not None, label))
+    unique: dict[Shape, Wall] = {}
+    for w in found:
+        unique.setdefault(w.shape, w)
+    return sort_walls(unique.values()), pell
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from stabwalls.fmgroup import (
 )
 from stabwalls.lattice import Context, MukaiVector, pairing, self_pairing, to_sym2, sym2_pairing, twist
 from stabwalls.oracle import ScanConfig, brute_walls, cloud_max_distance, float_align_scan
-from stabwalls.pell import interval_index, iterate, solve_generator, u_vectors
+from stabwalls.pell import in_interval, interval_index, iterate, solve_generator, u_vectors
 from stabwalls.surd import QnComplex, QnNumber, Surd
 from stabwalls.walls import (
     Circle,
@@ -260,21 +260,19 @@ def test_criterion_7_interval_machinery():
     rng = random.Random(7777)
     for n, ell in [(1, 2), (1, 3)]:  # epsilon = -1 and +1
         pc = solve_generator(n, ell)
-        from stabwalls.pell import _member
-
         for _ in range(500):
             lam = F(rng.randint(-300, 300), rng.randint(1, 50))
             idx = interval_index(pc, lam)
             hits = [
                 m
                 for m in range(idx["m"] - 3, idx["m"] + 4)
-                if _member(pc, Surd(lam), m, starred=False)
+                if in_interval(pc, Surd(lam), m, starred=False)
             ]
             assert hits == [idx["m"]]
             star_hits = [
                 m
                 for m in range(idx["m"] - 3, idx["m"] + 4)
-                if _member(pc, Surd(lam), m, starred=True)
+                if in_interval(pc, Surd(lam), m, starred=True)
             ]
             assert len(star_hits) == 1
             assert (star_hits == hits) == idx["starred"]

@@ -1,0 +1,37 @@
+"""No module of the package reaches into another module's private names."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "stabwalls"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_cross_module_private_access():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 1
+    offences = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        modules = set()  # local names bound to modules of the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        offences.append(f"{path.name}:{node.lineno} imports {alias.name}")
+            elif isinstance(node, ast.Import):
+                modules.update((a.asname or a.name).split(".")[0] for a in node.names)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and _private(node.attr)
+            ):
+                offences.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert offences == []

@@ -54,6 +54,14 @@ def test_classify_golden(capsys):
     )
     assert code == 0
     assert data["kind"] == "OnWall" and data["codim0"] and data["m"] == -1
+    # the top of C_40, a label past any fixed search window
+    code, data = run(
+        capsys, "classify", "--n", "1", "--ell", "2", "--m-range=-40..40",
+        "--s=2094232192940929332692027310337/1480845785007705294702019308528",
+        "--t2=1/2192904238975086931363395619611051675784601004010131253526784",
+    )
+    assert code == 0
+    assert data["kind"] == "OnWall" and data["codim0"] and data["m"] == 40
 
 
 def test_intervals_golden(capsys):
@@ -133,5 +141,8 @@ def test_verify_bound_limited_oracle(capsys):
     # containment must hold, exhaustiveness legitimately fails
     code, data = run(capsys, "verify", "--n", "1", "--ell", "6")
     assert code == 0 and data["agree"] and not data["exhaustive"]
+    # walls --verify on the same cross-section gives the same verdict
+    code, walls = run(capsys, "walls", "--n", "1", "--v", "1,0,-6", "--s0=-5/2", "--verify")
+    assert code == 0 and walls["verify"] == data
     code, data = run(capsys, "verify", "--n", "1", "--ell", "3")
     assert code == 0 and data["agree"] and data["exhaustive"]

@@ -7,6 +7,7 @@ from stabwalls.errors import SquareCase
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing, self_pairing
 from stabwalls.pell import (
     PellMatrix,
+    in_interval,
     interval_index,
     iterate,
     numerical_solutions,
@@ -210,9 +211,7 @@ def test_interval_partition_property():
             # membership in exactly one interval: recheck neighbours
             hits = []
             for m in range(idx["m"] - 3, idx["m"] + 4):
-                from stabwalls.pell import _member
-
-                if _member(pc, Surd(lam), m, starred=False):
+                if in_interval(pc, Surd(lam), m, starred=False):
                     hits.append(m)
             assert hits == [idx["m"]]
 
@@ -220,12 +219,10 @@ def test_interval_partition_property():
 def test_interval_star_vs_plain_disagree_only_on_endpoints():
     pc2 = solve_generator(1, 2)
     # -3/2 is a left endpoint: in I_-2 but not I_-2*
-    from stabwalls.pell import _member
-
-    assert _member(pc2, Surd(F(-3, 2)), -2, starred=False)
-    assert not _member(pc2, Surd(F(-3, 2)), -2, starred=True)
+    assert in_interval(pc2, Surd(F(-3, 2)), -2, starred=False)
+    assert not in_interval(pc2, Surd(F(-3, 2)), -2, starred=True)
     # and it lands in I_-1* instead (right-closed)
-    assert _member(pc2, Surd(F(-3, 2)), -1, starred=True)
+    assert in_interval(pc2, Surd(F(-3, 2)), -1, starred=True)
 
 
 def test_sheaf_verdict_examples():
