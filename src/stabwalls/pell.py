@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import AccumulationPoint, SquareCase
+from .errors import AccumulationPoint, IntegralityViolation, InvariantViolation, SquareCase
 from .lattice import Context, MukaiVector, RHO, UNIT, pairing
 from .surd import Surd, divisors, is_perfect_square, squarefree_decompose
 
@@ -213,10 +213,11 @@ def solve_generator(n: int, ell: int, brute_limit: int = _MAX_BRUTE) -> PellCont
                 best = cand
     # cross-check (Dirichlet-unit argument): the square lands in Z[sqrt(l*n)]
     sq = best * best
-    assert sq.y.is_rational() and sq.y.coef.denominator == 1
-    assert sq.x.coef.denominator == 1
+    if not (sq.y.is_rational() and sq.y.coef.denominator == 1 and sq.x.coef.denominator == 1):
+        raise IntegralityViolation(f"square of the generator {best} leaves Z[sqrt({ell * n})]")
     eps = best.norm()
-    assert eps in (1, -1)
+    if eps not in (1, -1):
+        raise InvariantViolation(f"generator {best} has norm {eps}, not +-1")
     # the kernel of P(x,y) -> y + x*sqrt(l) is generated by (0,1;1,0) when l=1
     torsion = PellMatrix(Surd(1, 1), Surd(0), ell) if ell == 1 else None
     return PellContext(n, ell, best, int(eps), torsion)
@@ -238,12 +239,14 @@ def iterate(pell: PellContext, m: int) -> Iterate:
 
 
 def ratio_over_sqrt_n(num: Surd, den: Surd, n: int) -> Fraction:
-    """num / (den * sqrt(n)), exact; asserts the value is rational."""
+    """num / (den * sqrt(n)), exact; raises InvariantViolation when the
+    value is irrational."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator in slope")
     # num/(den*sqrt(n)) = c_num*sqrt(r_num*r_den*n) / (c_den*r_den*n)
     k, rest = squarefree_decompose(num.rad * den.rad * n)
-    assert rest == 1, f"slope {num}/({den}*sqrt({n})) is irrational"
+    if rest != 1:
+        raise InvariantViolation(f"slope {num}/({den}*sqrt({n})) is irrational")
     return Fraction(num.coef * k, 1) / (den.coef * den.rad * n)
 
 
@@ -269,7 +272,8 @@ def u_vectors(pell: PellContext, m: int) -> tuple[MukaiVector, MukaiVector]:
     # a_m * b_m / sqrt(n) is an integer
     prod = it.a * it.b
     d = ratio_over_sqrt_n(prod, Surd(1), pell.n)
-    assert r1.denominator == 1 and r2.denominator == 1 and d.denominator == 1
+    if not (r1.denominator == 1 and r2.denominator == 1 and d.denominator == 1):
+        raise IntegralityViolation(f"m={m}: u_m = ({r1}, {d}, {r2}) is not integral")
     u = MukaiVector(int(r1), d, int(r2))
     u_prime = MukaiVector(int(r2), pell.ell * d, pell.ell**2 * int(r1))
     return u, u_prime
@@ -292,8 +296,10 @@ def numerical_solutions(pell: PellContext, m_range: range) -> list[NumericalSolu
             u, u_prime = u_vectors(pell, m)
             sol = NumericalSolution(u, u_prime, pell.ell, 1)
         combo = sol.v1.scale(sol.l1) - sol.v2.scale(sol.l2)
-        assert combo == v or combo == -v, f"m={m}: {combo} != +-{v}"
-        assert pairing(sol.v1, sol.v2, ctx) == -1
+        if combo != v and combo != -v:
+            raise InvariantViolation(f"m={m}: {combo} != +-{v}")
+        if pairing(sol.v1, sol.v2, ctx) != -1:
+            raise InvariantViolation(f"m={m}: <v1, v2> != -1")
         out.append(sol)
     return out
 
@@ -416,7 +422,7 @@ def interval_index(pell: PellContext, lam: Fraction) -> dict:
         if in_interval(pell, lam_s, m, starred=False):
             starred = in_interval(pell, lam_s, m, starred=True)
             return {"m": m, "starred": starred}
-    raise AssertionError("interval search did not locate lambda")  # pragma: no cover
+    raise InvariantViolation("interval search did not locate lambda")  # pragma: no cover
 
 
 def sheaf_verdict(pell: PellContext, lam: Fraction, m: int) -> dict:

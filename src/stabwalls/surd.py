@@ -163,12 +163,18 @@ def _surd(x) -> Surd:
 
 
 def sqrt_of_fraction(x: Fraction) -> Surd:
-    """Exact sqrt(x) for x >= 0 as a surd: sqrt(p/q) = sqrt(p*q)/q."""
+    """Exact sqrt(x) for x >= 0 as a surd: sqrt(p/q) = sqrt(p*q)/q.
+
+    A square p/q returns sqrt(p)/sqrt(q) at once: factoring p*q by trial
+    division would stall on the huge squares of far codimension-0 radii."""
     if x < 0:
         raise ValueError("negative radicand")
     if x == 0:
         return Surd(0)
-    return Surd(Fraction(1, x.denominator), x.numerator * x.denominator)
+    num, den = x.numerator, x.denominator
+    if is_perfect_square(num) and is_perfect_square(den):
+        return Surd(Fraction(math.isqrt(num), math.isqrt(den)))
+    return Surd(Fraction(1, den), num * den)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,25 @@ collinear and Z(v) != 0, so v1 = c*v + xi*kappa inside the plane
 kernel of Z there and c = D(v1)/D.  k >= 1 forces v1 and v - v1 into the
 positive cone component of v (vectors of nonnegative square in opposite
 components pair nonpositively), and the kernel line R*kappa is negative, so
-c and 1 - c are both positive: D(v1) runs over (0, D) on the 1/den(s0) grid.
-Given (D1, m1), P := n*D1^2 - m1 equals r1*A1, and the two-sided bracket
-0 <= m2 <= <v^2>/2 - 1 - m1 pins the remaining unknown:
-  * A != 0: |A*r1| <= max|bracket of A*r1 + r*P/r1| + |r*P|, since |r1| >= 1;
-  * A == 0, r != 0: the bracket bounds r*A1 directly, and A1 lies on the
-    1/den(s0)^2 grid (r1 = P/A1, or the linear branches when P = 0);
-  * A == 0, r == 0: a crossing needs P > 0 and r1 divides P*den(s0)^2.
-A(v) = 0 at a rational s0 happens exactly on the Cor.-square abscissae of
-the finite-wall (square) case, which must be enumerable, so only D(v) = 0
+c and 1 - c are both positive: D(v1) runs over (0, D) on the 1/q grid,
+s0 = p/q in lowest terms, so D(v1) = j/q with 0 < j < q*D.  This is the
+rational-abscissa finiteness argument of Maciocia ("Computing the walls
+associated to Bridgeland stability conditions on projective surfaces").
+Given (j, m1), P := n*D1^2 - m1 equals r1*A1, and A1 lies on the 1/q^2 grid
+because v1 is integral, so r1*(q^2*A1) = N := q^2*P = n*j^2 - m1*q^2.
+Two cases exhaust the candidates:
+  * P != 0: r1 is a signed divisor of the integer N, and d1 = (j + r1*p)/q
+    is integral only for j + r1*p = 0 (mod q);
+  * P == 0: r1 = 0 or A1 = 0.  r1 = 0 needs q | j and an integral a1; two
+    rank-0 vectors define no wall, so r != 0 and the bracket below bounds
+    r*(A - A1).  A1 = 0 fixes r1 mod q; the bracket bounds (r - r1)*A, and
+    A = 0 leaves no crossing, since Z(v1) and Z(v) are collinear at height
+    t exactly when n*t^2*(r1*D - r*D1) = A1*D - A*D1, and with
+    A = A1 = 0 that forces r1*D = r*D1: v1 proportional to v.
+The two-sided bracket 0 <= m2 = n*(D - D1)^2 - (r - r1)*(A - A1) <=
+<v^2>/2 - 1 - m1 then filters every candidate exactly.  A(v) = 0 at a
+rational s0 happens exactly on the Cor.-square abscissae of the
+finite-wall (square) case, which must be enumerable, so only D(v) = 0
 raises BadCrossSection.
 """
 
@@ -169,14 +179,6 @@ def _crossing_t_sq(wall: Wall, s0: Fraction) -> Optional[Fraction]:
     return t_sq if t_sq > 0 else None
 
 
-def _grid_range(lo: Fraction, hi: Fraction, den: int) -> Iterable[Fraction]:
-    """All multiples of 1/den in [lo, hi]."""
-    start = math.ceil(lo * den)
-    stop = math.floor(hi * den)
-    for k in range(start, stop + 1):
-        yield Fraction(k, den)
-
-
 def _mirror_vector(v: MukaiVector) -> MukaiVector:
     return MukaiVector(v.r, -v.d, v.a)
 
@@ -189,12 +191,20 @@ def _mirror_wall(w: Wall) -> Wall:
     return Wall(shape, _mirror_vector(w.witness), w.codim0, w.label)
 
 
+def _multiples(lo: int, hi: int, step: int) -> range:
+    """The integers k with lo <= k*step <= hi (step != 0)."""
+    if step < 0:
+        lo, hi, step = -hi, -lo, -step
+    return range(-(-lo // step), hi // step + 1)
+
+
 def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:
     """The complete set of walls for v meeting the open ray {s0} x R_{>0}.
 
-    Complete by the bound derivation in the module docstring; each candidate
-    is validated through wall_between and the exact crossing test, so extra
-    candidates are harmless.
+    Complete by the derivation in the module docstring; each candidate is
+    validated through wall_between and the exact crossing test, so extra
+    candidates are harmless.  The loops run on integers scaled by q^2,
+    q = den(s0): j = q*D(v1), N = q^2*P and X = q^2*(r - r1)(A - A1).
     """
     if not v.is_integral:
         raise NonIntegral(f"{v} is not integral")
@@ -202,26 +212,26 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
     vv = self_pairing(v, ctx)
     if vv <= 0:
         raise DegenerateV(f"<v^2> = {vv} <= 0")
-    n = ctx.n
-    r, D, A = beta_data(v, s0, ctx)
-    if D == 0:
+    n, r, d, a = ctx.n, v.r, int(v.d), int(v.a)
+    p, q = s0.numerator, s0.denominator
+    qq = q * q
+    Dq = d * q - r * p  # q*D(v)
+    Aq = a * qq - 2 * n * d * p * q + n * r * p * p  # q^2*A(v)
+    if Dq == 0:
         raise BadCrossSection(f"d_beta(v) = 0 at s = {s0}")
-    if D < 0:
+    if Dq < 0:
         mirrored = enumerate_walls_on_line(_mirror_vector(v), -s0, ctx)
         return sort_walls(_mirror_wall(w) for w in mirrored)
-
-    half = vv / 2
-    assert half.denominator == 1
-    half = int(half)
-    q = s0.denominator
+    half = n * d * d - r * a  # <v^2>/2
+    p_inv = pow(p, -1, q)  # d(v1) = (j + r1*p)/q is integral iff r1 = -j*p_inv mod q
     found: dict[Shape, Wall] = {}
 
-    def consider(r1: int, a1_twisted: Fraction, d1_twisted: Fraction):
-        d1 = d1_twisted + r1 * s0
-        if d1.denominator != 1:
+    def consider(r1: int, a1q: int, j: int):
+        d1, rest = divmod(j + r1 * p, q)
+        if rest:
             return
-        a1 = a1_twisted + 2 * n * d1 * s0 - n * r1 * s0 * s0
-        if a1.denominator != 1:
+        a1, rest = divmod(a1q + n * (2 * d1 * p * q - r1 * p * p), qq)
+        if rest:
             return
         v1 = MukaiVector(r1, d1, a1)
         w = wall_between(v, v1, ctx)
@@ -233,55 +243,29 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
         if prev is None or witness_key(v1) < witness_key(prev.witness):
             found[w.shape] = w
 
-    for j in range(0, int(D * q) + 1):
-        d1t = Fraction(j, q)
-        d2t = D - d1t
-        for m1 in range(0, half):
-            budget = half - 1 - m1  # upper bound for m2
-            p_val = n * d1t * d1t - m1
-            u2 = n * d2t * d2t
-            l2 = u2 - budget
-            if A != 0:
-                if p_val != 0:
-                    cap = max(abs(r * A + p_val - u2), abs(r * A + p_val - l2))
-                    r1_bound = int((cap + abs(r * p_val)) / abs(A)) + 1
-                    for r1 in range(-r1_bound, r1_bound + 1):
-                        if r1 == 0:
-                            continue
-                        consider(r1, p_val / r1, d1t)
-                else:
-                    # r1 = 0 branch: m2 brackets r*A1
-                    if r != 0:
-                        lo, hi = (l2 - 0) / r, u2 / r  # r*(A - A1) in [l2, u2]
-                        lo, hi = A - max(lo, hi), A - min(lo, hi)
-                        for a1t in _grid_range(lo, hi, q * q):
-                            consider(0, a1t, d1t)
-                    # A1 = 0 branch: (r - r1)*A in [l2, u2]
-                    lo, hi = l2 / A, u2 / A
-                    lo, hi = min(lo, hi), max(lo, hi)
-                    for diff in _grid_range(lo, hi, 1):
-                        if diff.denominator == 1:
-                            consider(r - int(diff), Fraction(0), d1t)
-            else:
-                if r != 0:
-                    # bracket r*A1 in [p - u2, p - u2 + budget]
-                    lo, hi = (p_val - u2) / r, (p_val - u2 + budget) / r
-                    lo, hi = min(lo, hi), max(lo, hi)
-                    for a1t in _grid_range(lo, hi, q * q):
-                        if p_val == 0:
-                            consider(0, a1t, d1t)
-                        elif a1t != 0:
-                            r1 = p_val / a1t
-                            if r1.denominator == 1:
-                                consider(int(r1), a1t, d1t)
-                else:
-                    # r == 0 and A == 0: crossing needs P > 0, r1 | P*q^2
-                    if p_val > 0:
-                        scaled = p_val * q * q
-                        assert scaled.denominator == 1
-                        for r1 in divisors(int(scaled)):
-                            for sgn in (1, -1):
-                                consider(sgn * r1, p_val / (sgn * r1), d1t)
+    for j in range(1, Dq):
+        u2 = n * (Dq - j) ** 2  # q^2 * n*D(v - v1)^2: m2 = 0 at X = u2
+        c1 = -j * p_inv % q  # residue of r1 mod q
+        for m1 in range(half):
+            lo = u2 - (half - 1 - m1) * qq  # m2 <= <v^2>/2 - 1 - m1 at X = lo
+            N = n * j * j - m1 * qq
+            if N:
+                # case 1: r1 != 0 divides N, A1 = P/r1
+                for k in divisors(abs(N)):
+                    for r1 in (k, -k):
+                        if r1 % q == c1 and lo <= (r - r1) * (Aq - N // r1) <= u2:
+                            consider(r1, N // r1, j)
+                continue
+            # case 2, P = 0: the r1 = 0 family (q | j; two rank-0 vectors give no wall)
+            if r and c1 == 0:
+                base = Aq + 2 * n * p * j  # q^2*(A + 2n*d1*s0), d1 = j/q
+                for a1 in _multiples(r * base - u2, r * base - lo, r * qq):
+                    consider(0, a1 * qq - 2 * n * p * j, j)
+            # and the A1 = 0 family, r1 = c1 + q*k (A = 0 gives no crossing)
+            if Aq:
+                for k in _multiples((r - c1) * Aq - u2, (r - c1) * Aq - lo, q * Aq):
+                    if c1 + q * k:  # r1 = 0 belongs to the family above
+                        consider(c1 + q * k, 0, j)
     return sort_walls(found.values())
 
 

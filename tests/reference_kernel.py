@@ -1,0 +1,142 @@
+"""The wall enumeration kernel as it stood before the divisor-driven
+rewrite: five branches over (A != 0, P != 0), (A != 0, P = 0),
+(A = 0, r != 0) and (A = 0, r = 0), with an r1 range loop and 1/q^2 grids.
+
+Kept verbatim, test-only, as the reference that `walls.enumerate_walls_on_line`
+must match shape for shape and witness for witness.  It is slow at the
+fundamental cross-sections of large l, so tests feed it small cases.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterable, Optional
+
+from stabwalls.errors import BadCrossSection, DegenerateV, NonIntegral
+from stabwalls.lattice import Context, MukaiVector, beta_data, self_pairing
+from stabwalls.surd import RatLike, divisors
+from stabwalls.walls import Circle, Shape, VLine, Wall, sort_walls, wall_between, witness_key
+
+
+def _crossing_t_sq(wall: Wall, s0: Fraction) -> Optional[Fraction]:
+    if isinstance(wall.shape, VLine):
+        return None
+    t_sq = wall.shape.t_sq_at(s0)
+    return t_sq if t_sq > 0 else None
+
+
+def _grid_range(lo: Fraction, hi: Fraction, den: int) -> Iterable[Fraction]:
+    """All multiples of 1/den in [lo, hi]."""
+    start = math.ceil(lo * den)
+    stop = math.floor(hi * den)
+    for k in range(start, stop + 1):
+        yield Fraction(k, den)
+
+
+def _mirror_vector(v: MukaiVector) -> MukaiVector:
+    return MukaiVector(v.r, -v.d, v.a)
+
+
+def _mirror_wall(w: Wall) -> Wall:
+    if isinstance(w.shape, VLine):
+        shape: Shape = VLine(-w.shape.s0)
+    else:
+        shape = Circle(-w.shape.center, w.shape.radius_sq)
+    return Wall(shape, _mirror_vector(w.witness), w.codim0, w.label)
+
+
+def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:
+    """The complete set of walls for v meeting the open ray {s0} x R_{>0}.
+
+    Complete by the bound derivation in the module docstring; each candidate
+    is validated through wall_between and the exact crossing test, so extra
+    candidates are harmless.
+    """
+    if not v.is_integral:
+        raise NonIntegral(f"{v} is not integral")
+    s0 = Fraction(s0)
+    vv = self_pairing(v, ctx)
+    if vv <= 0:
+        raise DegenerateV(f"<v^2> = {vv} <= 0")
+    n = ctx.n
+    r, D, A = beta_data(v, s0, ctx)
+    if D == 0:
+        raise BadCrossSection(f"d_beta(v) = 0 at s = {s0}")
+    if D < 0:
+        mirrored = reference_enumerate(_mirror_vector(v), -s0, ctx)
+        return sort_walls(_mirror_wall(w) for w in mirrored)
+
+    half = vv / 2
+    assert half.denominator == 1
+    half = int(half)
+    q = s0.denominator
+    found: dict[Shape, Wall] = {}
+
+    def consider(r1: int, a1_twisted: Fraction, d1_twisted: Fraction):
+        d1 = d1_twisted + r1 * s0
+        if d1.denominator != 1:
+            return
+        a1 = a1_twisted + 2 * n * d1 * s0 - n * r1 * s0 * s0
+        if a1.denominator != 1:
+            return
+        v1 = MukaiVector(r1, d1, a1)
+        w = wall_between(v, v1, ctx)
+        if w is None:
+            return
+        if _crossing_t_sq(w, s0) is None:
+            return
+        prev = found.get(w.shape)
+        if prev is None or witness_key(v1) < witness_key(prev.witness):
+            found[w.shape] = w
+
+    for j in range(0, int(D * q) + 1):
+        d1t = Fraction(j, q)
+        d2t = D - d1t
+        for m1 in range(0, half):
+            budget = half - 1 - m1  # upper bound for m2
+            p_val = n * d1t * d1t - m1
+            u2 = n * d2t * d2t
+            l2 = u2 - budget
+            if A != 0:
+                if p_val != 0:
+                    cap = max(abs(r * A + p_val - u2), abs(r * A + p_val - l2))
+                    r1_bound = int((cap + abs(r * p_val)) / abs(A)) + 1
+                    for r1 in range(-r1_bound, r1_bound + 1):
+                        if r1 == 0:
+                            continue
+                        consider(r1, p_val / r1, d1t)
+                else:
+                    # r1 = 0 branch: m2 brackets r*A1
+                    if r != 0:
+                        lo, hi = (l2 - 0) / r, u2 / r  # r*(A - A1) in [l2, u2]
+                        lo, hi = A - max(lo, hi), A - min(lo, hi)
+                        for a1t in _grid_range(lo, hi, q * q):
+                            consider(0, a1t, d1t)
+                    # A1 = 0 branch: (r - r1)*A in [l2, u2]
+                    lo, hi = l2 / A, u2 / A
+                    lo, hi = min(lo, hi), max(lo, hi)
+                    for diff in _grid_range(lo, hi, 1):
+                        if diff.denominator == 1:
+                            consider(r - int(diff), Fraction(0), d1t)
+            else:
+                if r != 0:
+                    # bracket r*A1 in [p - u2, p - u2 + budget]
+                    lo, hi = (p_val - u2) / r, (p_val - u2 + budget) / r
+                    lo, hi = min(lo, hi), max(lo, hi)
+                    for a1t in _grid_range(lo, hi, q * q):
+                        if p_val == 0:
+                            consider(0, a1t, d1t)
+                        elif a1t != 0:
+                            r1 = p_val / a1t
+                            if r1.denominator == 1:
+                                consider(int(r1), a1t, d1t)
+                else:
+                    # r == 0 and A == 0: crossing needs P > 0, r1 | P*q^2
+                    if p_val > 0:
+                        scaled = p_val * q * q
+                        assert scaled.denominator == 1
+                        for r1 in divisors(int(scaled)):
+                            for sgn in (1, -1):
+                                consider(sgn * r1, p_val / (sgn * r1), d1t)
+    return sort_walls(found.values())

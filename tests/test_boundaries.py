@@ -35,3 +35,15 @@ def test_no_cross_module_private_access():
             ):
                 offences.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
     assert offences == []
+
+
+def test_no_assert_statements():
+    """Invariant checks raise errors.InvariantViolation subclasses: an
+    `assert` vanishes under `python -O` and would not map to exit code 3."""
+    offences = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offences == []

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 from stabwalls.cli import main
+from stabwalls.jsonio import frac_str
+from stabwalls.pell import slope_endpoints, solve_generator
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -110,6 +112,15 @@ def test_svg_matches_golden(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_bytes() == (GOLDENS / "fig1.svg").read_bytes()
+    # the radius of a far C_m is a huge square: its endpoints are ticks
+    far = tmp_path / "c29.svg"
+    code, data = run(
+        capsys, "walls", "--n", "1", "--ell", "2", "--m-range=-29..-29", "--svg", str(far)
+    )
+    assert code == 0 and [w["m"] for w in data["walls"] if w["codim0"]] == [0, -1, -29]
+    text = far.read_text()
+    for end in slope_endpoints(solve_generator(1, 2), -29):
+        assert f">{frac_str(end)}</text>" in text
 
 
 def test_numsol(capsys):
@@ -134,6 +145,17 @@ def test_walls_explicit_class(capsys):
     }
     code, data = run(capsys, "walls", "--n", "1", "--v", "1,0,-3")
     assert code == 2  # --v without --s0
+
+
+def test_frontier_cases_complete(capsys):
+    # the fundamental cross-sections of (1,19), (1,21), (1,22) have
+    # denominators 39, 12, 42, where |A(v)| = 1/q^2
+    for ell, count in ((19, 73), (21, 67), (22, 87)):
+        code, data = run(capsys, "verify", "--n", "1", "--ell", str(ell))
+        assert code == 0 and data["agree"] and data["enumerated"] == count, ell
+    for n, ell in ((3, 9), (5, 12)):
+        code, data = run(capsys, "walls", "--n", str(n), "--ell", str(ell))
+        assert code == 0 and data["walls"], (n, ell)
 
 
 def test_verify_bound_limited_oracle(capsys):

@@ -1,0 +1,65 @@
+"""The divisor-driven enumeration kernel returns exactly the walls, and the
+witnesses, of the earlier five-branch kernel kept in reference_kernel.py."""
+
+from fractions import Fraction as F
+
+from reference_kernel import reference_enumerate
+from stabwalls.errors import BadCrossSection
+from stabwalls.lattice import Context, MukaiVector, beta_data, self_pairing
+from stabwalls.walls import cross_section, enumerate_walls_on_line
+
+# explicit cross-sections: A = 0 with rank >= 2, rank 0 with A = 0, A != 0
+EXPLICIT = (
+    (1, (2, 0, -8), -2), (1, (3, 0, -12), -2), (2, (2, 0, -16), -2), (3, (3, 0, -12), -1),
+    (1, (0, 4, 6), F(3, 4)), (1, (0, 6, 9), F(3, 4)), (1, (0, 5, 10), 1), (2, (0, 3, 12), 1),
+    (1, (2, 1, -3), -1), (1, (2, 1, -7), -2), (1, (3, 1, -8), -2),
+)
+S0 = (F(-2), F(-1), F(0), F(1), F(-1, 2), F(1, 3), F(-3, 2), F(2, 3), F(-5, 4))
+
+
+def _cases():
+    yield from EXPLICIT
+    for n, sections in ((1, S0), (2, S0[:3])):
+        for r in range(-1, 3):
+            for d in range(-2, 3):
+                for a in range(-4, 5, 2):
+                    for s0 in sections:
+                        yield n, (r, d, a), s0
+    # the cross-sections that wall_set and verify use, square and Pell case
+    for n, ell in ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (1, 9), (2, 2), (3, 2)):
+        yield n, (1, 0, -ell), cross_section(n, ell)[0]
+
+
+def _branches(v, s0, ctx):
+    """The reference kernel's branches that this cross-section reaches."""
+    r, D, A = beta_data(v, s0, ctx)  # mirroring negates D and keeps A
+    D = abs(D)
+    kind = "A != 0" if A else ("A = 0, r != 0" if r else "r = A = 0")
+    q, half = s0.denominator, int(self_pairing(v, ctx)) // 2
+    p_zero = any(
+        ctx.n * j * j == m1 * q * q for j in range(int(D * q) + 1) for m1 in range(half)
+    )
+    return {kind} | ({f"P = 0, {kind}"} if p_zero else set())
+
+
+def test_kernel_matches_reference():
+    reached = set()
+    checked = 0
+    for n, triple, s0 in _cases():
+        ctx, v, s0 = Context(n), MukaiVector(*triple), F(s0)
+        if self_pairing(v, ctx) <= 0:
+            continue
+        try:
+            expected = reference_enumerate(v, s0, ctx)
+        except BadCrossSection:
+            continue
+        got = enumerate_walls_on_line(v, s0, ctx)
+        assert [(w.shape, w.witness) for w in got] == [
+            (w.shape, w.witness) for w in expected
+        ], (n, triple, s0)
+        reached |= _branches(v, s0, ctx)
+        checked += 1
+    assert checked > 300
+    assert reached >= {
+        "A != 0", "A = 0, r != 0", "r = A = 0", "P = 0, A != 0", "P = 0, A = 0, r != 0"
+    }
