@@ -6,20 +6,28 @@ with minimal y + x*sqrt(l) > 1 drives everything: the iterates (a_m, b_m),
 the isotropic vector pairs labeling codimension-0 walls, the numerical
 solutions of (1, 0, -l), and the slope interval families used by the
 stable-sheaf criteria.
+
+The generator comes from one exact path.  The map phi(P) = y + x*sqrt(l)
+sends a member to b*sqrt(s) + a*sqrt(r*l), whose square
+(b^2*s + a^2*r*l) + 2ab*sqrt(l*n) is a unit of Z[sqrt(l*n)].  The
+fundamental unit eps of that ring (continued fraction of sqrt(l*n)) is a
+member itself, with (r, s) = (n, 1), so the generator g has phi(g) <= eps
+and phi(g)^2 is eps or eps^2; see `solve_generator`.  Units of
+Z[sqrt(d)] are the standard subject of Lenstra, "Solving the Pell
+equation", Notices AMS 49 (2002).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import AccumulationPoint, IntegralityViolation, InvariantViolation, SquareCase
 from .lattice import Context, MukaiVector, RHO, UNIT, pairing
 from .surd import Surd, divisors, is_perfect_square, squarefree_decompose
-
-_MAX_BRUTE = 10**6
 
 
 @dataclass(frozen=True)
@@ -39,24 +47,6 @@ class PellMatrix:
         x = self.x * other.y + self.y * other.x
         y = self.y * other.y + self.ell * (self.x * other.x)
         return PellMatrix(x, y, self.ell)
-
-    def unit_value_squared(self) -> tuple[Fraction, Fraction]:
-        """(y + x*sqrt(l))^2 = (y^2 + l*x^2) + 2*x*y*sqrt(l*n)-ish;
-        returns (rational part, coefficient of sqrt(x.rad*y.rad*l))."""
-        u = self.y.square() + self.ell * self.x.square()
-        w = 2 * self.x.coef * self.y.coef
-        return u, w
-
-    def phi_less_than(self, other: "PellMatrix") -> bool:
-        """Exact comparison of y + x*sqrt(l) for two members with positive
-        entries, via squared values in Z + Z*sqrt(l*n)."""
-        u1, w1 = self.unit_value_squared()
-        u2, w2 = other.unit_value_squared()
-        # both values positive, and both squares live in Z + Z*sqrt(l*n):
-        # x.rad*y.rad times a square equals n, so the canonical radicands agree
-        s1 = Surd(w1, self.x.rad * self.y.rad * self.ell)
-        s2 = Surd(w2, other.x.rad * other.y.rad * other.ell)
-        return Surd(u1 - u2).compare(s2 - s1) < 0
 
     def __str__(self):
         return f"({self.y},{self.ell}*{self.x};{self.x},{self.y})"
@@ -96,144 +86,90 @@ class NumericalSolution:
     l2: int
 
 
-def _divisor_pairs(n: int) -> Iterator[tuple[int, int]]:
-    for r in range(1, n + 1):
-        if n % r == 0:
-            yield r, n // r
-
-
-def _candidates_upto(n: int, ell: int, bound: int) -> list[PellMatrix]:
-    out = []
-    for r, s in _divisor_pairs(n):
-        for a in range(1, bound + 1):
-            base = ell * r * a * a
-            for delta in (1, -1):
-                t = base + delta
-                if t <= 0 or t % s:
-                    continue
-                q, rem = t // s, t % s
-                root = math.isqrt(q)
-                if root * root == q:
-                    b = root
-                    if b >= 1:
-                        out.append(PellMatrix(Surd(a, r), Surd(b, s), ell))
-    return out
-
-
-def _cf_sqrt_units(d: int) -> Iterator[tuple[int, int]]:
-    """Units of Z[sqrt(d)]: yields (Y_k, X_k) with Y^2 - d*X^2 = +-1,
-    k = 1, 2, ..., from the continued fraction of sqrt(d)."""
+def _fundamental_unit(d: int) -> tuple[int, int]:
+    """(Y, X) with Y + X*sqrt(d) the least unit > 1 of Z[sqrt(d)], d not a
+    square: the first convergent Y/X of the continued fraction of sqrt(d)
+    with Y^2 - d*X^2 = +-1.  The expansion is periodic, and the convergent
+    before the end of the first period is such a unit, so the loop ends."""
     a0 = math.isqrt(d)
-    if a0 * a0 == d:
-        raise SquareCase(f"{d} is a perfect square")
-    # fundamental solution from the CF convergents
     m, den, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    fund = None
-    for _ in range(10**6):
-        if h * h - d * k * k in (1, -1):
-            fund = (h, k)
-            break
+    while h * h - d * k * k not in (1, -1):
         m = den * a - m
         den = (d - m * m) // den
         a = (a0 + m) // den
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
-    if fund is None:  # pragma: no cover - CF always terminates
-        raise RuntimeError("continued fraction did not terminate")
-    y, x = fund
-    cy, cx = y, x
-    while True:
-        yield cy, cx
-        cy, cx = cy * y + d * cx * x, cy * x + cx * y
+    return h, k
 
 
-def _from_cf(n: int, ell: int) -> list[PellMatrix]:
-    """Recover S_{n,l} members from units of Z[sqrt(l*n)]: the square of any
-    member lies in Z[sqrt(l*n)], so scan unit powers U = Y + X*sqrt(l*n) and
-    factor U = (b*sqrt(s) + a*sqrt(r*l))^2, i.e. 2ab = X, b^2*s + a^2*r*l = Y."""
-    d = ell * n
-    out = []
-    for j, (y, x) in enumerate(_cf_sqrt_units(d)):
-        if j >= 8:
-            break
-        for r, s in _divisor_pairs(n):
-            # direct membership: U itself of shape b*sqrt(s) + a*sqrt(r*l)
-            # only happens for (r, s) = (n, 1); covered by the square route too.
-            if x % 2 == 0:
-                half = x // 2
-                for a in divisors(abs(half)) if half else []:
-                    b, rem = divmod(abs(half), a)
-                    if rem:
-                        continue
-                    if b * b * s + a * a * r * ell == y:
-                        cand = PellMatrix(Surd(a, r), Surd(b, s), ell)
-                        if cand.norm() in (1, -1):
-                            out.append(cand)
-        if out:
-            break
-    return out
+def _exact_root(num: int, den: int) -> Optional[int]:
+    """sqrt(num/den) when it is an integer, else None (num >= 0, den >= 1)."""
+    q, rem = divmod(num, den)
+    root = math.isqrt(q)
+    return root if rem == 0 and root * root == q else None
 
 
-def solve_generator(n: int, ell: int, brute_limit: int = _MAX_BRUTE) -> PellContext:
+def solve_generator(n: int, ell: int) -> PellContext:
     """Generator of the Pell group with minimal y + x*sqrt(l) > 1.
 
-    Bounded brute force with doubling; a continued-fraction solver for
-    y^2 - l*n*x^2 = +-1 takes over past `brute_limit`.  For l = 1 the extra
-    torsion element (0, 1; 1, 0) is reported alongside.
+    Let eps = Y1 + X1*sqrt(l*n) be the fundamental unit of Z[sqrt(l*n)].
+    It is a member, with (r, s) = (n, 1), so the generator g has
+    phi(g) <= eps.  phi(g)^2 = b^2*s + a^2*r*l + 2ab*sqrt(l*n) is a unit
+    > 1 of norm +1, hence a power of eps, hence eps or eps^2; only these
+    two unit powers are checked, eps first.
+
+    For each divisor pair r*s = n in ascending r and each delta = +-1, a
+    unit Y + X*sqrt(l*n) is phi(g)^2 exactly when b^2*s = (Y + delta)/2,
+    a^2*r*l = (Y - delta)/2 and 2ab = X; then delta is the norm
+    y^2 - l*x^2 of g.  The test 2ab = X is needed: without it the torsion
+    (x, y) = (1, 0) would pass for l = 1.  All candidates for one unit have
+    the same phi, and distinct ones occur only for l = 1 (g and
+    g*(0, 1; 1, 0)); the first in ascending r is taken.  eps^2 always has
+    the candidate (a, b) = (X1, Y1) at (r, s) = (n, 1).
+
+    For l = 1 the extra torsion element (0, 1; 1, 0) is reported alongside.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if is_perfect_square(ell * n):
+    d = ell * n
+    if is_perfect_square(d):
         raise SquareCase(f"sqrt({ell}*{n}) is an integer; the group is finite")
-    found: list[PellMatrix] = []
-    bound = 1024
-    while not found:
-        found = _candidates_upto(n, ell, bound)
-        if found:
-            break
-        if bound >= brute_limit:
-            found = _from_cf(n, ell)
-            if not found:  # pragma: no cover - defensive
-                raise RuntimeError(f"no generator found for (n,l)=({n},{ell})")
-            break
-        bound = min(2 * bound, brute_limit)
-    best = found[0]
-    for cand in found[1:]:
-        if cand.phi_less_than(best):
-            best = cand
-    # a smaller-phi solution could still hide at larger a with a smaller
-    # radicand; a final sweep up to phi_min / sqrt(l) closes the gap
-    phi_best = best.y.to_float() + best.x.to_float() * math.sqrt(ell)
-    final_bound = int(phi_best / math.sqrt(ell)) + 2
-    if final_bound > bound:
-        for cand in _candidates_upto(n, ell, min(final_bound, brute_limit)):
-            if cand.phi_less_than(best):
-                best = cand
-    # cross-check (Dirichlet-unit argument): the square lands in Z[sqrt(l*n)]
-    sq = best * best
-    if not (sq.y.is_rational() and sq.y.coef.denominator == 1 and sq.x.coef.denominator == 1):
-        raise IntegralityViolation(f"square of the generator {best} leaves Z[sqrt({ell * n})]")
-    eps = best.norm()
-    if eps not in (1, -1):
-        raise InvariantViolation(f"generator {best} has norm {eps}, not +-1")
     # the kernel of P(x,y) -> y + x*sqrt(l) is generated by (0,1;1,0) when l=1
     torsion = PellMatrix(Surd(1, 1), Surd(0), ell) if ell == 1 else None
-    return PellContext(n, ell, best, int(eps), torsion)
+    y1, x1 = _fundamental_unit(d)
+    for big_y, big_x in ((y1, x1), (y1 * y1 + d * x1 * x1, 2 * y1 * x1)):
+        if big_y % 2 == 0:  # Y = b^2*s + a^2*r*l is odd: b^2*s - a^2*r*l = +-1
+            continue
+        for r in divisors(n):
+            s = n // r
+            for delta in (1, -1):
+                b = _exact_root((big_y + delta) // 2, s)
+                a = _exact_root((big_y - delta) // 2, r * ell)
+                if a is not None and b is not None and 2 * a * b == big_x:
+                    generator = PellMatrix(Surd(a, r), Surd(b, s), ell)
+                    return PellContext(n, ell, generator, delta, torsion)
+    raise InvariantViolation(f"no generator found for (n,l)=({n},{ell})")
 
 
 def iterate(pell: PellContext, m: int) -> Iterate:
-    """(a_m, b_m) with generator^m = (b_m, l*a_m; a_m, b_m)."""
+    """(a_m, b_m) with generator^m = (b_m, l*a_m; a_m, b_m), by binary
+    powering of the generator; m < 0 uses P(x, y)^-1 = e*P(-x, y) with
+    e = y^2 - l*x^2 = +-1."""
     if m == 0:
         return Iterate(0, Surd(0), Surd(1))
     k = abs(m)
-    acc = pell.generator
-    for _ in range(k - 1):
-        acc = acc * pell.generator
+    acc, base = None, pell.generator
+    while k:
+        if k & 1:
+            acc = base if acc is None else acc * base
+        k >>= 1
+        if k:
+            base = base * base
     a, b = acc.x, acc.y
     if m < 0:
-        sign = pell.epsilon**k
+        sign = pell.epsilon ** abs(m)
         a, b = Surd(-sign * a.coef, a.rad), Surd(sign * b.coef, b.rad)
     return Iterate(m, a, b)
 
@@ -417,12 +353,12 @@ def interval_index(pell: PellContext, lam: Fraction) -> dict:
     lam_s = Surd(lam)
     if lam_s.square() == pell.ell and lam_s.rad == 1:
         raise AccumulationPoint(f"lambda^2 = {pell.ell}")
-    order = [1, 0] + [k for pair in zip(range(2, 2000), range(-1, -1999, -1)) for k in pair]
-    for m in order:
-        if in_interval(pell, lam_s, m, starred=False):
-            starred = in_interval(pell, lam_s, m, starred=True)
-            return {"m": m, "starred": starred}
-    raise InvariantViolation("interval search did not locate lambda")  # pragma: no cover
+    # probe m = 1, 0, 2, -1, 3, -2, ...; the intervals partition the line
+    # minus +-sqrt(l), so some I_m holds lam and the probe ends
+    for k in itertools.count(1):
+        for m in (k, 1 - k):
+            if in_interval(pell, lam_s, m, starred=False):
+                return {"m": m, "starred": in_interval(pell, lam_s, m, starred=True)}
 
 
 def sheaf_verdict(pell: PellContext, lam: Fraction, m: int) -> dict:

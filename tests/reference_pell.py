@@ -1,0 +1,185 @@
+"""The Pell generator solver as it stood before the continued-fraction-only
+rewrite: a doubling brute force up to 10^6, a continued-fraction fallback
+over the first eight unit powers, and a floating-point final sweep, with
+ties broken by exact comparison of the squared unit values.  `iterate` is
+the matching |m|-fold product.
+
+Kept verbatim, test-only, as the reference that `pell.solve_generator`
+and `pell.iterate` must match generator for generator.  The brute force
+makes it slow for l with a large fundamental unit (l = 61, 94, 109, ...),
+so tests feed it small cases.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterator
+
+from stabwalls.errors import IntegralityViolation, InvariantViolation, SquareCase
+from stabwalls.pell import Iterate, PellContext, PellMatrix
+from stabwalls.surd import Surd, divisors, is_perfect_square
+
+_MAX_BRUTE = 10**6
+
+
+def _unit_value_squared(g: PellMatrix) -> tuple[Fraction, Fraction]:
+    """(y + x*sqrt(l))^2 = (y^2 + l*x^2) + 2*x*y*sqrt(l*n)-ish;
+    returns (rational part, coefficient of sqrt(x.rad*y.rad*l))."""
+    u = g.y.square() + g.ell * g.x.square()
+    w = 2 * g.x.coef * g.y.coef
+    return u, w
+
+
+def _phi_less_than(g: PellMatrix, other: PellMatrix) -> bool:
+    """Exact comparison of y + x*sqrt(l) for two members with positive
+    entries, via squared values in Z + Z*sqrt(l*n)."""
+    u1, w1 = _unit_value_squared(g)
+    u2, w2 = _unit_value_squared(other)
+    # both values positive, and both squares live in Z + Z*sqrt(l*n):
+    # x.rad*y.rad times a square equals n, so the canonical radicands agree
+    s1 = Surd(w1, g.x.rad * g.y.rad * g.ell)
+    s2 = Surd(w2, other.x.rad * other.y.rad * other.ell)
+    return Surd(u1 - u2).compare(s2 - s1) < 0
+
+
+def _divisor_pairs(n: int) -> Iterator[tuple[int, int]]:
+    for r in range(1, n + 1):
+        if n % r == 0:
+            yield r, n // r
+
+
+def _candidates_upto(n: int, ell: int, bound: int) -> list[PellMatrix]:
+    out = []
+    for r, s in _divisor_pairs(n):
+        for a in range(1, bound + 1):
+            base = ell * r * a * a
+            for delta in (1, -1):
+                t = base + delta
+                if t <= 0 or t % s:
+                    continue
+                q, rem = t // s, t % s
+                root = math.isqrt(q)
+                if root * root == q:
+                    b = root
+                    if b >= 1:
+                        out.append(PellMatrix(Surd(a, r), Surd(b, s), ell))
+    return out
+
+
+def _cf_sqrt_units(d: int) -> Iterator[tuple[int, int]]:
+    """Units of Z[sqrt(d)]: yields (Y_k, X_k) with Y^2 - d*X^2 = +-1,
+    k = 1, 2, ..., from the continued fraction of sqrt(d)."""
+    a0 = math.isqrt(d)
+    if a0 * a0 == d:
+        raise SquareCase(f"{d} is a perfect square")
+    # fundamental solution from the CF convergents
+    m, den, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    fund = None
+    for _ in range(10**6):
+        if h * h - d * k * k in (1, -1):
+            fund = (h, k)
+            break
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+    if fund is None:  # pragma: no cover - CF always terminates
+        raise RuntimeError("continued fraction did not terminate")
+    y, x = fund
+    cy, cx = y, x
+    while True:
+        yield cy, cx
+        cy, cx = cy * y + d * cx * x, cy * x + cx * y
+
+
+def _from_cf(n: int, ell: int) -> list[PellMatrix]:
+    """Recover S_{n,l} members from units of Z[sqrt(l*n)]: the square of any
+    member lies in Z[sqrt(l*n)], so scan unit powers U = Y + X*sqrt(l*n) and
+    factor U = (b*sqrt(s) + a*sqrt(r*l))^2, i.e. 2ab = X, b^2*s + a^2*r*l = Y."""
+    d = ell * n
+    out = []
+    for j, (y, x) in enumerate(_cf_sqrt_units(d)):
+        if j >= 8:
+            break
+        for r, s in _divisor_pairs(n):
+            # direct membership: U itself of shape b*sqrt(s) + a*sqrt(r*l)
+            # only happens for (r, s) = (n, 1); covered by the square route too.
+            if x % 2 == 0:
+                half = x // 2
+                for a in divisors(abs(half)) if half else []:
+                    b, rem = divmod(abs(half), a)
+                    if rem:
+                        continue
+                    if b * b * s + a * a * r * ell == y:
+                        cand = PellMatrix(Surd(a, r), Surd(b, s), ell)
+                        if cand.norm() in (1, -1):
+                            out.append(cand)
+        if out:
+            break
+    return out
+
+
+def solve_generator(n: int, ell: int, brute_limit: int = _MAX_BRUTE) -> PellContext:
+    """Generator of the Pell group with minimal y + x*sqrt(l) > 1.
+
+    Bounded brute force with doubling; a continued-fraction solver for
+    y^2 - l*n*x^2 = +-1 takes over past `brute_limit`.  For l = 1 the extra
+    torsion element (0, 1; 1, 0) is reported alongside.
+    """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if is_perfect_square(ell * n):
+        raise SquareCase(f"sqrt({ell}*{n}) is an integer; the group is finite")
+    found: list[PellMatrix] = []
+    bound = 1024
+    while not found:
+        found = _candidates_upto(n, ell, bound)
+        if found:
+            break
+        if bound >= brute_limit:
+            found = _from_cf(n, ell)
+            if not found:  # pragma: no cover - defensive
+                raise RuntimeError(f"no generator found for (n,l)=({n},{ell})")
+            break
+        bound = min(2 * bound, brute_limit)
+    best = found[0]
+    for cand in found[1:]:
+        if _phi_less_than(cand, best):
+            best = cand
+    # a smaller-phi solution could still hide at larger a with a smaller
+    # radicand; a final sweep up to phi_min / sqrt(l) closes the gap
+    phi_best = best.y.to_float() + best.x.to_float() * math.sqrt(ell)
+    final_bound = int(phi_best / math.sqrt(ell)) + 2
+    if final_bound > bound:
+        for cand in _candidates_upto(n, ell, min(final_bound, brute_limit)):
+            if _phi_less_than(cand, best):
+                best = cand
+    # cross-check (Dirichlet-unit argument): the square lands in Z[sqrt(l*n)]
+    sq = best * best
+    if not (sq.y.is_rational() and sq.y.coef.denominator == 1 and sq.x.coef.denominator == 1):
+        raise IntegralityViolation(f"square of the generator {best} leaves Z[sqrt({ell * n})]")
+    eps = best.norm()
+    if eps not in (1, -1):
+        raise InvariantViolation(f"generator {best} has norm {eps}, not +-1")
+    # the kernel of P(x,y) -> y + x*sqrt(l) is generated by (0,1;1,0) when l=1
+    torsion = PellMatrix(Surd(1, 1), Surd(0), ell) if ell == 1 else None
+    return PellContext(n, ell, best, int(eps), torsion)
+
+
+def iterate(pell: PellContext, m: int) -> Iterate:
+    """(a_m, b_m) with generator^m = (b_m, l*a_m; a_m, b_m)."""
+    if m == 0:
+        return Iterate(0, Surd(0), Surd(1))
+    k = abs(m)
+    acc = pell.generator
+    for _ in range(k - 1):
+        acc = acc * pell.generator
+    a, b = acc.x, acc.y
+    if m < 0:
+        sign = pell.epsilon**k
+        a, b = Surd(-sign * a.coef, a.rad), Surd(sign * b.coef, b.rad)
+    return Iterate(m, a, b)

@@ -47,3 +47,29 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offences == []
+
+
+def test_no_float_outside_display():
+    """No predicate sees a float: `float(...)`, `math.sqrt(...)` and
+    `.to_float()` are called only by charge.phase (display), the surd
+    to_float helpers and the oracle's floating-point scan."""
+    allowed = {"charge.py", "surd.py", "oracle.py"}
+    offences = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            is_float = isinstance(f, ast.Name) and f.id == "float"
+            is_to_float = isinstance(f, ast.Attribute) and f.attr == "to_float"
+            is_math_sqrt = (
+                isinstance(f, ast.Attribute)
+                and f.attr == "sqrt"
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "math"
+            )
+            if is_float or is_to_float or is_math_sqrt:
+                offences.append(f"{path.name}:{node.lineno}")
+    assert offences == []

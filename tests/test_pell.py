@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reference_pell
 from stabwalls.errors import SquareCase
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing, self_pairing
 from stabwalls.pell import (
@@ -17,7 +18,7 @@ from stabwalls.pell import (
     solve_generator,
     u_vectors,
 )
-from stabwalls.surd import Surd
+from stabwalls.surd import Surd, is_perfect_square
 
 
 # -- generators ---------------------------------------------------------------
@@ -71,12 +72,34 @@ def test_torsion_reported_for_ell_1():
     assert solve_generator(1, 2).torsion is None
 
 
-def test_continued_fraction_path_agrees():
-    # force the CF accelerator by shrinking the brute limit
-    for n, ell in [(1, 13), (1, 19), (2, 3)]:
-        brute = solve_generator(n, ell)
-        cf = solve_generator(n, ell, brute_limit=1)
-        assert (cf.generator.x, cf.generator.y) == (brute.generator.x, brute.generator.y)
+def test_generator_matches_reference():
+    # the earlier brute-force/continued-fraction/float-sweep solver, kept
+    # test-only; the grid holds the l = 1 ties (2,1), (3,1), (5,1), (6,1)
+    cases = [(n, ell) for n in range(1, 7) for ell in range(1, 60) if not is_perfect_square(n * ell)]
+    assert len(cases) == 325 and {(2, 1), (3, 1), (5, 1), (6, 1)} <= set(cases)
+    for n, ell in cases:
+        pc, ref = solve_generator(n, ell), reference_pell.solve_generator(n, ell)
+        assert (pc.generator.x, pc.generator.y) == (ref.generator.x, ref.generator.y), (n, ell)
+        assert (pc.epsilon, pc.torsion) == (ref.epsilon, ref.torsion), (n, ell)
+        for m in range(-6, 7):
+            assert iterate(pc, m) == reference_pell.iterate(ref, m), (n, ell, m)
+
+
+def test_generator_matches_sympy_diop_dn():
+    # independent oracle for n = 1: the least solution of y^2 - l*x^2 = -1
+    # when there is one, else of y^2 - l*x^2 = +1
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    seen = {}
+    for ell in range(2, 400):
+        if is_perfect_square(ell):
+            continue
+        pc = solve_generator(1, ell)
+        minus = diophantine.diop_DN(ell, -1)
+        expected = minus[0] if minus else diophantine.diop_DN(ell, 1)[0]
+        seen[ell] = (pc.generator.y.as_fraction(), pc.generator.x.as_fraction())
+        assert seen[ell] == expected, ell
+        assert pc.epsilon == (-1 if minus else 1), ell
+    assert seen[109] == (8890182, 851525)
 
 
 # -- iterates -----------------------------------------------------------------
