@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError, SquareCase
 from .jsonio import (
     chamber_record,
     frac_str,
@@ -22,6 +22,7 @@ from .jsonio import (
     parse_gmatrix_text,
     parse_qnc,
     qnc_str,
+    surd_str,
     vector_str,
     wall_record,
     wmax_record,
@@ -33,7 +34,6 @@ from . import walls as walls_mod
 from . import fmgroup
 from . import oracle as oracle_mod
 from . import svg as svg_mod
-from .surd import is_perfect_square
 
 
 def _parse_window(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -98,8 +98,6 @@ def cmd_walls(args) -> dict:
 def cmd_pell(args) -> dict:
     pc = pell_mod.solve_generator(args.n, args.ell)
     m_range = _parse_m_range(args.m_range)
-    from .jsonio import surd_str
-
     iterates = []
     for m in m_range:
         it = pell_mod.iterate(pc, m)
@@ -122,10 +120,9 @@ def cmd_pell(args) -> dict:
         "n": pc.n,
         "ell": pc.ell,
         "generator": {
-            "p": surd_str(gen.x),
-            "q": surd_str(gen.y),
-            "matrix": f"{surd_str(gen.y)},{surd_str(gen.x * Fraction(pc.ell))};"
-            f"{surd_str(gen.x)},{surd_str(gen.y)}",
+            "p": surd_str(gen.c),
+            "q": surd_str(gen.d),
+            "matrix": f"{surd_str(gen.a)},{surd_str(gen.b)};{surd_str(gen.c)},{surd_str(gen.d)}",
         },
         "epsilon": pc.epsilon,
         "iterates": iterates,
@@ -139,20 +136,17 @@ def cmd_pell(args) -> dict:
 
 
 def cmd_numsol(args) -> dict:
-    if is_perfect_square(args.n * args.ell):
-        return {
-            "numerical_solutions": [
-                {"v1": "1,0,0", "v2": "0,0,1", "l1": 1, "l2": args.ell}
-            ],
-            "presentations": pell_mod.presentation_report(args.n, args.ell),
-        }
-    pc = pell_mod.solve_generator(args.n, args.ell)
-    sols = pell_mod.numerical_solutions(pc, _parse_m_range(args.m_range))
-    return {
-        "numerical_solutions": [
+    try:
+        pc = pell_mod.solve_generator(args.n, args.ell)
+    except SquareCase:
+        sols = [{"v1": "1,0,0", "v2": "0,0,1", "l1": 1, "l2": args.ell}]
+    else:
+        sols = [
             {"v1": vector_str(s.v1), "v2": vector_str(s.v2), "l1": s.l1, "l2": s.l2}
-            for s in sols
-        ],
+            for s in pell_mod.numerical_solutions(pc, _parse_m_range(args.m_range))
+        ]
+    return {
+        "numerical_solutions": sols,
         "presentations": pell_mod.presentation_report(args.n, args.ell),
     }
 

@@ -1,9 +1,10 @@
 """Surd 2x2 matrix groups acting on the lattice and on the upper half-plane.
 
-A group element has the pattern (a*sqrt(r), b*sqrt(s); c*sqrt(s), d*sqrt(r))
-with integer a..d, r*s = n and determinant a*d*r - b*c*s = +-1.  It acts on
-vectors through the symmetric-matrix embedding (right action g: M -> gT M g)
-and on the half-plane by Moebius transformations; contravariant elements
+A group element is a `pell.GMatrix` of the pattern
+(a*sqrt(r), b*sqrt(s); c*sqrt(s), d*sqrt(r)) with integer a..d, r*s = n
+and determinant a*d*r - b*c*s = +-1.  It acts on vectors through the
+symmetric-matrix embedding (right action g: M -> gT M g) and on the
+half-plane by Moebius transformations; contravariant elements
 (determinant -1) act through z -> -conj(g0 * z) after factoring off
 diag(1, -1), so orientation bookkeeping lives in one place.
 """
@@ -23,61 +24,23 @@ from .errors import (
     SamePoint,
 )
 from .lattice import Context, MukaiVector, beta_data
-from .pell import PellContext
-from .surd import QnComplex, QnNumber, RatLike, Surd, qn_rat, qn_sqrt_n, squarefree_decompose
+from .pell import GMatrix, PellContext
+from .surd import (
+    QnComplex,
+    QnNumber,
+    RatLike,
+    Surd,
+    is_perfect_square,
+    qn_rat,
+    qn_sqrt_n,
+    squarefree_decompose,
+)
 from .walls import Wall, wall_between
-
-
-@dataclass(frozen=True)
-class GMatrix:
-    a: Surd
-    b: Surd
-    c: Surd
-    d: Surd
-
-    def det(self) -> Fraction:
-        ad = self.a * self.d
-        bc = self.b * self.c
-        if not (ad.is_rational() and bc.is_rational()):
-            raise NotInGHat(f"determinant of {self} is irrational")
-        return ad.as_fraction() - bc.as_fraction()
-
-    def __mul__(self, other: "GMatrix") -> "GMatrix":
-        return GMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "GMatrix":
-        inv = Fraction(1) / self.det()
-        return GMatrix(self.d * inv, -(self.b * inv), -(self.c * inv), self.a * inv)
-
-    def __neg__(self) -> "GMatrix":
-        return GMatrix(-self.a, -self.b, -self.c, -self.d)
-
-    def __str__(self):
-        return f"({self.a},{self.b};{self.c},{self.d})"
-
-    __repr__ = __str__
-
-
-def identity_matrix() -> GMatrix:
-    return GMatrix(Surd(1), Surd(0), Surd(0), Surd(1))
 
 
 def delta_matrix() -> GMatrix:
     """diag(1, -1), the cohomological dualizing factor."""
     return GMatrix(Surd(1), Surd(0), Surd(0), Surd(-1))
-
-
-def matrix_power(g: GMatrix, k: int) -> GMatrix:
-    out = identity_matrix()
-    base = g if k >= 0 else g.inverse()
-    for _ in range(abs(k)):
-        out = out * base
-    return out
 
 
 def g_membership(m: GMatrix, ctx: Context) -> Optional[int]:
@@ -102,8 +65,6 @@ def g_membership(m: GMatrix, ctx: Context) -> Optional[int]:
     # canonical radicands satisfy r*s*(square) = n; a radicand left free by
     # zero entries only needs to divide n
     if r is not None and s is not None:
-        from .surd import is_perfect_square
-
         if n % (r * s) or not is_perfect_square(n // (r * s)):
             return None
     elif n % (r if r is not None else s):
@@ -146,17 +107,13 @@ class FMDescriptor:
     psi_index: Optional[int] = None
 
 
-def _sqrt_n_surd(n: int) -> Surd:
-    return Surd(1, n)
-
-
 def act_on_vector(v: MukaiVector, g: GMatrix, ctx: Context) -> MukaiVector:
     """Right action v -> iota^{-1}(gT iota(v) g); preserves the pairing and
     must return a lattice point (failure flags an invalid g)."""
     if not v.is_integral:
         raise NonIntegral(f"{v} is not integral")
     require_member(g, ctx)
-    m11, m12 = Surd(v.r), Surd(v.d) * _sqrt_n_surd(ctx.n)
+    m11, m12 = Surd(v.r), Surd(v.d) * Surd(1, ctx.n)
     m22 = Surd(v.a)
     t11 = g.a * m11 + g.c * m12
     t12 = g.a * m12 + g.c * m22
@@ -174,7 +131,7 @@ def act_on_vector(v: MukaiVector, g: GMatrix, ctx: Context) -> MukaiVector:
     if out12.is_zero():
         d_new = Fraction(0)
     else:
-        scaled = out12 * _sqrt_n_surd(ctx.n)  # (d'*sqrt(n))*sqrt(n) = d'*n
+        scaled = out12 * Surd(1, ctx.n)  # (d'*sqrt(n))*sqrt(n) = d'*n
         if not scaled.is_rational():
             raise IntegralityViolation(f"off-diagonal {out12} not in Z*sqrt(n)")
         d_new = scaled.as_fraction() / ctx.n
@@ -192,14 +149,6 @@ def swap_diagonal(g: GMatrix) -> GMatrix:
 def dual_flip(g: GMatrix) -> GMatrix:
     """(a,b;c,d) -> (a,-b;-c,d): the shifted-dual kernel, same direction."""
     return GMatrix(g.a, -g.b, -g.c, g.d)
-
-
-def theta_phi_convert(g: GMatrix, direction: str) -> GMatrix:
-    if direction == "swap":
-        return swap_diagonal(g)
-    if direction == "dual":
-        return dual_flip(g)
-    raise ValueError(f"unknown direction {direction!r} (want 'swap' or 'dual')")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +216,7 @@ def _sqrt_n_multiple(x: Surd, n: int) -> Fraction:
     """Coefficient w with x = w*sqrt(n); raises NotInGHat otherwise."""
     if x.is_zero():
         return Fraction(0)
-    scaled = x * _sqrt_n_surd(n)
+    scaled = x * Surd(1, n)
     if not scaled.is_rational():
         raise NotInGHat(f"{x} is not a rational multiple of sqrt({n})")
     return scaled.as_fraction() / n
@@ -303,17 +252,12 @@ def charge_compat_check(g: GMatrix, v: MukaiVector, z: QnComplex, ctx: Context) 
 # wall-swapping transforms
 
 
-def generator_matrix(pell: PellContext) -> GMatrix:
-    g = pell.generator
-    return GMatrix(g.y, Surd(pell.ell * g.x.coef, g.x.rad), g.x, g.y)
-
-
 def psi_map(pell: PellContext, m: int) -> FMDescriptor:
     """The contravariant transform with matrix A^{-m} diag(1,-1) A^{m}; it
     swaps the labeled walls around index m (m+k -> m-k).  The shift
     annotation follows the sign of m and is informational only."""
-    a = generator_matrix(pell)
-    mat = matrix_power(a, -m) * delta_matrix() * matrix_power(a, m)
+    a = pell.generator
+    mat = a.power(-m) * delta_matrix() * a.power(m)
     return FMDescriptor(mat, contravariant=True, shift_note=1 if m <= 0 else -1, psi_index=m)
 
 

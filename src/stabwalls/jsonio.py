@@ -11,6 +11,7 @@ import re
 from fractions import Fraction
 
 from .lattice import MukaiVector
+from .pell import GMatrix
 from .surd import QnComplex, QnNumber, Surd
 from .walls import ChamberReport, Circle, VLine, Wall, WMaxReport
 
@@ -168,10 +169,8 @@ def parse_qnc(text: str, n: int) -> QnComplex:
     return QnComplex(parse_qn(re_part, n), parse_qn(im_part, n))
 
 
-def parse_gmatrix_text(text: str):
+def parse_gmatrix_text(text: str) -> GMatrix:
     """Matrix literal "a,b;c,d" with surd entries."""
-    from .fmgroup import GMatrix
-
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise ValueError("matrix literal needs two ';'-separated rows")
@@ -184,7 +183,7 @@ def parse_gmatrix_text(text: str):
     return GMatrix(*entries)
 
 
-def gmatrix_record(g) -> dict:
+def gmatrix_record(g: GMatrix) -> dict:
     return {
         "a": surd_str(g.a),
         "b": surd_str(g.b),

@@ -7,6 +7,11 @@ the isotropic vector pairs labeling codimension-0 walls, the numerical
 solutions of (1, 0, -l), and the slope interval families used by the
 stable-sheaf criteria.
 
+P(x, y) is a `GMatrix`, the one 2x2 surd-matrix type: the Pell matrices
+are the subgroup of the surd-matrix group of `fmgroup` with a = d and
+b = l*c, so the iterates are read off `GMatrix.power` and the
+wall-swapping transforms use the same product.
+
 The generator comes from one exact path.  The map phi(P) = y + x*sqrt(l)
 sends a member to b*sqrt(s) + a*sqrt(r*l), whose square
 (b^2*s + a^2*r*l) + 2ab*sqrt(l*n) is a unit of Z[sqrt(l*n)].  The
@@ -25,31 +30,70 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import AccumulationPoint, IntegralityViolation, InvariantViolation, SquareCase
+from .errors import (
+    AccumulationPoint,
+    IntegralityViolation,
+    InvariantViolation,
+    NotInGHat,
+    SquareCase,
+)
 from .lattice import Context, MukaiVector, RHO, UNIT, pairing
 from .surd import Surd, divisors, is_perfect_square, squarefree_decompose
 
 
 @dataclass(frozen=True)
-class PellMatrix:
-    """P(x, y) = (y, l*x; x, y)."""
+class GMatrix:
+    """The surd matrix (a, b; c, d); the group members have the pattern
+    (a*sqrt(r), b*sqrt(s); c*sqrt(s), d*sqrt(r)), see `fmgroup`."""
 
-    x: Surd
-    y: Surd
-    ell: int
+    a: Surd
+    b: Surd
+    c: Surd
+    d: Surd
 
-    def norm(self) -> Fraction:
-        return self.y.square() - self.ell * self.x.square()
+    def det(self) -> Fraction:
+        ad = self.a * self.d
+        bc = self.b * self.c
+        if not (ad.is_rational() and bc.is_rational()):
+            raise NotInGHat(f"determinant of {self} is irrational")
+        return ad.as_fraction() - bc.as_fraction()
 
-    def __mul__(self, other: "PellMatrix") -> "PellMatrix":
-        if self.ell != other.ell:
-            raise ValueError("mixed Pell groups")
-        x = self.x * other.y + self.y * other.x
-        y = self.y * other.y + self.ell * (self.x * other.x)
-        return PellMatrix(x, y, self.ell)
+    def __mul__(self, other: "GMatrix") -> "GMatrix":
+        return GMatrix(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def inverse(self) -> "GMatrix":
+        inv = Fraction(1) / self.det()
+        return GMatrix(self.d * inv, -(self.b * inv), -(self.c * inv), self.a * inv)
+
+    def power(self, k: int) -> "GMatrix":
+        """self^k by binary powering, O(log |k|) products; k < 0 powers the
+        inverse."""
+        base = self if k >= 0 else self.inverse()
+        k, acc = abs(k), None
+        while k:
+            if k & 1:
+                acc = base if acc is None else acc * base
+            k >>= 1
+            if k:
+                base = base * base
+        return identity_matrix() if acc is None else acc
+
+    def __neg__(self) -> "GMatrix":
+        return GMatrix(-self.a, -self.b, -self.c, -self.d)
 
     def __str__(self):
-        return f"({self.y},{self.ell}*{self.x};{self.x},{self.y})"
+        return f"({self.a},{self.b};{self.c},{self.d})"
+
+    __repr__ = __str__
+
+
+def identity_matrix() -> GMatrix:
+    return GMatrix(Surd(1), Surd(0), Surd(0), Surd(1))
 
 
 @dataclass(frozen=True)
@@ -63,9 +107,9 @@ class Iterate:
 class PellContext:
     n: int
     ell: int
-    generator: PellMatrix
+    generator: GMatrix
     epsilon: int
-    torsion: Optional[PellMatrix] = None
+    torsion: Optional[GMatrix] = None
 
     @property
     def lattice(self) -> Context:
@@ -137,7 +181,7 @@ def solve_generator(n: int, ell: int) -> PellContext:
     if is_perfect_square(d):
         raise SquareCase(f"sqrt({ell}*{n}) is an integer; the group is finite")
     # the kernel of P(x,y) -> y + x*sqrt(l) is generated by (0,1;1,0) when l=1
-    torsion = PellMatrix(Surd(1, 1), Surd(0), ell) if ell == 1 else None
+    torsion = GMatrix(Surd(0), Surd(1), Surd(1), Surd(0)) if ell == 1 else None
     y1, x1 = _fundamental_unit(d)
     for big_y, big_x in ((y1, x1), (y1 * y1 + d * x1 * x1, 2 * y1 * x1)):
         if big_y % 2 == 0:  # Y = b^2*s + a^2*r*l is odd: b^2*s - a^2*r*l = +-1
@@ -148,30 +192,15 @@ def solve_generator(n: int, ell: int) -> PellContext:
                 b = _exact_root((big_y + delta) // 2, s)
                 a = _exact_root((big_y - delta) // 2, r * ell)
                 if a is not None and b is not None and 2 * a * b == big_x:
-                    generator = PellMatrix(Surd(a, r), Surd(b, s), ell)
+                    generator = GMatrix(Surd(b, s), Surd(ell * a, r), Surd(a, r), Surd(b, s))
                     return PellContext(n, ell, generator, delta, torsion)
     raise InvariantViolation(f"no generator found for (n,l)=({n},{ell})")
 
 
 def iterate(pell: PellContext, m: int) -> Iterate:
-    """(a_m, b_m) with generator^m = (b_m, l*a_m; a_m, b_m), by binary
-    powering of the generator; m < 0 uses P(x, y)^-1 = e*P(-x, y) with
-    e = y^2 - l*x^2 = +-1."""
-    if m == 0:
-        return Iterate(0, Surd(0), Surd(1))
-    k = abs(m)
-    acc, base = None, pell.generator
-    while k:
-        if k & 1:
-            acc = base if acc is None else acc * base
-        k >>= 1
-        if k:
-            base = base * base
-    a, b = acc.x, acc.y
-    if m < 0:
-        sign = pell.epsilon ** abs(m)
-        a, b = Surd(-sign * a.coef, a.rad), Surd(sign * b.coef, b.rad)
-    return Iterate(m, a, b)
+    """(a_m, b_m) with generator^m = (b_m, l*a_m; a_m, b_m)."""
+    g = pell.generator.power(m)
+    return Iterate(m, g.c, g.d)
 
 
 def ratio_over_sqrt_n(num: Surd, den: Surd, n: int) -> Fraction:

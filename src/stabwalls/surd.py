@@ -64,14 +64,19 @@ def frac(x: RatLike) -> Fraction:
 class Surd:
     """The real number coef * sqrt(rad), rad a positive squarefree integer.
 
-    Canonical form: rad squarefree, and coef == 0 implies rad == 1.
+    Canonical form: rad squarefree, coef == 0 implies rad == 1, and an
+    integral coef is stored as an int (int products are far cheaper than
+    Fraction ones in the matrix powers of the Pell group).
     """
 
-    coef: Fraction
+    coef: RatLike
     rad: int = 1
 
     def __init__(self, coef: RatLike, rad: int = 1):
-        coef = frac(coef)
+        if type(coef) is not int:
+            coef = frac(coef)
+            if coef.denominator == 1:
+                coef = coef.numerator
         k, d = squarefree_decompose(rad)
         coef *= k
         if coef == 0:
@@ -88,10 +93,10 @@ class Surd:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self.coef
+        return Fraction(self.coef)
 
     def square(self) -> Fraction:
-        return self.coef * self.coef * self.rad
+        return Fraction(self.coef * self.coef * self.rad)
 
     def __mul__(self, other):
         if isinstance(other, Surd):

@@ -50,7 +50,6 @@ from .errors import (
     NonIntegral,
     NoWalls,
     RankZero,
-    SquareCase,
 )
 from .lattice import (
     Context,
@@ -288,8 +287,6 @@ def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:
     """The labeled codimension-0 walls C_m: the t-axis for m = 0, otherwise
     the circle through the two rational slope abscissae of the m-th
     isotropic pair."""
-    if is_perfect_square(pell.ell * pell.n):
-        raise SquareCase("codim-0 family needs sqrt(l*n) irrational")
     out = []
     for m in m_range:
         if m == 0:
@@ -313,8 +310,6 @@ def fundamental_walls(pell: PellContext) -> list[Wall]:
     C_-1 itself only touches t = 0), so one exact cross-section enumeration
     is complete.
     """
-    if is_perfect_square(pell.ell * pell.n):
-        raise SquareCase("use enumerate_walls_on_line at the square abscissa")
     ctx = pell.lattice
     v = MukaiVector(1, 0, -pell.ell)
     lam0 = pell.lambda_0()
@@ -359,8 +354,6 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
     v = MukaiVector(1, 0, -pell.ell)
     if isinstance(w.shape, VLine):
         return vline_codim0_label(v, w.shape, pell.lattice)
-    if is_perfect_square(pell.ell * pell.n):
-        return None
     r_sq = w.shape.radius_sq
     if not (is_perfect_square(r_sq.numerator) and is_perfect_square(r_sq.denominator)):
         return None

@@ -7,20 +7,46 @@ the matching |m|-fold product.
 Kept verbatim, test-only, as the reference that `pell.solve_generator`
 and `pell.iterate` must match generator for generator.  The brute force
 makes it slow for l with a large fundamental unit (l = 61, 94, 109, ...),
-so tests feed it small cases.
+so tests feed it small cases.  It keeps its own copy of the Pell matrix
+class P(x, y) = (y, l*x; x, y) that the package has since folded into
+`pell.GMatrix`, so the reference shares no matrix product with the code
+it checks; its contexts carry a `PellMatrix` generator and torsion.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterator
 
 from stabwalls.errors import IntegralityViolation, InvariantViolation, SquareCase
-from stabwalls.pell import Iterate, PellContext, PellMatrix
+from stabwalls.pell import Iterate, PellContext
 from stabwalls.surd import Surd, divisors, is_perfect_square
 
 _MAX_BRUTE = 10**6
+
+
+@dataclass(frozen=True)
+class PellMatrix:
+    """P(x, y) = (y, l*x; x, y)."""
+
+    x: Surd
+    y: Surd
+    ell: int
+
+    def norm(self) -> Fraction:
+        return self.y.square() - self.ell * self.x.square()
+
+    def __mul__(self, other: "PellMatrix") -> "PellMatrix":
+        if self.ell != other.ell:
+            raise ValueError("mixed Pell groups")
+        x = self.x * other.y + self.y * other.x
+        y = self.y * other.y + self.ell * (self.x * other.x)
+        return PellMatrix(x, y, self.ell)
+
+    def __str__(self):
+        return f"({self.y},{self.ell}*{self.x};{self.x},{self.y})"
 
 
 def _unit_value_squared(g: PellMatrix) -> tuple[Fraction, Fraction]:

@@ -10,21 +10,25 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from stabwalls.fmgroup import (
-    GMatrix,
     act_on_vector,
     charge_compat_check,
     delta_matrix,
     g_mul,
-    generator_matrix,
-    identity_matrix,
-    matrix_power,
     mobius,
     psi_apply_to_wall,
     psi_map,
 )
 from stabwalls.lattice import Context, MukaiVector, pairing, self_pairing, to_sym2, sym2_pairing, twist
 from stabwalls.oracle import ScanConfig, brute_walls, cloud_max_distance, float_align_scan
-from stabwalls.pell import in_interval, interval_index, iterate, solve_generator, u_vectors
+from stabwalls.pell import (
+    GMatrix,
+    identity_matrix,
+    in_interval,
+    interval_index,
+    iterate,
+    solve_generator,
+    u_vectors,
+)
 from stabwalls.surd import QnComplex, QnNumber, Surd
 from stabwalls.walls import (
     Circle,
@@ -54,7 +58,7 @@ def test_criterion_1_pell_goldens():
     }
     for ell, (x, y) in expect.items():
         pc = solve_generator(1, ell)
-        assert (pc.generator.x, pc.generator.y) == (x, y), ell
+        assert (pc.generator.c, pc.generator.d) == (x, y), ell
     # (n, l) = (2, 1) against an independent brute-force oracle, a, b <= 10
     best = None
     for r, s in [(1, 2), (2, 1)]:
@@ -66,8 +70,8 @@ def test_criterion_1_pell_goldens():
                     if phi > 1 and (best is None or phi < best[0]):
                         best = (phi, x, y)
     pc = solve_generator(2, 1)
-    assert (pc.generator.x, pc.generator.y) == (best[1], best[2])
-    assert (pc.generator.x, pc.generator.y) == (Surd(1), Surd(1, 2))
+    assert (pc.generator.c, pc.generator.d) == (best[1], best[2])
+    assert (pc.generator.c, pc.generator.d) == (Surd(1), Surd(1, 2))
     _report(1, "generators A_2, A_3, A_5, A_6 and (2,1) = (sqrt2,1;1,sqrt2)")
 
 
@@ -115,7 +119,7 @@ def test_criterion_4_lattice_properties():
         mats[n] = [delta_matrix(), identity_matrix()]
         for ell in (2, 3, 5):
             if (ell * n) not in (4, 16, 36, 1, 9, 25):
-                mats[n].append(generator_matrix(solve_generator(n, ell)))
+                mats[n].append(solve_generator(n, ell).generator)
         if n == 1:
             mats[n].append(GMatrix(Surd(1), Surd(1), Surd(0), Surd(1)))
     for _ in range(1000):
@@ -193,7 +197,7 @@ def test_criterion_6_group_properties():
             import math
 
             if math.isqrt(ell * n) ** 2 != ell * n:
-                gens[n].append(generator_matrix(solve_generator(n, ell)))
+                gens[n].append(solve_generator(n, ell).generator)
         if n == 1:
             gens[n].append(GMatrix(Surd(1), Surd(1), Surd(0), Surd(1)))
 
@@ -238,12 +242,12 @@ def test_criterion_6_group_properties():
     for n, ell in [(1, 2), (1, 3)]:
         ctx = Context(n)
         pc = solve_generator(n, ell)
-        a = generator_matrix(pc)
+        a = pc.generator
         for m in range(-5, 6):
             psi = psi_map(pc, m)
             for k in range(-5, 6):
-                lhs = g_mul(matrix_power(a, m + k), psi.matrix, ctx)
-                rhs = g_mul(delta_matrix(), matrix_power(a, m - k), ctx)
+                lhs = g_mul(a.power(m + k), psi.matrix, ctx)
+                rhs = g_mul(delta_matrix(), a.power(m - k), ctx)
                 assert lhs == rhs or lhs == -rhs
         fam = {w.label: w for w in codim0_walls(pc, range(-4, 5))}
         for m in range(-2, 3):

@@ -6,7 +6,6 @@ import pytest
 from stabwalls.errors import DegenerateGamma, NotInGHat
 from stabwalls.fmgroup import (
     FMDescriptor,
-    GMatrix,
     act_on_vector,
     charge_at_z,
     charge_compat_check,
@@ -16,19 +15,15 @@ from stabwalls.fmgroup import (
     g_membership,
     g_mul,
     gamma0_check,
-    generator_matrix,
     half_plane_image_check,
-    identity_matrix,
-    matrix_power,
     mobius,
     param_transform,
     psi_apply_to_wall,
     psi_map,
     swap_diagonal,
-    theta_phi_convert,
 )
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing
-from stabwalls.pell import solve_generator
+from stabwalls.pell import GMatrix, identity_matrix, solve_generator
 from stabwalls.surd import QnComplex, QnNumber, Surd, qnc_rat
 from stabwalls.walls import codim0_walls
 
@@ -43,7 +38,7 @@ def _rng_ghat(rng, n):
     for ell in (2, 3, 5):
         if (ell * n) ** 0.5 % 1:
             pc = solve_generator(n, ell)
-            gens.append(generator_matrix(pc))
+            gens.append(pc.generator)
     gens.append(delta_matrix())
     if n == 1:
         gens.append(GMatrix(Surd(1), Surd(1), Surd(0), Surd(1)))
@@ -58,10 +53,10 @@ def _rng_ghat(rng, n):
 
 def test_g_mul_examples():
     pc2 = solve_generator(1, 2)
-    a2 = generator_matrix(pc2)
+    a2 = pc2.generator
     sq = g_mul(a2, a2, C1)
     assert sq == GMatrix(Surd(3), Surd(4), Surd(2), Surd(3))
-    a3 = generator_matrix(solve_generator(1, 3))
+    a3 = solve_generator(1, 3).generator
     conj = g_mul(g_mul(delta_matrix(), a3, C1), delta_matrix(), C1)
     assert conj == GMatrix(Surd(2), Surd(-3), Surd(-1), Surd(2))
     g = GMatrix(Surd(1, 2), Surd(1), Surd(1), Surd(1, 2))
@@ -85,8 +80,24 @@ def test_g_inv():
         assert g_mul(g, g_inv(g, C1), C1) in (identity_matrix(), -identity_matrix())
 
 
+def test_power_matches_naive_product():
+    rng = random.Random(12)
+    parities = set()
+    for n in (1, 2, 3):
+        ctx = Context(n)
+        for _ in range(12):
+            g = _rng_ghat(rng, n)
+            parities.add(g_membership(g, ctx))
+            for k in range(-7, 8):
+                naive = identity_matrix()
+                for _ in range(abs(k)):
+                    naive = naive * (g if k >= 0 else g.inverse())
+                assert g.power(k) == naive, (n, g, k)
+    assert parities == {1, -1}
+
+
 def test_act_examples():
-    a2 = generator_matrix(solve_generator(1, 2))
+    a2 = solve_generator(1, 2).generator
     assert act_on_vector(RHO, a2, C1) == MukaiVector(1, 1, 1)
     assert act_on_vector(UNIT, a2, C1) == MukaiVector(1, 2, 4)
     v = MukaiVector(3, -1, 2)
@@ -111,17 +122,17 @@ def test_act_isometry_and_contravariance():
 
 def test_theta_phi_convert():
     g = GMatrix(Surd(2), Surd(5), Surd(1), Surd(3))
-    assert theta_phi_convert(theta_phi_convert(g, "swap"), "swap") == g
-    assert theta_phi_convert(g, "dual") == GMatrix(Surd(2), Surd(-5), Surd(-1), Surd(3))
-    sym = generator_matrix(solve_generator(1, 2))
-    assert theta_phi_convert(sym, "swap") == sym  # equal diagonal entries
+    assert swap_diagonal(swap_diagonal(g)) == g
+    assert dual_flip(g) == GMatrix(Surd(2), Surd(-5), Surd(-1), Surd(3))
+    sym = solve_generator(1, 2).generator
+    assert swap_diagonal(sym) == sym  # equal diagonal entries
 
 
 # -- half-plane action --------------------------------------------------------
 
 
 def test_mobius_examples():
-    a3sq = matrix_power(generator_matrix(solve_generator(1, 3)), 2)
+    a3sq = solve_generator(1, 3).generator.power(2)
     assert a3sq == GMatrix(Surd(7), Surd(12), Surd(4), Surd(7))
     img = mobius(a3sq, qnc_rat(0, 1, 1), C1)
     assert img == qnc_rat(F(112, 65), F(1, 65), 1)
@@ -152,7 +163,7 @@ def test_mobius_preserves_upper_half_plane_and_composes():
 
 
 def test_charge_compat_golden_and_random():
-    a3sq = matrix_power(generator_matrix(solve_generator(1, 3)), 2)
+    a3sq = solve_generator(1, 3).generator.power(2)
     assert charge_compat_check(a3sq, MukaiVector(1, 0, -3), qnc_rat(0, 1, 1), C1)
     assert charge_compat_check(
         identity_matrix(), MukaiVector(2, -1, 3), qnc_rat(F(1, 3), F(7, 2), 1), C1
@@ -201,13 +212,13 @@ def test_theta_psi_matrix_identity():
     for n, ell in [(1, 2), (1, 3), (2, 3)]:
         ctx = Context(n)
         pc = solve_generator(n, ell)
-        a = generator_matrix(pc)
+        a = pc.generator
         for m in range(-5, 6):
             psi = psi_map(pc, m)
             assert psi.contravariant
             for k in range(-5, 6):
-                lhs = g_mul(matrix_power(a, m + k), psi.matrix, ctx)
-                rhs = g_mul(delta_matrix(), matrix_power(a, m - k), ctx)
+                lhs = g_mul(a.power(m + k), psi.matrix, ctx)
+                rhs = g_mul(delta_matrix(), a.power(m - k), ctx)
                 assert lhs == rhs or lhs == -rhs  # identity in G/{+-1}
 
 
@@ -234,13 +245,13 @@ def test_remark_2m_composite():
     for n, ell in [(1, 2), (1, 3)]:
         ctx = Context(n)
         pc = solve_generator(n, ell)
-        a = generator_matrix(pc)
+        a = pc.generator
         for m in range(-3, 4):
-            theta_back = matrix_power(a, m)
+            theta_back = a.power(m)
             if pc.epsilon**m == -1:
                 theta_back = g_mul(delta_matrix(), theta_back, ctx)
             composite = g_mul(swap_diagonal(theta_back), theta_back, ctx)
-            target = matrix_power(a, 2 * m)
+            target = a.power(2 * m)
             assert composite == target or composite == -target
 
 

@@ -7,7 +7,7 @@ import reference_pell
 from stabwalls.errors import SquareCase
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing, self_pairing
 from stabwalls.pell import (
-    PellMatrix,
+    GMatrix,
     in_interval,
     interval_index,
     iterate,
@@ -37,7 +37,7 @@ from stabwalls.surd import Surd, is_perfect_square
 )
 def test_generators(n, ell, x, y, eps):
     pc = solve_generator(n, ell)
-    assert pc.generator.x == x and pc.generator.y == y
+    assert pc.generator.c == x and pc.generator.d == y
     assert pc.epsilon == eps
 
 
@@ -53,7 +53,7 @@ def test_generator_2_1_against_small_brute_force():
                     if phi > 1 and (best is None or phi < best[0]):
                         best = (phi, x, y)
     pc = solve_generator(2, 1)
-    assert (pc.generator.x, pc.generator.y) == (best[1], best[2])
+    assert (pc.generator.c, pc.generator.d) == (best[1], best[2])
 
 
 def test_generator_square_case():
@@ -68,7 +68,7 @@ def test_generator_square_case():
 def test_torsion_reported_for_ell_1():
     pc = solve_generator(2, 1)
     assert pc.torsion is not None
-    assert pc.torsion.y.is_zero() and pc.torsion.x == Surd(1)
+    assert pc.torsion == GMatrix(Surd(0), Surd(1), Surd(1), Surd(0))
     assert solve_generator(1, 2).torsion is None
 
 
@@ -79,8 +79,11 @@ def test_generator_matches_reference():
     assert len(cases) == 325 and {(2, 1), (3, 1), (5, 1), (6, 1)} <= set(cases)
     for n, ell in cases:
         pc, ref = solve_generator(n, ell), reference_pell.solve_generator(n, ell)
-        assert (pc.generator.x, pc.generator.y) == (ref.generator.x, ref.generator.y), (n, ell)
-        assert (pc.epsilon, pc.torsion) == (ref.epsilon, ref.torsion), (n, ell)
+        assert (pc.generator.c, pc.generator.d) == (ref.generator.x, ref.generator.y), (n, ell)
+        assert (pc.generator.a, pc.generator.b) == (ref.generator.y, ell * ref.generator.x), (n, ell)
+        torsion = None if pc.torsion is None else (pc.torsion.c, pc.torsion.d)
+        ref_torsion = None if ref.torsion is None else (ref.torsion.x, ref.torsion.y)
+        assert (pc.epsilon, torsion) == (ref.epsilon, ref_torsion), (n, ell)
         for m in range(-6, 7):
             assert iterate(pc, m) == reference_pell.iterate(ref, m), (n, ell, m)
 
@@ -96,7 +99,7 @@ def test_generator_matches_sympy_diop_dn():
         pc = solve_generator(1, ell)
         minus = diophantine.diop_DN(ell, -1)
         expected = minus[0] if minus else diophantine.diop_DN(ell, 1)[0]
-        seen[ell] = (pc.generator.y.as_fraction(), pc.generator.x.as_fraction())
+        seen[ell] = (pc.generator.d.as_fraction(), pc.generator.c.as_fraction())
         assert seen[ell] == expected, ell
         assert pc.epsilon == (-1 if minus else 1), ell
     assert seen[109] == (8890182, 851525)
@@ -115,16 +118,21 @@ def test_iterate_examples():
     assert (it.a, it.b) == (Surd(-1), Surd(2))
 
 
+def _pell_matrix(it, ell):
+    """(b_m, l*a_m; a_m, b_m)."""
+    return GMatrix(it.b, ell * it.a, it.a, it.b)
+
+
 def test_iterate_group_law_and_det():
     for n, ell in [(1, 2), (1, 3), (2, 1), (2, 3)]:
         pc = solve_generator(n, ell)
         for m1 in range(-4, 5):
             for m2 in range(-3, 4):
                 i1, i2 = iterate(pc, m1), iterate(pc, m2)
-                prod = PellMatrix(i1.a, i1.b, ell) * PellMatrix(i2.a, i2.b, ell)
+                prod = _pell_matrix(i1, ell) * _pell_matrix(i2, ell)
                 tot = iterate(pc, m1 + m2)
-                assert (prod.x, prod.y) == (tot.a, tot.b)
-                assert PellMatrix(tot.a, tot.b, ell).norm() == pc.epsilon ** (m1 + m2)
+                assert prod == _pell_matrix(tot, ell)
+                assert prod.det() == pc.epsilon ** (m1 + m2)
 
 
 # -- isotropic pairs ----------------------------------------------------------

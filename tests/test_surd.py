@@ -68,6 +68,19 @@ def test_canonical_zero():
     assert Surd(F(0), 5).is_zero()
 
 
+def test_integral_coefficient_is_int():
+    for rad in range(1, 31):
+        for k in range(-6, 7):
+            for x in (Surd(k, rad), Surd(F(k), rad), Surd(F(2 * k, 2), rad)):
+                assert type(x.coef) is int and x == Surd(k, rad) and hash(x) == hash(Surd(k, rad))
+                assert type(x.square()) is F and x.square() == k * k * rad
+                if x.is_rational():
+                    assert type(x.as_fraction()) is F and x.as_fraction() == x.coef
+            half = Surd(F(k, 2), rad)
+            assert type(half.coef) is (int if k % 2 == 0 else F)
+            assert type((half * Surd(2, rad)).coef) is int
+
+
 def test_qn_fold_square_n():
     x = QnNumber(1, 3, 4)  # 1 + 3*sqrt(4) = 7
     assert x.u == 7 and x.v == 0
