@@ -32,7 +32,6 @@ from .surd import (
     Surd,
     is_perfect_square,
     qn_rat,
-    qn_sqrt_n,
     squarefree_decompose,
 )
 from .walls import Wall, wall_between
@@ -207,7 +206,7 @@ def charge_at_z(v: MukaiVector, z: QnComplex, ctx: Context) -> QnComplex:
     """Z of v at beta + i*omega = (z/sqrt(n))H, exactly:
     Z = 2*sqrt(n)*z*d - a - r*z^2 in Q(sqrt n)(i)."""
     n = ctx.n
-    sqn = QnComplex(qn_sqrt_n(n), qn_rat(0, n))
+    sqn = QnComplex(QnNumber(0, 1, n), qn_rat(0, n))
     term1 = z * sqn * QnComplex(qn_rat(2 * v.d, n), qn_rat(0, n))
     return term1 - QnComplex(qn_rat(v.a, n), qn_rat(0, n)) - (z * z) * v.r
 

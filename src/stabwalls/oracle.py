@@ -18,13 +18,12 @@ from .walls import Circle, VLine, Wall, sort_walls, wall_between, witness_key
 
 @dataclass(frozen=True)
 class ScanConfig:
-    entry_bound: int = 8
     grid: float = 0.05
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.entry_bound < 1 or self.tol <= 0:
-            raise ValueError("need entry_bound >= 1 and tol > 0")
+        if self.tol <= 0:
+            raise ValueError("need tol > 0")
 
 
 def brute_walls(v: MukaiVector, s0: RatLike, bound: int, ctx: Context) -> list[Wall]:

@@ -24,7 +24,6 @@ equation", Notices AMS 49 (2002).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,113 +280,75 @@ def presentation_report(n: int, ell: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # slope intervals
+#
+# For k >= 1 let P_k = min(b_k/a_k, l*a_k/b_k) and Q_k = l/P_k (the max of
+# the two); P_0 = 0 and Q_0 = +inf.  Since b_k^2 - l*a_k^2 = +-1 the two
+# ratios straddle sqrt(l), and 0 = P_0 < P_1 < ... < sqrt(l) < ... < Q_1 < Q_0
+# for either sign of epsilon.  The interval families are
+#   I_m = [P_(m-1), P_m) u [Q_m, Q_(m-1))            for m >= 1,
+#   I_m = [-Q_(K-1), -Q_K) u [-P_K, -P_(K-1))        for m <= 0, K = 1 - m,
+# and I_m* is the same union with every piece closed on the right instead.
+# They partition the line minus +-sqrt(l).  The slope lam is rational, so
+# every comparison is made on x = lam^2 against the rational squares
+# P_k^2 = min(B/A, l^2*A/B) and Q_k^2 = l^2/P_k^2, with A = a_k^2 and
+# B = b_k^2; squaring reverses the negative side, so there a piece closed
+# on the left in lam is closed on the right in x.
 
 
-class _Endpoint:
-    """Surd endpoint or +-infinity for interval comparisons."""
-
-    __slots__ = ("value", "inf_sign")
-
-    def __init__(self, value: Optional[Surd], inf_sign: int = 0):
-        self.value = value
-        self.inf_sign = inf_sign  # -1, 0, +1
-
-    def cmp(self, lam: Surd) -> int:
-        """sign(self - lam)."""
-        if self.inf_sign:
-            return self.inf_sign
-        return self.value.compare(lam)
+def _squared_ends(ell: int, a: Surd, b: Surd) -> tuple[Fraction, Optional[Fraction]]:
+    """(P_k^2, Q_k^2) from the iterate (a_k, b_k); (a_0, b_0) = (0, 1)
+    gives P_0 = 0 and Q_0 = +inf, returned as None."""
+    if a.is_zero():
+        return Fraction(0), None
+    big_a, big_b = a.square(), b.square()
+    ba, lab = big_b / big_a, ell * ell * big_a / big_b
+    return (ba, lab) if ba < ell else (lab, ba)
 
 
-def _b_over_a(pell: PellContext, m: int, sign: int = 1) -> _Endpoint:
-    it = iterate(pell, m)
-    if it.a.is_zero():
-        return _Endpoint(None, sign)
-    val = Surd(Fraction(sign) * it.b.coef / (it.a.coef * it.a.rad), it.a.rad * it.b.rad)
-    return _Endpoint(val)
+def _within(x: Fraction, lo: Fraction, hi: Optional[Fraction], closed_left: bool) -> bool:
+    """x in [lo, hi) when closed_left, else in (lo, hi]; hi None is +inf."""
+    if closed_left:
+        return (hi is None or x < hi) and lo <= x
+    return (hi is None or x <= hi) and lo < x
 
 
-def _la_over_b(pell: PellContext, m: int, sign: int = 1) -> _Endpoint:
-    it = iterate(pell, m)
-    if it.b.is_zero():  # pragma: no cover - b_m never vanishes
-        return _Endpoint(None, sign)
-    val = Surd(
-        Fraction(sign * pell.ell) * it.a.coef / (it.b.coef * it.b.rad),
-        it.a.rad * it.b.rad,
-    )
-    return _Endpoint(val)
-
-
-def _pieces(pell: PellContext, m: int) -> list[tuple[_Endpoint, _Endpoint]]:
-    """Half-open pieces [lo, hi) of the interval with index m, in the slope
-    coordinate lambda = mu/(2*sqrt(n)) (endpoints rational multiples of
-    sqrt(n))."""
-    if pell.epsilon == -1:
-        return _pieces_eps_minus(pell, m)
-    return _pieces_eps_plus(pell, m)
-
-
-def _pieces_eps_minus(pell, m):
-    ba = lambda k, s=1: _b_over_a(pell, k, s)
-    lab = lambda k, s=1: _la_over_b(pell, k, s)
-    if m == 1:
-        return [(_Endpoint(Surd(0)), ba(1)), (lab(1), _Endpoint(None, 1))]
-    if m == 0:
-        return [(_Endpoint(None, -1), lab(1, -1)), (ba(1, -1), _Endpoint(Surd(0)))]
-    if m >= 2:
-        k = m // 2
-        if m % 2 == 0:
-            return [(ba(2 * k - 1), lab(2 * k)), (ba(2 * k), lab(2 * k - 1))]
-        return [(lab(2 * k), ba(2 * k + 1)), (lab(2 * k + 1), ba(2 * k))]
-    # m <= -1: written as I_{-2k} and I_{-2k+1} for k >= 1
-    mm = -m
-    if mm % 2 == 0:
-        k = mm // 2
-        return [(ba(2 * k, -1), lab(2 * k + 1, -1)), (ba(2 * k + 1, -1), lab(2 * k, -1))]
-    k = (mm + 1) // 2
-    return [(lab(2 * k - 1, -1), ba(2 * k, -1)), (lab(2 * k, -1), ba(2 * k - 1, -1))]
-
-
-def _pieces_eps_plus(pell, m):
-    ba = lambda k, s=1: _b_over_a(pell, k, s)
-    lab = lambda k, s=1: _la_over_b(pell, k, s)
-    if m == 1:
-        return [(_Endpoint(Surd(0)), lab(1)), (ba(1), _Endpoint(None, 1))]
-    if m == 0:
-        return [(_Endpoint(None, -1), ba(1, -1)), (lab(1, -1), _Endpoint(Surd(0)))]
-    if m >= 2:
-        k = m - 1
-        return [(lab(k), lab(k + 1)), (ba(k + 1), ba(k))]
-    mm = -m
-    return [(ba(mm, -1), ba(mm + 1, -1)), (lab(mm + 1, -1), lab(mm, -1))]
-
-
-def _in_piece(lam: Surd, lo: _Endpoint, hi: _Endpoint, starred: bool) -> bool:
-    lo_c, hi_c = lo.cmp(lam), hi.cmp(lam)
-    if starred:
-        return lo_c < 0 and hi_c >= 0  # (lo, hi]
-    return lo_c <= 0 and hi_c > 0  # [lo, hi)
-
-
-def in_interval(pell: PellContext, lam: Surd, m: int, starred: bool) -> bool:
-    """Whether lam lies in I_m, or in its right-closed twin I_m* when starred."""
-    return any(_in_piece(lam, lo, hi, starred) for lo, hi in _pieces(pell, m))
+def in_interval(pell: PellContext, lam: Fraction, m: int, starred: bool) -> bool:
+    """Whether the rational slope lam lies in I_m, or in its right-closed
+    twin I_m* when starred."""
+    lam = Fraction(lam)
+    if (lam < 0) if m >= 1 else (lam > 0):
+        return False
+    k = m if m >= 1 else 1 - m
+    prev, cur = iterate(pell, k - 1), iterate(pell, k)
+    p_prev, q_prev = _squared_ends(pell.ell, prev.a, prev.b)
+    p_k, q_k = _squared_ends(pell.ell, cur.a, cur.b)
+    x, closed_left = lam * lam, (m >= 1) != starred
+    return _within(x, p_prev, p_k, closed_left) or _within(x, q_k, q_prev, closed_left)
 
 
 def interval_index(pell: PellContext, lam: Fraction) -> dict:
     """Locate the rational slope lam in the half-open interval decomposition
     of P^1(R) minus the accumulation points +-sqrt(l); `starred` reports
-    whether lam is interior (in both the interval and its right-closed twin)."""
+    whether lam is interior (in both the interval and its right-closed twin).
+
+    The walk k = 1, 2, ... takes one generator product per step and stops
+    at the first piece of I_k (lam >= 0) or I_(1-k) (lam < 0) that holds
+    lam; P_k and Q_k close in on sqrt(l) and x != l, so the walk ends."""
     lam = Fraction(lam)
-    lam_s = Surd(lam)
-    if lam_s.square() == pell.ell and lam_s.rad == 1:
+    x = lam * lam
+    if x == pell.ell:
         raise AccumulationPoint(f"lambda^2 = {pell.ell}")
-    # probe m = 1, 0, 2, -1, 3, -2, ...; the intervals partition the line
-    # minus +-sqrt(l), so some I_m holds lam and the probe ends
-    for k in itertools.count(1):
-        for m in (k, 1 - k):
-            if in_interval(pell, lam_s, m, starred=False):
-                return {"m": m, "starred": in_interval(pell, lam_s, m, starred=True)}
+    positive = lam >= 0
+    p_prev, q_prev = Fraction(0), None
+    acc, k = pell.generator, 1
+    while True:
+        p_k, q_k = _squared_ends(pell.ell, acc.c, acc.d)
+        for lo, hi in ((p_prev, p_k), (q_k, q_prev)):
+            if _within(x, lo, hi, closed_left=positive):
+                closed_end = lo if positive else hi
+                return {"m": k if positive else 1 - k, "starred": x != closed_end}
+        p_prev, q_prev = p_k, q_k
+        acc, k = acc * pell.generator, k + 1
 
 
 def sheaf_verdict(pell: PellContext, lam: Fraction, m: int) -> dict:
@@ -396,9 +357,8 @@ def sheaf_verdict(pell: PellContext, lam: Fraction, m: int) -> dict:
     slopes satisfy both, endpoints exactly one."""
     if m > 0:
         raise ValueError("verdict defined for m <= 0")
-    lam_s = Surd(Fraction(lam))
-    stable = in_interval(pell, lam_s, m, starred=False)
-    dual = in_interval(pell, lam_s, m, starred=True)
+    stable = in_interval(pell, lam, m, starred=False)
+    dual = in_interval(pell, lam, m, starred=True)
     if stable and dual:
         label = "Both"
     elif stable:

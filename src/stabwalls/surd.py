@@ -272,16 +272,8 @@ class QnNumber:
     __repr__ = __str__
 
 
-def qn(u: RatLike, v: RatLike, n: int) -> QnNumber:
-    return QnNumber(u, v, n)
-
-
 def qn_rat(u: RatLike, n: int) -> QnNumber:
     return QnNumber(u, 0, n)
-
-
-def qn_sqrt_n(n: int) -> QnNumber:
-    return QnNumber(0, 1, n)
 
 
 @dataclass(frozen=True)
@@ -344,10 +336,6 @@ class QnComplex:
         return f"({self.re})+({self.im})*i"
 
     __repr__ = __str__
-
-
-def qnc(re: QnNumber, im: QnNumber) -> QnComplex:
-    return QnComplex(re, im)
 
 
 def qnc_rat(u: RatLike, v: RatLike, n: int) -> QnComplex:

@@ -140,11 +140,10 @@ def wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall
                 return None
             return Wall(Circle(center, radius_sq), v1)
         return Wall(VLine(Fraction(v.d, v.r)), v1)
-    # rank 0: every wall is a circle around a/(2n*d)
+    # rank 0: <v^2> = 2n*d^2 > 0 forces d != 0, and every wall is a circle
+    # around a/(2n*d)
     if v1.r == 0:
         return None
-    if v.d == 0:
-        return None  # <v^2> > 0 already forces d != 0; defensive
     center = v.a / (2 * n * v.d)
     radius_sq = (center - Fraction(v1.d) / v1.r) ** 2 - self_pairing(v1, ctx) / (
         2 * n * v1.r**2
@@ -283,6 +282,12 @@ def _codim0_witness(pell: PellContext, m: int) -> MukaiVector:
     return -u
 
 
+def _circle_through(lam1: Fraction, lam2: Fraction) -> Circle:
+    """The circle meeting the real axis at lam1 and lam2: C_m, from the
+    two slope abscissae of `slope_endpoints(pell, m)`."""
+    return Circle((lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2)
+
+
 def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:
     """The labeled codimension-0 walls C_m: the t-axis for m = 0, otherwise
     the circle through the two rational slope abscissae of the m-th
@@ -292,12 +297,8 @@ def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:
         if m == 0:
             out.append(Wall(VLine(Fraction(0)), UNIT, codim0=True, label=0))
             continue
-        lam1, lam2 = slope_endpoints(pell, m)
-        center = (lam1 + lam2) / 2
-        radius_sq = ((lam1 - lam2) / 2) ** 2
-        out.append(
-            Wall(Circle(center, radius_sq), _codim0_witness(pell, m), codim0=True, label=m)
-        )
+        circle = _circle_through(*slope_endpoints(pell, m))
+        out.append(Wall(circle, _codim0_witness(pell, m), codim0=True, label=m))
     return out
 
 
@@ -313,8 +314,7 @@ def fundamental_walls(pell: PellContext) -> list[Wall]:
     ctx = pell.lattice
     v = MukaiVector(1, 0, -pell.ell)
     lam0 = pell.lambda_0()
-    c0 = codim0_walls(pell, range(0, 1))[0]
-    cm1 = codim0_walls(pell, range(-1, 0))[0]
+    cm1, c0 = codim0_walls(pell, range(-1, 1))
     between = [
         w
         for w in enumerate_walls_on_line(v, lam0, ctx)
@@ -365,10 +365,9 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
         lam1, lam2 = slope_endpoints(pell, k)
         if 1 / abs(pell.n * lam1 * lam1 - pell.ell) > bound:  # a_k^2
             return None
-        center, radius_sq = (lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2
-        if w.shape == Circle(-center, radius_sq):
+        if w.shape == _circle_through(-lam1, -lam2):
             return -k
-        if w.shape == Circle(center, radius_sq):
+        if w.shape == _circle_through(lam1, lam2):
             return k
         k += 1
 

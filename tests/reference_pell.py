@@ -11,16 +11,26 @@ so tests feed it small cases.  It keeps its own copy of the Pell matrix
 class P(x, y) = (y, l*x; x, y) that the package has since folded into
 `pell.GMatrix`, so the reference shares no matrix product with the code
 it checks; its contexts carry a `PellMatrix` generator and torsion.
+
+The slope-interval block at the end (`_Endpoint` through `interval_index`)
+is the earlier interval code, also kept verbatim: surd endpoints with a
++-infinity sentinel, one piece table per sign of epsilon, and a probe of
+m = 1, 0, 2, -1, ... that recomputes the endpoints at every probe.  It is
+the reference for `pell.in_interval` and `pell.interval_index`; its
+`in_interval` takes the slope as a `Surd`, and its `iterate` calls resolve
+to the reference `iterate` above, so it takes the contexts of the
+reference `solve_generator`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
-from stabwalls.errors import IntegralityViolation, InvariantViolation, SquareCase
+from stabwalls.errors import AccumulationPoint, IntegralityViolation, InvariantViolation, SquareCase
 from stabwalls.pell import Iterate, PellContext
 from stabwalls.surd import Surd, divisors, is_perfect_square
 
@@ -209,3 +219,115 @@ def iterate(pell: PellContext, m: int) -> Iterate:
         sign = pell.epsilon**k
         a, b = Surd(-sign * a.coef, a.rad), Surd(sign * b.coef, b.rad)
     return Iterate(m, a, b)
+
+
+# ---------------------------------------------------------------------------
+# slope intervals
+
+
+class _Endpoint:
+    """Surd endpoint or +-infinity for interval comparisons."""
+
+    __slots__ = ("value", "inf_sign")
+
+    def __init__(self, value: Optional[Surd], inf_sign: int = 0):
+        self.value = value
+        self.inf_sign = inf_sign  # -1, 0, +1
+
+    def cmp(self, lam: Surd) -> int:
+        """sign(self - lam)."""
+        if self.inf_sign:
+            return self.inf_sign
+        return self.value.compare(lam)
+
+
+def _b_over_a(pell: PellContext, m: int, sign: int = 1) -> _Endpoint:
+    it = iterate(pell, m)
+    if it.a.is_zero():
+        return _Endpoint(None, sign)
+    val = Surd(Fraction(sign) * it.b.coef / (it.a.coef * it.a.rad), it.a.rad * it.b.rad)
+    return _Endpoint(val)
+
+
+def _la_over_b(pell: PellContext, m: int, sign: int = 1) -> _Endpoint:
+    it = iterate(pell, m)
+    if it.b.is_zero():  # pragma: no cover - b_m never vanishes
+        return _Endpoint(None, sign)
+    val = Surd(
+        Fraction(sign * pell.ell) * it.a.coef / (it.b.coef * it.b.rad),
+        it.a.rad * it.b.rad,
+    )
+    return _Endpoint(val)
+
+
+def _pieces(pell: PellContext, m: int) -> list[tuple[_Endpoint, _Endpoint]]:
+    """Half-open pieces [lo, hi) of the interval with index m, in the slope
+    coordinate lambda = mu/(2*sqrt(n)) (endpoints rational multiples of
+    sqrt(n))."""
+    if pell.epsilon == -1:
+        return _pieces_eps_minus(pell, m)
+    return _pieces_eps_plus(pell, m)
+
+
+def _pieces_eps_minus(pell, m):
+    ba = lambda k, s=1: _b_over_a(pell, k, s)
+    lab = lambda k, s=1: _la_over_b(pell, k, s)
+    if m == 1:
+        return [(_Endpoint(Surd(0)), ba(1)), (lab(1), _Endpoint(None, 1))]
+    if m == 0:
+        return [(_Endpoint(None, -1), lab(1, -1)), (ba(1, -1), _Endpoint(Surd(0)))]
+    if m >= 2:
+        k = m // 2
+        if m % 2 == 0:
+            return [(ba(2 * k - 1), lab(2 * k)), (ba(2 * k), lab(2 * k - 1))]
+        return [(lab(2 * k), ba(2 * k + 1)), (lab(2 * k + 1), ba(2 * k))]
+    # m <= -1: written as I_{-2k} and I_{-2k+1} for k >= 1
+    mm = -m
+    if mm % 2 == 0:
+        k = mm // 2
+        return [(ba(2 * k, -1), lab(2 * k + 1, -1)), (ba(2 * k + 1, -1), lab(2 * k, -1))]
+    k = (mm + 1) // 2
+    return [(lab(2 * k - 1, -1), ba(2 * k, -1)), (lab(2 * k, -1), ba(2 * k - 1, -1))]
+
+
+def _pieces_eps_plus(pell, m):
+    ba = lambda k, s=1: _b_over_a(pell, k, s)
+    lab = lambda k, s=1: _la_over_b(pell, k, s)
+    if m == 1:
+        return [(_Endpoint(Surd(0)), lab(1)), (ba(1), _Endpoint(None, 1))]
+    if m == 0:
+        return [(_Endpoint(None, -1), ba(1, -1)), (lab(1, -1), _Endpoint(Surd(0)))]
+    if m >= 2:
+        k = m - 1
+        return [(lab(k), lab(k + 1)), (ba(k + 1), ba(k))]
+    mm = -m
+    return [(ba(mm, -1), ba(mm + 1, -1)), (lab(mm + 1, -1), lab(mm, -1))]
+
+
+def _in_piece(lam: Surd, lo: _Endpoint, hi: _Endpoint, starred: bool) -> bool:
+    lo_c, hi_c = lo.cmp(lam), hi.cmp(lam)
+    if starred:
+        return lo_c < 0 and hi_c >= 0  # (lo, hi]
+    return lo_c <= 0 and hi_c > 0  # [lo, hi)
+
+
+def in_interval(pell: PellContext, lam: Surd, m: int, starred: bool) -> bool:
+    """Whether lam lies in I_m, or in its right-closed twin I_m* when starred."""
+    return any(_in_piece(lam, lo, hi, starred) for lo, hi in _pieces(pell, m))
+
+
+def interval_index(pell: PellContext, lam: Fraction) -> dict:
+    """Locate the rational slope lam in the half-open interval decomposition
+    of P^1(R) minus the accumulation points +-sqrt(l); `starred` reports
+    whether lam is interior (in both the interval and its right-closed twin)."""
+    lam = Fraction(lam)
+    lam_s = Surd(lam)
+    if lam_s.square() == pell.ell and lam_s.rad == 1:
+        raise AccumulationPoint(f"lambda^2 = {pell.ell}")
+    # probe m = 1, 0, 2, -1, 3, -2, ...; the intervals partition the line
+    # minus +-sqrt(l), so some I_m holds lam and the probe ends
+    for k in itertools.count(1):
+        for m in (k, 1 - k):
+            if in_interval(pell, lam_s, m, starred=False):
+                return {"m": m, "starred": in_interval(pell, lam_s, m, starred=True)}
+

@@ -270,13 +270,13 @@ def test_criterion_7_interval_machinery():
             hits = [
                 m
                 for m in range(idx["m"] - 3, idx["m"] + 4)
-                if in_interval(pc, Surd(lam), m, starred=False)
+                if in_interval(pc, lam, m, starred=False)
             ]
             assert hits == [idx["m"]]
             star_hits = [
                 m
                 for m in range(idx["m"] - 3, idx["m"] + 4)
-                if in_interval(pc, Surd(lam), m, starred=True)
+                if in_interval(pc, lam, m, starred=True)
             ]
             assert len(star_hits) == 1
             assert (star_hits == hits) == idx["starred"]

@@ -1,10 +1,12 @@
+import functools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import reference_pell
-from stabwalls.errors import SquareCase
+from stabwalls.errors import AccumulationPoint, SquareCase
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing, self_pairing
 from stabwalls.pell import (
     GMatrix,
@@ -230,6 +232,9 @@ def test_interval_index_examples():
     assert interval_index(pc2, F(1, 2)) == {"m": 1, "starred": True}
     assert interval_index(pc2, F(-3, 2)) == {"m": -2, "starred": False}
     assert interval_index(pc2, F(-1)) == {"m": 0, "starred": False}
+    # 1600 digits from sqrt(2): the walk passes two thousand iterates
+    far = F(math.isqrt(2 * 10**3200) + 17, 10**1600)
+    assert interval_index(pc2, far) == {"m": 2089, "starred": True}
 
 
 def test_interval_partition_property():
@@ -242,7 +247,7 @@ def test_interval_partition_property():
             # membership in exactly one interval: recheck neighbours
             hits = []
             for m in range(idx["m"] - 3, idx["m"] + 4):
-                if in_interval(pc, Surd(lam), m, starred=False):
+                if in_interval(pc, lam, m, starred=False):
                     hits.append(m)
             assert hits == [idx["m"]]
 
@@ -250,10 +255,10 @@ def test_interval_partition_property():
 def test_interval_star_vs_plain_disagree_only_on_endpoints():
     pc2 = solve_generator(1, 2)
     # -3/2 is a left endpoint: in I_-2 but not I_-2*
-    assert in_interval(pc2, Surd(F(-3, 2)), -2, starred=False)
-    assert not in_interval(pc2, Surd(F(-3, 2)), -2, starred=True)
+    assert in_interval(pc2, F(-3, 2), -2, starred=False)
+    assert not in_interval(pc2, F(-3, 2), -2, starred=True)
     # and it lands in I_-1* instead (right-closed)
-    assert in_interval(pc2, Surd(F(-3, 2)), -1, starred=True)
+    assert in_interval(pc2, F(-3, 2), -1, starred=True)
 
 
 def test_sheaf_verdict_examples():
@@ -281,6 +286,49 @@ def test_interval_index_eps_plus_table():
     # between -2 and -3/2 sits the negative fan around -sqrt(3)
     assert interval_index(pc3, F(-2))["m"] == -1
     assert interval_index(pc3, F(0))["m"] == 1
+
+
+def _rational_endpoints(ref, k):
+    """The rational ones among +-P_k and +-Q_k, from the reference's own
+    surd endpoints b_k/a_k and l*a_k/b_k."""
+    out = []
+    for end in (reference_pell._b_over_a(ref, k), reference_pell._la_over_b(ref, k)):
+        if end.value.rad == 1:
+            out += [end.value.coef, -end.value.coef]
+    return out
+
+
+def test_intervals_match_reference(monkeypatch):
+    # the reference recomputes its |m|-fold iterates at every probe; caching
+    # them changes no answer and keeps the test short
+    monkeypatch.setattr(reference_pell, "iterate", functools.lru_cache(reference_pell.iterate))
+    rng = random.Random(2012)
+    eps_seen = set()
+    for n in range(1, 7):
+        for ell in range(1, 30):
+            if is_perfect_square(n * ell):
+                continue
+            pc, ref = solve_generator(n, ell), reference_pell.solve_generator(n, ell)
+            eps_seen.add(pc.epsilon)
+            slopes = [F(0)] + [F(rng.randint(-300, 300), rng.randint(1, 40)) for _ in range(4)]
+            for _ in range(2):  # near +-sqrt(l), where |m| grows
+                q = rng.randint(1, 500)
+                slopes.append(rng.choice((1, -1)) * F(math.isqrt(ell * q * q) + rng.randint(0, 1), q))
+            for k in range(1, 6):
+                slopes += _rational_endpoints(ref, k)
+            for lam in slopes:
+                if lam * lam == ell:
+                    for locate, ctx in ((interval_index, pc), (reference_pell.interval_index, ref)):
+                        with pytest.raises(AccumulationPoint):
+                            locate(ctx, lam)
+                    continue
+                idx = interval_index(pc, lam)
+                assert idx == reference_pell.interval_index(ref, lam), (n, ell, lam)
+                for m in range(idx["m"] - 3, idx["m"] + 4):
+                    for starred in (False, True):
+                        want = reference_pell.in_interval(ref, Surd(lam), m, starred)
+                        assert in_interval(pc, lam, m, starred) == want, (n, ell, lam, m)
+    assert eps_seen == {1, -1}
 
 
 def test_accumulation_point_error():
