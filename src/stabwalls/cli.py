@@ -22,12 +22,13 @@ from .jsonio import (
     parse_gmatrix_text,
     parse_qnc,
     qnc_str,
+    solution_record,
     surd_str,
     vector_str,
     wall_record,
     wmax_record,
 )
-from .lattice import Context, MukaiVector
+from .lattice import Context, MukaiVector, RHO, UNIT
 from .charge import StabilityPoint
 from . import pell as pell_mod
 from . import walls as walls_mod
@@ -47,8 +48,10 @@ def _parse_window(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _parse_m_range(text: str) -> range:
-    lo, hi = text.split("..")
-    return range(int(lo), int(hi) + 1)
+    parts = text.split("..")
+    if len(parts) != 2:
+        raise ValueError("m-range must be lo..hi")
+    return range(int(parts[0]), int(parts[1]) + 1)
 
 
 def _emit(payload) -> None:
@@ -106,15 +109,6 @@ def cmd_pell(args) -> dict:
     for m in m_range:
         u, u_prime = pell_mod.u_vectors(pc, m)
         u_vecs.append({"m": m, "u": vector_str(u), "u_prime": vector_str(u_prime)})
-    sols = [
-        {
-            "v1": vector_str(s.v1),
-            "v2": vector_str(s.v2),
-            "l1": s.l1,
-            "l2": s.l2,
-        }
-        for s in pell_mod.numerical_solutions(pc, m_range)
-    ]
     gen = pc.generator
     out = {
         "n": pc.n,
@@ -127,7 +121,9 @@ def cmd_pell(args) -> dict:
         "epsilon": pc.epsilon,
         "iterates": iterates,
         "u_vectors": u_vecs,
-        "numerical_solutions": sols,
+        "numerical_solutions": [
+            solution_record(s) for s in pell_mod.numerical_solutions(pc, m_range)
+        ],
         "presentations": pell_mod.presentation_report(args.n, args.ell),
     }
     if pc.torsion is not None:
@@ -139,14 +135,11 @@ def cmd_numsol(args) -> dict:
     try:
         pc = pell_mod.solve_generator(args.n, args.ell)
     except SquareCase:
-        sols = [{"v1": "1,0,0", "v2": "0,0,1", "l1": 1, "l2": args.ell}]
+        sols = [pell_mod.NumericalSolution(UNIT, RHO, 1, args.ell)]
     else:
-        sols = [
-            {"v1": vector_str(s.v1), "v2": vector_str(s.v2), "l1": s.l1, "l2": s.l2}
-            for s in pell_mod.numerical_solutions(pc, _parse_m_range(args.m_range))
-        ]
+        sols = pell_mod.numerical_solutions(pc, _parse_m_range(args.m_range))
     return {
-        "numerical_solutions": sols,
+        "numerical_solutions": [solution_record(s) for s in sols],
         "presentations": pell_mod.presentation_report(args.n, args.ell),
     }
 

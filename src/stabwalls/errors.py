@@ -47,18 +47,6 @@ class AccumulationPoint(PreconditionError):
     pass
 
 
-class ZeroCharge(PreconditionError):
-    pass
-
-
-class SamePoint(PreconditionError):
-    pass
-
-
-class DegenerateGamma(PreconditionError):
-    pass
-
-
 class NoWalls(PreconditionError):
     pass
 

@@ -6,7 +6,12 @@ and determinant a*d*r - b*c*s = +-1.  It acts on vectors through the
 symmetric-matrix embedding (right action g: M -> gT M g) and on the
 half-plane by Moebius transformations; contravariant elements
 (determinant -1) act through z -> -conj(g0 * z) after factoring off
-diag(1, -1), so orientation bookkeeping lives in one place.
+diag(1, -1), so orientation bookkeeping lives in one place.  The
+wall-swapping transforms psi_map / psi_apply_to_wall move labeled walls.
+
+The paper's statements about these actions (the charge compatibility of
+the transforms, the transformed half-plane and the conjugation into
+Gamma_0(n)) are checked by the test suite, in tests/paper_checks.py.
 """
 
 from __future__ import annotations
@@ -15,25 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (
-    DegenerateGamma,
-    IntegralityViolation,
-    LowerHalfPlane,
-    NonIntegral,
-    NotInGHat,
-    SamePoint,
-)
-from .lattice import Context, MukaiVector, beta_data
+from .errors import IntegralityViolation, LowerHalfPlane, NonIntegral, NotInGHat
+from .lattice import Context, MukaiVector
 from .pell import GMatrix, PellContext
-from .surd import (
-    QnComplex,
-    QnNumber,
-    RatLike,
-    Surd,
-    is_perfect_square,
-    qn_rat,
-    squarefree_decompose,
-)
+from .surd import QnComplex, QnNumber, Surd, is_perfect_square, qn_rat, squarefree_decompose
 from .walls import Wall, wall_between
 
 
@@ -82,27 +72,12 @@ def require_member(m: GMatrix, ctx: Context) -> int:
     return parity
 
 
-def g_mul(x: GMatrix, y: GMatrix, ctx: Context) -> GMatrix:
-    out = x * y
-    require_member(out, ctx)
-    return out
-
-
-def g_inv(x: GMatrix, ctx: Context) -> GMatrix:
-    out = x.inverse()
-    require_member(out, ctx)
-    return out
-
-
 @dataclass(frozen=True)
 class FMDescriptor:
-    """Cohomological data of a (possibly contravariant) transform: the
-    matrix, orientation, an informational shift annotation, and the family
-    index when the descriptor came from the wall-swapping construction."""
+    """Cohomological data of a transform: the matrix, and the family index
+    when the descriptor came from the wall-swapping construction."""
 
     matrix: GMatrix
-    contravariant: bool
-    shift_note: int
     psi_index: Optional[int] = None
 
 
@@ -137,17 +112,6 @@ def act_on_vector(v: MukaiVector, g: GMatrix, ctx: Context) -> MukaiVector:
     if r_new.denominator != 1 or a_new.denominator != 1 or d_new.denominator != 1:
         raise IntegralityViolation(f"non-integral image of {v} under {g}")
     return MukaiVector(int(r_new), d_new, a_new)
-
-
-def swap_diagonal(g: GMatrix) -> GMatrix:
-    """(a,b;c,d) -> (d,b;c,a): converts between the point-object convention
-    and the kernel convention, i.e. reverses the transform's direction."""
-    return GMatrix(g.d, g.b, g.c, g.a)
-
-
-def dual_flip(g: GMatrix) -> GMatrix:
-    """(a,b;c,d) -> (a,-b;-c,d): the shifted-dual kernel, same direction."""
-    return GMatrix(g.a, -g.b, -g.c, g.d)
 
 
 # ---------------------------------------------------------------------------
@@ -199,65 +163,14 @@ def mobius(g: GMatrix, z: QnComplex, ctx: Context) -> QnComplex:
 
 
 # ---------------------------------------------------------------------------
-# exact charges on the half-plane and the compatibility identity
-
-
-def charge_at_z(v: MukaiVector, z: QnComplex, ctx: Context) -> QnComplex:
-    """Z of v at beta + i*omega = (z/sqrt(n))H, exactly:
-    Z = 2*sqrt(n)*z*d - a - r*z^2 in Q(sqrt n)(i)."""
-    n = ctx.n
-    sqn = QnComplex(QnNumber(0, 1, n), qn_rat(0, n))
-    term1 = z * sqn * QnComplex(qn_rat(2 * v.d, n), qn_rat(0, n))
-    return term1 - QnComplex(qn_rat(v.a, n), qn_rat(0, n)) - (z * z) * v.r
-
-
-def _sqrt_n_multiple(x: Surd, n: int) -> Fraction:
-    """Coefficient w with x = w*sqrt(n); raises NotInGHat otherwise."""
-    if x.is_zero():
-        return Fraction(0)
-    scaled = x * Surd(1, n)
-    if not scaled.is_rational():
-        raise NotInGHat(f"{x} is not a rational multiple of sqrt({n})")
-    return scaled.as_fraction() / n
-
-
-def charge_compat_check(g: GMatrix, v: MukaiVector, z: QnComplex, ctx: Context) -> bool:
-    """Exact check of -(c*z+d)^2 * Z_{g*z}(Phi(v)) = Z_z(v) for g in the
-    half-plane convention.
-
-    The transform acts on vectors as Phi(v) = -(v * theta(g)) with theta(g)
-    the diagonal swap of g: the odd kernel shift that pairs with the
-    -(c*z+d)^2 factor (the quadratic right action alone cannot see the
-    sign; the translation matrix (1,1;0,1) pins it)."""
-    if require_member(g, ctx) != 1:
-        raise NotInGHat("compatibility check needs determinant +1")
-    n = ctx.n
-    lhs = charge_at_z(v, z, ctx)
-    z_img = mobius(g, z, ctx)
-    v_img = -act_on_vector(v, swap_diagonal(g), ctx)
-    # (c*z+d)^2 = c^2 z^2 + 2cd z + d^2 with c^2, d^2 rational and cd a
-    # rational multiple of sqrt(n): all coefficients live in the field
-    cd_coeff = _sqrt_n_multiple(g.c * g.d, n)
-    zeta = (
-        (z * z) * g.c.square()
-        + z * QnComplex(QnNumber(0, 2 * cd_coeff, n), qn_rat(0, n))
-        + QnComplex(qn_rat(g.d.square(), n), qn_rat(0, n))
-    )
-    rhs = -(zeta * charge_at_z(v_img, z_img, ctx))
-    return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
 # wall-swapping transforms
 
 
 def psi_map(pell: PellContext, m: int) -> FMDescriptor:
     """The contravariant transform with matrix A^{-m} diag(1,-1) A^{m}; it
-    swaps the labeled walls around index m (m+k -> m-k).  The shift
-    annotation follows the sign of m and is informational only."""
+    swaps the labeled walls around index m (m+k -> m-k)."""
     a = pell.generator
-    mat = a.power(-m) * delta_matrix() * a.power(m)
-    return FMDescriptor(mat, contravariant=True, shift_note=1 if m <= 0 else -1, psi_index=m)
+    return FMDescriptor(a.power(-m) * delta_matrix() * a.power(m), psi_index=m)
 
 
 def psi_apply_to_wall(
@@ -274,49 +187,3 @@ def psi_apply_to_wall(
     if label is not None and psi.psi_index is not None:
         label = 2 * psi.psi_index - label
     return Wall(new.shape, new.witness, wall.codim0, label)
-
-
-# ---------------------------------------------------------------------------
-# parameter transform of the (s, t) coordinates
-
-
-def param_transform(
-    lam: RatLike, r1: int, s: RatLike, t_sq: RatLike, ctx: Context
-) -> tuple[Fraction, Fraction]:
-    """(s', t'^2) of the transform based at slope lam with isotropic rank r1:
-    s' = 2(lam-s) / (|r1|((lam-s)^2+t^2)(H^2)), t' = 2t / (same denominator)."""
-    lam, s, t_sq = Fraction(lam), Fraction(s), Fraction(t_sq)
-    if r1 == 0:
-        raise DegenerateGamma("r1 must be nonzero")
-    denom = abs(r1) * ((lam - s) ** 2 + t_sq) * 2 * ctx.n
-    if denom == 0:
-        raise SamePoint(f"(s, t) coincides with ({lam}, 0)")
-    return 2 * (lam - s) / denom, 4 * t_sq / denom**2
-
-
-def half_plane_image_check(
-    v: MukaiVector, lam: RatLike, r1: int, s: RatLike, t_sq: RatLike, ctx: Context
-) -> bool:
-    """Whether (s, t) lies in the closed disk bounded by the circle cut out
-    at slope lam, decided through the transformed half-plane inequality
-    -(|r1| * a_g / d_g) * s' >= 1."""
-    lam = Fraction(lam)
-    _, d_g, a_g = beta_data(v, lam, ctx)
-    if d_g == 0:
-        raise DegenerateGamma(f"d_beta(v) = 0 at slope {lam}")
-    s_new, _ = param_transform(lam, r1, s, t_sq, ctx)
-    return -abs(r1) * (a_g / d_g) * s_new >= 1
-
-
-def gamma0_check(g: GMatrix, ctx: Context) -> bool:
-    """True iff diag(sqrt n, 1)^{-1} g diag(sqrt n, 1) is an integer matrix
-    with lower-left divisible by n and determinant 1."""
-    n = ctx.n
-    if g_membership(g, ctx) != 1:
-        return False
-    top_right = Surd(Fraction(g.b.coef, n), g.b.rad * n)  # b*sqrt(s)/sqrt(n)
-    bottom_left = Surd(g.c.coef, g.c.rad * n)  # c*sqrt(s)*sqrt(n)
-    for entry in (g.a, g.d, top_right, bottom_left):
-        if not entry.is_rational() or entry.coef.denominator != 1:
-            return False
-    return int(bottom_left.as_fraction()) % n == 0

@@ -2,7 +2,7 @@
 
 All rationals serialize as strings "p/q" (plain "p" for integers), never as
 floats; vectors as "r,d,a"; surds as "a*sqrt(r)" or plain integers.  Parsers
-for the same grammar support round-tripping and the CLI input flags.
+for the same grammar read the CLI input flags.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ import re
 from fractions import Fraction
 
 from .lattice import MukaiVector
-from .pell import GMatrix
+from .pell import GMatrix, NumericalSolution
 from .surd import QnComplex, QnNumber, Surd
-from .walls import ChamberReport, Circle, VLine, Wall, WMaxReport
+from .walls import ChamberReport, VLine, Wall, WMaxReport
 
 
 def frac_str(x: Fraction) -> str:
@@ -67,19 +67,8 @@ def wall_record(w: Wall) -> dict:
     return rec
 
 
-def parse_wall_record(rec: dict) -> Wall:
-    shape = rec["shape"]
-    if "vline" in shape:
-        sh = VLine(parse_frac(shape["vline"]["s"]))
-    else:
-        c = shape["circle"]
-        sh = Circle(parse_frac(c["center"]), parse_frac(c["radius_sq"]))
-    return Wall(
-        sh,
-        MukaiVector.parse(rec["witness"]),
-        rec.get("codim0", False),
-        rec.get("m"),
-    )
+def solution_record(sol: NumericalSolution) -> dict:
+    return {"v1": vector_str(sol.v1), "v2": vector_str(sol.v2), "l1": sol.l1, "l2": sol.l2}
 
 
 def chamber_record(rep: ChamberReport) -> dict:

@@ -11,11 +11,9 @@ it is not modeled.  Twisted vectors (rational d, a) are first-class values;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonIntegral
 from .surd import RatLike, frac
 
 
@@ -96,38 +94,10 @@ def twist(v: MukaiVector, s: RatLike, ctx: Context) -> MukaiVector:
 
 
 def beta_data(v: MukaiVector, s: RatLike, ctx: Context) -> tuple[int, Fraction, Fraction]:
-    """(r_b, d_b, a_b) of v at beta = sH: r, d - r*s, a - 2n*d*s + n*r*s^2."""
-    s = frac(s)
-    n = ctx.n
-    return (v.r, v.d - v.r * s, v.a - 2 * n * v.d * s + n * v.r * s * s)
-
-
-def exp_vector(s: RatLike, ctx: Context) -> MukaiVector:
-    """e^{sH} = (1, s, n*s^2)."""
-    s = frac(s)
-    return MukaiVector(1, s, ctx.n * s * s)
-
-
-def is_positive(v: MukaiVector) -> bool:
-    """Positivity: r>0, or r=0 and dH effective (d>0), or r=d=0 and a>0."""
-    if v.is_zero():
-        return False
-    if v.r > 0:
-        return True
-    if v.r == 0 and v.d > 0:
-        return True
-    return v.r == 0 and v.d == 0 and v.a > 0
-
-
-def is_isotropic(v: MukaiVector, ctx: Context) -> bool:
-    return self_pairing(v, ctx) == 0
-
-
-def is_primitive(v: MukaiVector) -> bool:
-    if not v.is_integral:
-        raise NonIntegral(f"primitivity undefined for non-integral {v}")
-    g = math.gcd(abs(v.r), math.gcd(abs(v.d.numerator), abs(v.a.numerator)))
-    return g == 1
+    """(r_b, d_b, a_b) of v at beta = sH, the components of v * e^{-sH}:
+    r, d - r*s, a - 2n*d*s + n*r*s^2."""
+    w = twist(v, -frac(s), ctx)
+    return (w.r, w.d, w.a)
 
 
 def proportional(v: MukaiVector, w: MukaiVector) -> bool:
@@ -137,27 +107,3 @@ def proportional(v: MukaiVector, w: MukaiVector) -> bool:
         and v.r * w.a == w.r * v.a
         and v.d * w.a == w.d * v.a
     )
-
-
-@dataclass(frozen=True)
-class Sym2Form:
-    """The matrix (x, y*sqrt(n); y*sqrt(n), z), image of (x, yH, z)."""
-
-    x: int
-    y: int
-    z: int
-
-
-def to_sym2(v: MukaiVector, ctx: Context) -> Sym2Form:
-    if not v.is_integral:
-        raise NonIntegral(f"cannot embed non-integral {v}")
-    return Sym2Form(v.r, int(v.d), int(v.a))
-
-
-def from_sym2(f: Sym2Form) -> MukaiVector:
-    return MukaiVector(f.x, f.y, f.z)
-
-
-def sym2_pairing(f1: Sym2Form, f2: Sym2Form, ctx: Context) -> Fraction:
-    """B(X1, X2) = 2n*y1*y2 - (x1*z2 + z1*x2)."""
-    return Fraction(2 * ctx.n * f1.y * f2.y - (f1.x * f2.z + f1.z * f2.x))

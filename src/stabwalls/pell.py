@@ -82,9 +82,6 @@ class GMatrix:
                 base = base * base
         return identity_matrix() if acc is None else acc
 
-    def __neg__(self) -> "GMatrix":
-        return GMatrix(-self.a, -self.b, -self.c, -self.d)
-
     def __str__(self):
         return f"({self.a},{self.b};{self.c},{self.d})"
 
@@ -174,6 +171,8 @@ def solve_generator(n: int, ell: int) -> PellContext:
 
     For l = 1 the extra torsion element (0, 1; 1, 0) is reported alongside.
     """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     d = ell * n
@@ -216,13 +215,13 @@ def ratio_over_sqrt_n(num: Surd, den: Surd, n: int) -> Fraction:
 
 def slope_endpoints(pell: PellContext, m: int) -> tuple[Fraction, Fraction]:
     """The two rational abscissae b_m/(a_m*sqrt(n)) and l*a_m/(b_m*sqrt(n))
-    where the m-th codimension-0 circle meets the real axis (m != 0)."""
+    where the m-th codimension-0 circle meets the real axis (m != 0).  With
+    u_m = (r, d, a) = (a_m^2, a_m*b_m/sqrt(n), b_m^2) they are d/r and
+    l*d/a."""
     if m == 0:
         raise ValueError("m = 0 is the vertical line")
-    it = iterate(pell, m)
-    lam1 = ratio_over_sqrt_n(it.b, it.a, pell.n)
-    lam2 = ratio_over_sqrt_n(Surd(pell.ell * it.a.coef, it.a.rad), it.b, pell.n)
-    return lam1, lam2
+    u, _ = u_vectors(pell, m)
+    return u.d / u.r, pell.ell * u.d / u.a
 
 
 def u_vectors(pell: PellContext, m: int) -> tuple[MukaiVector, MukaiVector]:
@@ -243,15 +242,11 @@ def u_vectors(pell: PellContext, m: int) -> tuple[MukaiVector, MukaiVector]:
     return u, u_prime
 
 
-def target_vector(pell: PellContext) -> MukaiVector:
-    return MukaiVector(1, 0, -pell.ell)
-
-
 def numerical_solutions(pell: PellContext, m_range: range) -> list[NumericalSolution]:
     """Numerical solutions of (1, 0, -l): v = +-(l1*v1 - l2*v2) with both v_i
     positive isotropic primitive, <v1,v2> = -1 and (l1-1)(l2-1) = 0."""
     ctx = pell.lattice
-    v = target_vector(pell)
+    v = MukaiVector(1, 0, -pell.ell)
     out = []
     for m in m_range:
         if m == 0:

@@ -2,8 +2,8 @@
 and complex numbers over it.
 
 All comparisons are exact (sign analysis and squaring); no floats enter
-any predicate.  Floats are available only through the to_float helpers
-for display.
+any predicate.  `Surd.to_float` is the one float conversion, for tests
+that cross-check against floating point.
 """
 
 from __future__ import annotations
@@ -117,14 +117,13 @@ class Surd:
     def __neg__(self) -> "Surd":
         return Surd(-self.coef, self.rad)
 
-    def __sub__(self, other: "Surd") -> "Surd":
-        return self + (-other)
-
     def sign(self) -> int:
         return (self.coef > 0) - (self.coef < 0)
 
-    def compare(self, other: "Surd") -> int:
+    def compare(self, other: Union["Surd", RatLike]) -> int:
         """Exact three-way comparison of real values."""
+        if not isinstance(other, Surd):
+            other = Surd(other)
         ss, so = self.sign(), other.sign()
         if ss != so:
             return (ss > so) - (ss < so)
@@ -135,16 +134,16 @@ class Surd:
         return ss * ((a > b) - (a < b))
 
     def __lt__(self, other):
-        return self.compare(_surd(other)) < 0
+        return self.compare(other) < 0
 
     def __le__(self, other):
-        return self.compare(_surd(other)) <= 0
+        return self.compare(other) <= 0
 
     def __gt__(self, other):
-        return self.compare(_surd(other)) > 0
+        return self.compare(other) > 0
 
     def __ge__(self, other):
-        return self.compare(_surd(other)) >= 0
+        return self.compare(other) >= 0
 
     def to_float(self) -> float:
         return float(self.coef) * math.sqrt(self.rad)
@@ -159,12 +158,6 @@ class Surd:
         return f"{self.coef}*sqrt({self.rad})"
 
     __repr__ = __str__
-
-
-def _surd(x) -> Surd:
-    if isinstance(x, Surd):
-        return x
-    return Surd(frac(x))
 
 
 def sqrt_of_fraction(x: Fraction) -> Surd:
@@ -239,9 +232,6 @@ class QnNumber:
             raise ZeroDivisionError("inverse of zero in Q(sqrt n)")
         return QnNumber(self.u / norm, -self.v / norm, self.n)
 
-    def __truediv__(self, other: "QnNumber") -> "QnNumber":
-        return self * other.inverse()
-
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
@@ -260,9 +250,6 @@ class QnNumber:
         if lhs == rhs:
             return 0
         return su if lhs > rhs else sv
-
-    def to_float(self) -> float:
-        return float(self.u) + float(self.v) * math.sqrt(self.n)
 
     def __str__(self):
         if self.v == 0:
@@ -287,18 +274,8 @@ class QnComplex:
         if self.re.n != self.im.n:
             raise ValueError("mixed fields in QnComplex")
 
-    @property
-    def n(self) -> int:
-        return self.re.n
-
     def __add__(self, other: "QnComplex") -> "QnComplex":
         return QnComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "QnComplex") -> "QnComplex":
-        return QnComplex(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "QnComplex":
-        return QnComplex(-self.re, -self.im)
 
     def __mul__(self, other) -> "QnComplex":
         if not isinstance(other, QnComplex):
@@ -309,9 +286,6 @@ class QnComplex:
         )
 
     __rmul__ = __mul__
-
-    def conj(self) -> "QnComplex":
-        return QnComplex(self.re, -self.im)
 
     def norm(self) -> QnNumber:
         return self.re * self.re + self.im * self.im
@@ -326,18 +300,8 @@ class QnComplex:
     def __truediv__(self, other: "QnComplex") -> "QnComplex":
         return self * other.inverse()
 
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def to_complex(self) -> complex:
-        return complex(self.re.to_float(), self.im.to_float())
-
     def __str__(self):
         return f"({self.re})+({self.im})*i"
 
     __repr__ = __str__
 
-
-def qnc_rat(u: RatLike, v: RatLike, n: int) -> QnComplex:
-    """Complex number with rational real part u and rational imag part v."""
-    return QnComplex(qn_rat(u, n), qn_rat(v, n))

@@ -7,6 +7,7 @@ formatter, and no timestamps or environment data enter the output.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -48,8 +49,6 @@ class _Canvas:
 
 def _sqrt_approx(x: Fraction, digits: int = 9) -> Fraction:
     """Rational lower approximation of sqrt(x) via integer isqrt."""
-    import math
-
     scale = 10**digits
     return Fraction(math.isqrt(int(x * scale * scale)), scale)
 

@@ -54,7 +54,6 @@ from .errors import (
 from .lattice import (
     Context,
     MukaiVector,
-    RHO,
     UNIT,
     beta_data,
     pairing,
@@ -151,23 +150,6 @@ def wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall
     if radius_sq <= 0:
         return None
     return Wall(Circle(center, radius_sq), v1)
-
-
-@dataclass(frozen=True)
-class PencilData:
-    p: Fraction
-    q: Fraction
-
-
-def pencil(v: MukaiVector, ctx: Context) -> PencilData:
-    """Common data of the circle pencil for v: every circle wall satisfies
-    radius^2 = (center - p)^2 - q, i.e. all pass through (p, +-i*sqrt(q))."""
-    if v.r == 0:
-        raise RankZero("pencil needs rk v != 0")
-    vv = self_pairing(v, ctx)
-    if vv <= 0:
-        raise DegenerateV(f"<v^2> = {vv} <= 0")
-    return PencilData(Fraction(v.d) / v.r, vv / (2 * ctx.n * v.r**2))
 
 
 def _crossing_t_sq(wall: Wall, s0: Fraction) -> Optional[Fraction]:
@@ -271,17 +253,6 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
 # codimension-0 family and fundamental domain
 
 
-def _codim0_witness(pell: PellContext, m: int) -> MukaiVector:
-    """Witness of the m-th codimension-0 wall, signed so the wall conditions
-    <v1, v-v1> > 0 hold for v = (1, 0, -l)."""
-    ctx = pell.lattice
-    v = MukaiVector(1, 0, -pell.ell)
-    u, _ = u_vectors(pell, m)
-    if pairing(u, v, ctx) > 0:
-        return u
-    return -u
-
-
 def _circle_through(lam1: Fraction, lam2: Fraction) -> Circle:
     """The circle meeting the real axis at lam1 and lam2: C_m, from the
     two slope abscissae of `slope_endpoints(pell, m)`."""
@@ -290,15 +261,20 @@ def _circle_through(lam1: Fraction, lam2: Fraction) -> Circle:
 
 def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:
     """The labeled codimension-0 walls C_m: the t-axis for m = 0, otherwise
-    the circle through the two rational slope abscissae of the m-th
-    isotropic pair."""
+    the circle through the two rational slope abscissae d/r and l*d/a of
+    the m-th isotropic vector u_m = (r, d, a) (see `slope_endpoints`),
+    witnessed by u_m signed so that <u, v - u> > 0 for v = (1, 0, -l)."""
+    ctx = pell.lattice
+    v = MukaiVector(1, 0, -pell.ell)
     out = []
     for m in m_range:
         if m == 0:
             out.append(Wall(VLine(Fraction(0)), UNIT, codim0=True, label=0))
             continue
-        circle = _circle_through(*slope_endpoints(pell, m))
-        out.append(Wall(circle, _codim0_witness(pell, m), codim0=True, label=m))
+        u, _ = u_vectors(pell, m)
+        circle = _circle_through(u.d / u.r, pell.ell * u.d / u.a)
+        witness = u if pairing(u, v, ctx) > 0 else -u
+        out.append(Wall(circle, witness, codim0=True, label=m))
     return out
 
 

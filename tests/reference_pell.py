@@ -76,7 +76,7 @@ def _phi_less_than(g: PellMatrix, other: PellMatrix) -> bool:
     # x.rad*y.rad times a square equals n, so the canonical radicands agree
     s1 = Surd(w1, g.x.rad * g.y.rad * g.ell)
     s2 = Surd(w2, other.x.rad * other.y.rad * other.ell)
-    return Surd(u1 - u2).compare(s2 - s1) < 0
+    return Surd(u1 - u2).compare(s2 + -s1) < 0
 
 
 def _divisor_pairs(n: int) -> Iterator[tuple[int, int]]:

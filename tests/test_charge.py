@@ -3,17 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from stabwalls.charge import (
-    PhaseWindow,
-    StabilityPoint,
-    aligned,
-    alignment_sign,
-    charge,
-    phase,
-    phase_window,
-)
-from stabwalls.errors import ZeroCharge
-from stabwalls.lattice import Context, MukaiVector, RHO, exp_vector
+from paper_checks import PhaseWindow, ZeroCharge, alignment_sign, charge, phase, phase_window
+from stabwalls.charge import StabilityPoint
+from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, twist
 from stabwalls.walls import Circle, wall_between
 
 C1 = Context(1)
@@ -25,7 +17,7 @@ def test_charge_examples():
     zr = charge(RHO, F(3, 7), C1)
     assert (zr.re0, zr.re2, zr.im1) == (-1, 0, 0)
     s = F(2, 3)
-    ze = charge(exp_vector(s, C1), s, C1)
+    ze = charge(twist(UNIT, s, C1), s, C1)
     assert (ze.re0, ze.re2, ze.im1) == (0, 1, 0)  # Z = n*t^2
 
 
@@ -67,9 +59,9 @@ def test_phase_range_and_negation():
 
 def test_aligned_wall_examples():
     v, w = MukaiVector(1, 0, -3), MukaiVector(1, -1, 1)
-    assert aligned(v, w, StabilityPoint(-2, 1), C1)
-    assert aligned(v, v, StabilityPoint(-2, 4), C1)
-    assert not aligned(v, w, StabilityPoint(-2, 4), C1)
+    assert alignment_sign(v, w, StabilityPoint(-2, 1), C1) == 0
+    assert alignment_sign(v, v, StabilityPoint(-2, 4), C1) == 0
+    assert alignment_sign(v, w, StabilityPoint(-2, 4), C1) != 0
 
 
 def test_aligned_iff_on_wall():
@@ -90,10 +82,10 @@ def test_aligned_iff_on_wall():
         c, r2 = wall.shape.center, wall.shape.radius_sq
         # a point on the wall, a point inside, a point outside
         t_on = wall.shape.t_sq_at(c)
-        assert aligned(v, w, StabilityPoint(c, t_on), ctx)
+        assert alignment_sign(v, w, StabilityPoint(c, t_on), ctx) == 0
         if t_on > F(1, 100):
-            assert not aligned(v, w, StabilityPoint(c, t_on - F(1, 100)), ctx)
-        assert not aligned(v, w, StabilityPoint(c, t_on + 1), ctx)
+            assert alignment_sign(v, w, StabilityPoint(c, t_on - F(1, 100)), ctx) != 0
+        assert alignment_sign(v, w, StabilityPoint(c, t_on + 1), ctx) != 0
 
 
 def test_phase_window_cases():

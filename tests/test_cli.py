@@ -94,15 +94,21 @@ def test_exit_code_on_precondition(capsys):
     assert code == 2 and data["error"]["type"] == "SquareCase"
     code, data = run(capsys, "act", "--n", "1", "--g", "2,0;0,1", "--v", "1,0,0")
     assert code == 2 and data["error"]["type"] == "NotInGHat"
-
-
-def test_json_round_trip(capsys):
-    from stabwalls.jsonio import parse_wall_record, wall_record
-
-    code, data = run(capsys, "walls", "--n", "1", "--ell", "3", "--m-range=-2..2")
-    assert code == 0
-    for rec in data["walls"]:
-        assert wall_record(parse_wall_record(rec)) == rec
+    # a polarization needs n >= 1, on the Pell path too
+    for argv in (
+        ["numsol", "--n", "0", "--ell", "3"],
+        ["pell", "--n", "-1", "--ell", "2"],
+        ["numsol", "--n", "-4", "--ell", "1"],
+        ["pell", "--n", "0", "--ell", "2"],
+        ["intervals", "--n", "0", "--ell", "2", "--lambda=1"],
+    ):
+        code, data = run(capsys, *argv)
+        assert code == 2 and data["error"] == {
+            "type": "ValueError",
+            "message": "n must be a positive integer",
+        }, argv
+    code, data = run(capsys, "pell", "--n", "1", "--ell", "2", "--m-range=3")
+    assert code == 2 and data["error"]["message"] == "m-range must be lo..hi"
 
 
 def test_svg_matches_golden(tmp_path, capsys):

@@ -1,25 +1,15 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
-from stabwalls.errors import NonIntegral
 from stabwalls.lattice import (
     Context,
     MukaiVector,
     RHO,
     UNIT,
     beta_data,
-    exp_vector,
-    from_sym2,
-    is_isotropic,
-    is_positive,
-    is_primitive,
     pairing,
     proportional,
     self_pairing,
-    sym2_pairing,
-    to_sym2,
     twist,
 )
 
@@ -56,26 +46,7 @@ def test_beta_data_sign_convention():
         n = rng.randint(1, 3)
         ctx = Context(n)
         _, _, a_b = beta_data(v, s, ctx)
-        assert a_b == -pairing(v, exp_vector(s, ctx), ctx)
-
-
-def test_positivity_cases():
-    v = MukaiVector(1, -1, 1)
-    assert is_positive(v) and is_isotropic(v, C1) and is_primitive(v)
-    w = MukaiVector(0, 0, 5)
-    assert is_positive(w) and is_isotropic(w, C1) and not is_primitive(w)
-    assert not is_positive(MukaiVector(-1, 0, 0))
-    with pytest.raises(NonIntegral):
-        is_primitive(MukaiVector(1, F(1, 2), 0))
-
-
-def test_sym2_examples():
-    f = to_sym2(MukaiVector(1, 0, -2), C1)
-    assert (f.x, f.y, f.z) == (1, 0, -2)
-    assert sym2_pairing(f, f, C1) == 4
-    assert to_sym2(RHO, C1).z == 1
-    with pytest.raises(NonIntegral):
-        to_sym2(MukaiVector(0, F(1, 3), 0), C1)
+        assert a_b == -pairing(v, twist(UNIT, s, ctx), ctx)
 
 
 def _random_integral(rng, bound=9):
@@ -90,10 +61,6 @@ def test_randomized_invariants():
         n = rng.randint(1, 3)
         ctx = Context(n)
         v, w = _random_integral(rng), _random_integral(rng)
-        # pairing/Sym2 isometry
-        assert pairing(v, w, ctx) == sym2_pairing(to_sym2(v, ctx), to_sym2(w, ctx), ctx)
-        # round trip
-        assert from_sym2(to_sym2(v, ctx)) == v
         # twist composition and pairing invariance
         s1 = F(rng.randint(-5, 5), rng.randint(1, 3))
         s2 = F(rng.randint(-5, 5), rng.randint(1, 3))

@@ -1,7 +1,8 @@
 from fractions import Fraction as F
 
+from paper_checks import ScanConfig, cloud_max_distance, float_align_scan
 from stabwalls.lattice import Context, MukaiVector
-from stabwalls.oracle import ScanConfig, brute_walls, cloud_max_distance, float_align_scan
+from stabwalls.oracle import brute_walls
 from stabwalls.pell import solve_generator
 from stabwalls.walls import Circle, VLine, fundamental_walls
 

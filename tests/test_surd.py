@@ -3,15 +3,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from paper_checks import qnc_rat
 from stabwalls.errors import MixedRadicand
-from stabwalls.surd import (
-    QnComplex,
-    QnNumber,
-    Surd,
-    qnc_rat,
-    squarefree_decompose,
-    sqrt_of_fraction,
-)
+from stabwalls.surd import QnComplex, QnNumber, Surd, squarefree_decompose, sqrt_of_fraction
 
 
 def test_squarefree_decompose():
@@ -111,7 +105,7 @@ def test_qnc_examples():
 def test_qnc_field(a, b, c, d):
     x = QnComplex(QnNumber(a, b, 3), QnNumber(c, d, 3))
     y = QnComplex(QnNumber(d, a, 3), QnNumber(b, c, 3))
-    if not y.is_zero():
+    if not (y.re.is_zero() and y.im.is_zero()):
         assert (x * y) / y == x
 
 

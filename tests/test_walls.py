@@ -7,7 +7,7 @@ from stabwalls.charge import StabilityPoint
 from stabwalls.errors import BadCrossSection, DegenerateV, RankZero, SquareCase
 from stabwalls.lattice import Context, MukaiVector, UNIT, pairing, self_pairing
 from stabwalls.pell import solve_generator
-from stabwalls.surd import sqrt_of_fraction
+from stabwalls.surd import QnNumber, sqrt_of_fraction
 from stabwalls.walls import (
     ChamberReport,
     Circle,
@@ -18,7 +18,6 @@ from stabwalls.walls import (
     enumerate_walls_on_line,
     fundamental_walls,
     is_codim0,
-    pencil,
     vline_codim0_label,
     w_max_report,
     wall_between,
@@ -70,19 +69,12 @@ def test_proportional_witness_returns_none():
     assert wall_between(v, v1, C1) is None
 
 
-# -- pencil -----------------------------------------------------------------
+# -- pencil: every circle wall for v has radius^2 = (center - p)^2 - q with
+# p = d/r and q = <v^2>/(2n r^2) -------------------------------------------
 
 
-def test_pencil_examples():
-    assert pencil(MukaiVector(1, 0, -5), C1) == pencil(MukaiVector(1, 0, -5), C1)
-    p = pencil(MukaiVector(1, 0, -5), C1)
-    assert (p.p, p.q) == (0, 5)
-    p = pencil(MukaiVector(1, 1, 0), C1)
-    assert (p.p, p.q) == (1, 1)
-    p = pencil(MukaiVector(2, 1, 0), C1)
-    assert (p.p, p.q) == (F(1, 2), F(1, 4))
-    with pytest.raises(RankZero):
-        pencil(MukaiVector(0, 1, 0), C1)
+def _pencil(v, ctx):
+    return F(v.d) / v.r, self_pairing(v, ctx) / (2 * ctx.n * v.r**2)
 
 
 def test_pencil_membership_and_disjointness():
@@ -93,7 +85,7 @@ def test_pencil_membership_and_disjointness():
         v = MukaiVector(rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-4, 0))
         if self_pairing(v, ctx) <= 0:
             continue
-        pen = pencil(v, ctx)
+        p, q = _pencil(v, ctx)
         circles = []
         for r1 in range(-4, 5):
             for d1 in range(-4, 5):
@@ -102,7 +94,7 @@ def test_pencil_membership_and_disjointness():
                     if w is not None and isinstance(w.shape, Circle):
                         circles.append(w.shape)
         for sh in circles:
-            assert sh.radius_sq == (sh.center - pen.p) ** 2 - pen.q
+            assert sh.radius_sq == (sh.center - p) ** 2 - q
         # pairwise disjoint: intersection would force s = p, t^2 = -q < 0
         shapes = sorted(set(circles), key=lambda s: (s.center, s.radius_sq))
         for i, s1 in enumerate(shapes):
@@ -128,8 +120,8 @@ def test_cor_square_endpoint_containment():
         v = MukaiVector(rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-4, 1))
         if self_pairing(v, ctx) <= 0:
             continue
-        pen = pencil(v, ctx)
-        root = sqrt_of_fraction(pen.q)
+        p, q = _pencil(v, ctx)
+        root = sqrt_of_fraction(q)
         for r1 in range(-3, 4):
             for d1 in range(-3, 4):
                 for a1 in range(-3, 4):
@@ -139,14 +131,14 @@ def test_cor_square_endpoint_containment():
                     checked += 1
                     c, r2 = w.shape.center, w.shape.radius_sq
                     if root.is_rational():
-                        pts = [pen.p - root.as_fraction(), pen.p + root.as_fraction()]
+                        pts = [p - root.as_fraction(), p + root.as_fraction()]
                         assert any((pt - c) ** 2 < r2 for pt in pts)
                     else:
                         # inside test via radius/center inequality:
                         # (p +- sqrt(q) - c)^2 < (c-p)^2 - q
                         # <=> -+2(c-p)sqrt(q) < -2q <=> +-(c-p) > sqrt(q)
-                        lhs = (c - pen.p) ** 2
-                        assert lhs > pen.q  # one sign always works
+                        lhs = (c - p) ** 2
+                        assert lhs > q  # one sign always works
     assert checked > 50
 
 
@@ -348,13 +340,10 @@ def test_classify_on_axis():
 def test_w_max_goldens():
     rep = w_max_report(MukaiVector(1, 0, -2), fundamental_walls(solve_generator(1, 2)), C1)
     assert rep.wall.shape == Circle(F(-3, 2), F(1, 4))
-    assert (rep.lambda1.u, rep.lambda2.u) == (-2, -1) or (
-        rep.lambda1.to_float(),
-        rep.lambda2.to_float(),
-    ) == (-2.0, -1.0)
+    assert (rep.lambda1, rep.lambda2) == (QnNumber(-2, 0, 1), QnNumber(-1, 0, 1))
     rep = w_max_report(MukaiVector(1, 0, -3), fundamental_walls(solve_generator(1, 3)), C1)
     assert rep.wall.shape == Circle(F(-2), F(1))
-    assert rep.lambda1.to_float() == -3.0 and rep.lambda2.to_float() == -1.0
+    assert (rep.lambda1, rep.lambda2) == (QnNumber(-3, 0, 1), QnNumber(-1, 0, 1))
 
 
 def test_enumerate_rejects_non_integral():
