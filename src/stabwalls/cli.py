@@ -51,7 +51,10 @@ def _parse_m_range(text: str) -> range:
     parts = text.split("..")
     if len(parts) != 2:
         raise ValueError("m-range must be lo..hi")
-    return range(int(parts[0]), int(parts[1]) + 1)
+    lo, hi = int(parts[0]), int(parts[1])
+    if lo > hi:
+        raise ValueError("m-range must be lo..hi with lo <= hi")
+    return range(lo, hi + 1)
 
 
 def _emit(payload) -> None:
@@ -132,12 +135,13 @@ def cmd_pell(args) -> dict:
 
 
 def cmd_numsol(args) -> dict:
+    m_range = _parse_m_range(args.m_range)
     try:
         pc = pell_mod.solve_generator(args.n, args.ell)
     except SquareCase:
         sols = [pell_mod.NumericalSolution(UNIT, RHO, 1, args.ell)]
     else:
-        sols = pell_mod.numerical_solutions(pc, _parse_m_range(args.m_range))
+        sols = pell_mod.numerical_solutions(pc, m_range)
     return {
         "numerical_solutions": [solution_record(s) for s in sols],
         "presentations": pell_mod.presentation_report(args.n, args.ell),
@@ -289,7 +293,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         payload = args.fn(args)
-    except (PreconditionError, ValueError, ZeroDivisionError) as exc:
+    except (PreconditionError, ValueError, ZeroDivisionError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
     except InvariantViolation as exc:

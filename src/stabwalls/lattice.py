@@ -99,11 +99,3 @@ def beta_data(v: MukaiVector, s: RatLike, ctx: Context) -> tuple[int, Fraction, 
     w = twist(v, -frac(s), ctx)
     return (w.r, w.d, w.a)
 
-
-def proportional(v: MukaiVector, w: MukaiVector) -> bool:
-    """w in Q*v (as triples), i.e. all 2x2 minors vanish."""
-    return (
-        v.r * w.d == w.r * v.d
-        and v.r * w.a == w.r * v.a
-        and v.d * w.a == w.d * v.a
-    )

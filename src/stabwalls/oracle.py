@@ -2,6 +2,9 @@
 
 It lives in the shipping package, not only in the tests, so CLI users can
 request --verify runs; it may be exponentially slower than the main path.
+It shares with the enumeration only `wall_between`, which it calls on every
+vector of the box; that test decides on integers, and a seeded test in
+`tests/test_walls.py` checks it against the earlier all-Fraction version.
 """
 
 from __future__ import annotations

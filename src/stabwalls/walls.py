@@ -57,7 +57,6 @@ from .lattice import (
     UNIT,
     beta_data,
     pairing,
-    proportional,
     self_pairing,
 )
 from .charge import StabilityPoint
@@ -118,38 +117,51 @@ def wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall
     v1 qualifies when <v1^2> >= 0, <(v-v1)^2> >= 0, <v1, v-v1> > 0 and the
     triples (r, d, a) of v1 and v are not proportional; the locus is then a
     circle, a vertical line, or empty (radius^2 <= 0 returns None silently).
+
+    Every test runs on integers: both vectors are scaled by the lcm L of
+    the denominators of their d and a.  Scaling multiplies each pairing and
+    each 2x2 minor by L^2, so no sign changes, and the center and radius^2
+    below are quotients of equal degree in L, so no shape changes.  radius^2 > 0 is cross-multiplied by the square of its
+    denominator; the Fractions are built only for a wall that is returned.
     """
-    vv = self_pairing(v, ctx)
+    vd, va, v1d, v1a = v.d, v.a, v1.d, v1.a
+    L = math.lcm(vd.denominator, va.denominator, v1d.denominator, v1a.denominator)
+    r, d, a = L * v.r, vd.numerator * L // vd.denominator, va.numerator * L // va.denominator
+    r1, d1 = L * v1.r, v1d.numerator * L // v1d.denominator
+    a1 = v1a.numerator * L // v1a.denominator
+    n2 = 2 * ctx.n
+    vv = n2 * d * d - 2 * r * a
     if vv <= 0:
-        raise DegenerateV(f"<v^2> = {vv} <= 0")
-    rest = v - v1
-    if self_pairing(v1, ctx) < 0 or self_pairing(rest, ctx) < 0:
+        raise DegenerateV(f"<v^2> = {Fraction(vv, L * L)} <= 0")
+    v1v1 = n2 * d1 * d1 - 2 * r1 * a1
+    vv1 = n2 * d * d1 - r * a1 - r1 * a
+    # <v1^2> >= 0, <(v-v1)^2> = vv - 2*vv1 + v1v1 >= 0, <v1, v-v1> = vv1 - v1v1 > 0
+    if v1v1 < 0 or vv - 2 * vv1 + v1v1 < 0 or vv1 <= v1v1:
         return None
-    if pairing(v1, rest, ctx) <= 0:
-        return None
-    if proportional(v, v1):
-        return None
-    n = ctx.n
-    if v.r != 0:
-        denom = v.r * v1.d - v1.r * v.d
-        if denom != 0:
-            center = (v1.a * v.r - v.a * v1.r) / (2 * n * denom)
-            radius_sq = (v.d / v.r - center) ** 2 - vv / (2 * n * v.r**2)
-            if radius_sq <= 0:
-                return None
-            return Wall(Circle(center, radius_sq), v1)
-        return Wall(VLine(Fraction(v.d, v.r)), v1)
+    if r * d1 == r1 * d and r * a1 == r1 * a and d * a1 == d1 * a:
+        return None  # v1 in Q*v
+    if r:
+        denom = r * d1 - r1 * d
+        if not denom:
+            return Wall(VLine(Fraction(v.d, v.r)), v1)
+        # center = y/(2n*denom); radius^2 = (d/r - center)^2 - <v^2>/(2n*r^2)
+        # = (x^2 - 2n*<v^2>*denom^2) / (2n*r*denom)^2
+        y = a1 * r - a * r1
+        x = n2 * d * denom - r * y
+        rad = x * x - n2 * vv * denom * denom
+        if rad <= 0:
+            return None
+        center = Fraction(y, n2 * denom)
+        return Wall(Circle(center, Fraction(rad, (n2 * r * denom) ** 2)), v1)
     # rank 0: <v^2> = 2n*d^2 > 0 forces d != 0, and every wall is a circle
-    # around a/(2n*d)
-    if v1.r == 0:
+    # around a/(2n*d) with radius^2 = (a/(2n*d) - d1/r1)^2 - <v1^2>/(2n*r1^2)
+    if not r1:
         return None
-    center = v.a / (2 * n * v.d)
-    radius_sq = (center - Fraction(v1.d) / v1.r) ** 2 - self_pairing(v1, ctx) / (
-        2 * n * v1.r**2
-    )
-    if radius_sq <= 0:
+    x = a * r1 - n2 * d * d1
+    rad = x * x - n2 * d * d * v1v1
+    if rad <= 0:
         return None
-    return Wall(Circle(center, radius_sq), v1)
+    return Wall(Circle(Fraction(a, n2 * d), Fraction(rad, (n2 * d * r1) ** 2)), v1)
 
 
 def _crossing_t_sq(wall: Wall, s0: Fraction) -> Optional[Fraction]:

@@ -5,6 +5,11 @@ rewrite: five branches over (A != 0, P != 0), (A != 0, P = 0),
 Kept verbatim, test-only, as the reference that `walls.enumerate_walls_on_line`
 must match shape for shape and witness for witness.  It is slow at the
 fundamental cross-sections of large l, so tests feed it small cases.
+
+It validates its candidates with `reference_wall_between`, the wall test as
+it stood before it was decided on integers: every pairing, minor and
+radius^2 computed in `Fraction`.  Kept verbatim with its helper
+`proportional`, so that neither check shares the code it checks.
 """
 
 from __future__ import annotations
@@ -14,9 +19,58 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from stabwalls.errors import BadCrossSection, DegenerateV, NonIntegral
-from stabwalls.lattice import Context, MukaiVector, beta_data, self_pairing
+from stabwalls.lattice import Context, MukaiVector, beta_data, pairing, self_pairing
 from stabwalls.surd import RatLike, divisors
-from stabwalls.walls import Circle, Shape, VLine, Wall, sort_walls, wall_between, witness_key
+from stabwalls.walls import Circle, Shape, VLine, Wall, sort_walls, witness_key
+
+
+def proportional(v: MukaiVector, w: MukaiVector) -> bool:
+    """w in Q*v (as triples), i.e. all 2x2 minors vanish."""
+    return (
+        v.r * w.d == w.r * v.d
+        and v.r * w.a == w.r * v.a
+        and v.d * w.a == w.d * v.a
+    )
+
+
+def reference_wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall]:
+    """The wall for v defined by v1, or None when v1 defines none.
+
+    v1 qualifies when <v1^2> >= 0, <(v-v1)^2> >= 0, <v1, v-v1> > 0 and the
+    triples (r, d, a) of v1 and v are not proportional; the locus is then a
+    circle, a vertical line, or empty (radius^2 <= 0 returns None silently).
+    """
+    vv = self_pairing(v, ctx)
+    if vv <= 0:
+        raise DegenerateV(f"<v^2> = {vv} <= 0")
+    rest = v - v1
+    if self_pairing(v1, ctx) < 0 or self_pairing(rest, ctx) < 0:
+        return None
+    if pairing(v1, rest, ctx) <= 0:
+        return None
+    if proportional(v, v1):
+        return None
+    n = ctx.n
+    if v.r != 0:
+        denom = v.r * v1.d - v1.r * v.d
+        if denom != 0:
+            center = (v1.a * v.r - v.a * v1.r) / (2 * n * denom)
+            radius_sq = (v.d / v.r - center) ** 2 - vv / (2 * n * v.r**2)
+            if radius_sq <= 0:
+                return None
+            return Wall(Circle(center, radius_sq), v1)
+        return Wall(VLine(Fraction(v.d, v.r)), v1)
+    # rank 0: <v^2> = 2n*d^2 > 0 forces d != 0, and every wall is a circle
+    # around a/(2n*d)
+    if v1.r == 0:
+        return None
+    center = v.a / (2 * n * v.d)
+    radius_sq = (center - Fraction(v1.d) / v1.r) ** 2 - self_pairing(v1, ctx) / (
+        2 * n * v1.r**2
+    )
+    if radius_sq <= 0:
+        return None
+    return Wall(Circle(center, radius_sq), v1)
 
 
 def _crossing_t_sq(wall: Wall, s0: Fraction) -> Optional[Fraction]:
@@ -50,8 +104,8 @@ def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]
     """The complete set of walls for v meeting the open ray {s0} x R_{>0}.
 
     Complete by the bound derivation in the module docstring; each candidate
-    is validated through wall_between and the exact crossing test, so extra
-    candidates are harmless.
+    is validated through reference_wall_between and the exact crossing test,
+    so extra candidates are harmless.
     """
     if not v.is_integral:
         raise NonIntegral(f"{v} is not integral")
@@ -81,7 +135,7 @@ def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]
         if a1.denominator != 1:
             return
         v1 = MukaiVector(r1, d1, a1)
-        w = wall_between(v, v1, ctx)
+        w = reference_wall_between(v, v1, ctx)
         if w is None:
             return
         if _crossing_t_sq(w, s0) is None:

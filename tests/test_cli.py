@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import math
+from fractions import Fraction as F
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from stabwalls.cli import main
 from stabwalls.jsonio import frac_str
 from stabwalls.pell import slope_endpoints, solve_generator
+from stabwalls.walls import cross_section
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -109,6 +116,21 @@ def test_exit_code_on_precondition(capsys):
         }, argv
     code, data = run(capsys, "pell", "--n", "1", "--ell", "2", "--m-range=3")
     assert code == 2 and data["error"]["message"] == "m-range must be lo..hi"
+    # the square route of numsol parses --m-range too
+    code, data = run(capsys, "numsol", "--n", "1", "--ell", "4", "--m-range=garbage")
+    assert code == 2 and data["error"]["message"] == "m-range must be lo..hi"
+    code, data = run(capsys, "pell", "--n", "1", "--ell", "2", "--m-range=3..1")
+    assert code == 2 and data["error"] == {
+        "type": "ValueError",
+        "message": "m-range must be lo..hi with lo <= hi",
+    }
+
+
+def test_unwritable_svg_path_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.svg"
+    code, data = run(capsys, "walls", "--n", "1", "--ell", "2", "--svg", str(path))
+    assert code == 2 and data["error"]["type"] == "FileNotFoundError"
+    assert str(path) in data["error"]["message"] and not path.exists()
 
 
 def test_svg_matches_golden(tmp_path, capsys):
@@ -174,3 +196,61 @@ def test_verify_bound_limited_oracle(capsys):
     assert code == 0 and walls["verify"] == data
     code, data = run(capsys, "verify", "--n", "1", "--ell", "3")
     assert code == 0 and data["agree"] and data["exhaustive"]
+
+
+# -- property tests: two commands asked the same question agree -------------
+
+# a fixed profile: the same examples on every run, no example database
+CLI_PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+NON_SQUARE = [
+    (n, ell) for n in (1, 2, 3) for ell in range(1, 31) if math.isqrt(n * ell) ** 2 != n * ell
+]
+
+
+def query(*argv):
+    """main(argv) as (exit code, parsed stdout), without pytest's capsys,
+    which hypothesis does not reset between examples."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, json.loads(buf.getvalue())
+
+
+@CLI_PROFILE
+@given(st.sampled_from(NON_SQUARE))
+def test_verify_matches_walls_verify(case):
+    n, ell = case
+    s0 = frac_str(cross_section(n, ell)[0])
+    code, verify = query("verify", "--n", str(n), "--ell", str(ell))
+    assert code == 0
+    code, walls = query("walls", "--n", str(n), "--v", f"1,0,{-ell}", f"--s0={s0}", "--verify")
+    assert code == 0
+    for key in ("agree", "enumerated", "exhaustive", "cross_section"):
+        assert walls["verify"][key] == verify[key], key
+
+
+@CLI_PROFILE
+@given(
+    st.sampled_from(NON_SQUARE),
+    st.integers(-4, 4),
+    st.fractions(-1, 1, max_denominator=60).filter(lambda f: abs(f) < 1),
+    st.fractions(F(1, 50), 10, max_denominator=60),
+)
+def test_classify_on_codim0_wall_matches_walls(case, m, f, height):
+    """A point on C_m: the t-axis at t^2 = height for m = 0, otherwise
+    center + f*radius with t^2 = (1 - f^2)*radius^2, from the two rational
+    endpoints of C_m."""
+    n, ell = case
+    if m == 0:
+        s, t2 = F(0), height
+    else:
+        lam1, lam2 = slope_endpoints(solve_generator(n, ell), m)
+        radius = (lam2 - lam1) / 2
+        s, t2 = (lam1 + lam2) / 2 + f * radius, (1 - f * f) * radius**2
+    base = ("--n", str(n), "--ell", str(ell), "--m-range=-4..4")
+    code, point = query("classify", *base, f"--s={frac_str(s)}", f"--t2={frac_str(t2)}")
+    assert code == 0 and point["kind"] == "OnWall"
+    assert point["codim0"] and point["m"] == m
+    code, walls = query("walls", *base)
+    assert code == 0
+    assert [w for w in walls["walls"] if w.get("m") == m] == [point["wall"]]

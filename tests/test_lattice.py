@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+from reference_kernel import proportional
 from stabwalls.lattice import (
     Context,
     MukaiVector,
@@ -8,7 +9,6 @@ from stabwalls.lattice import (
     UNIT,
     beta_data,
     pairing,
-    proportional,
     self_pairing,
     twist,
 )

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference_kernel import proportional, reference_wall_between
 from stabwalls.charge import StabilityPoint
 from stabwalls.errors import BadCrossSection, DegenerateV, RankZero, SquareCase
 from stabwalls.lattice import Context, MukaiVector, UNIT, pairing, self_pairing
@@ -67,6 +68,63 @@ def test_proportional_witness_returns_none():
     v, v1 = MukaiVector(2, 2, 0), MukaiVector(1, 1, 0)
     assert pairing(v1, v - v1, C1) > 0  # conditions hold, but v1 in Q*v
     assert wall_between(v, v1, C1) is None
+
+
+
+def _wall_between_outcome(v, v1, ctx):
+    """What wall_between does with (v, v1), and which rule decides it, read
+    off the reference: Fraction pairings and minors, in the reference order."""
+    try:
+        w = reference_wall_between(v, v1, ctx)
+    except DegenerateV as exc:
+        return ("raise", type(exc), str(exc)), "<v^2> <= 0"
+    rest = v - v1
+    if self_pairing(v1, ctx) < 0:
+        rule = "<v1^2> < 0"
+    elif self_pairing(rest, ctx) < 0:
+        rule = "<(v-v1)^2> < 0"
+    elif pairing(v1, rest, ctx) <= 0:
+        rule = "<v1, v-v1> <= 0"
+    elif proportional(v, v1):
+        rule = "proportional"
+    elif w is None:
+        rule = "rank-0 pair" if v.r == v1.r == 0 else "radius^2 <= 0"
+    elif isinstance(w.shape, VLine):
+        rule = "line"
+    else:
+        rule = "rank-0 circle" if v.r == 0 else "circle"
+    if w is None:
+        return None, rule
+    return (type(w.shape), w.shape, w.witness), rule
+
+
+def test_wall_between_matches_reference():
+    """The integer wall test agrees with the Fraction reference on seeded
+    pairs (n <= 6, rank-0 v and v1, d and a with denominators up to 3):
+    None, shape, witness, and the DegenerateV type and message."""
+    rng = random.Random(20260418)
+
+    def entry():
+        return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+
+    reached = set()
+    for _ in range(20000):
+        ctx = Context(rng.randint(1, 6))
+        v = MukaiVector(rng.randint(-3, 3), entry(), entry())
+        v1 = MukaiVector(rng.randint(-3, 3), entry(), entry())
+        expected, rule = _wall_between_outcome(v, v1, ctx)
+        reached.add(rule)
+        try:
+            w = wall_between(v, v1, ctx)
+        except DegenerateV as exc:
+            got = ("raise", type(exc), str(exc))
+        else:
+            got = None if w is None else (type(w.shape), w.shape, w.witness)
+        assert got == expected, (ctx.n, v, v1, rule)
+    assert reached == {
+        "<v^2> <= 0", "<v1^2> < 0", "<(v-v1)^2> < 0", "<v1, v-v1> <= 0", "proportional",
+        "rank-0 pair", "radius^2 <= 0", "line", "circle", "rank-0 circle",
+    }
 
 
 # -- pencil: every circle wall for v has radius^2 = (center - p)^2 - q with
