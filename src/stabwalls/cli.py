@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InvariantViolation, PreconditionError, SquareCase
 from .jsonio import (
@@ -104,14 +105,11 @@ def cmd_walls(args) -> dict:
 def cmd_pell(args) -> dict:
     pc = pell_mod.solve_generator(args.n, args.ell)
     m_range = _parse_m_range(args.m_range)
-    iterates = []
-    for m in m_range:
-        it = pell_mod.iterate(pc, m)
-        iterates.append({"m": m, "a": surd_str(it.a), "b": surd_str(it.b)})
-    u_vecs = []
-    for m in m_range:
-        u, u_prime = pell_mod.u_vectors(pc, m)
-        u_vecs.append({"m": m, "u": vector_str(u), "u_prime": vector_str(u_prime)})
+    iterates, u_vecs = [], []
+    for it in islice(pell_mod.orbit(pc, m_range.start), len(m_range)):
+        u, u_prime = pell_mod.u_vectors(pc, it)
+        iterates.append({"m": it.m, "a": surd_str(it.a), "b": surd_str(it.b)})
+        u_vecs.append({"m": it.m, "u": vector_str(u), "u_prime": vector_str(u_prime)})
     gen = pc.generator
     out = {
         "n": pc.n,
@@ -169,7 +167,8 @@ def cmd_intervals(args) -> dict:
     idx = pell_mod.interval_index(pc, lam)
     out = {"lambda": frac_str(lam), "m": idx["m"], "starred": idx["starred"]}
     if idx["m"] <= 0:
-        out["verdict"] = pell_mod.sheaf_verdict(pc, lam, idx["m"])["verdict"]
+        # lam is in I_m, and in I_m* too unless it is the closed end of its piece
+        out["verdict"] = "Both" if idx["starred"] else "StableSheaf"
     return out
 
 

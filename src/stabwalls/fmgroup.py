@@ -23,7 +23,7 @@ from typing import Optional
 from .errors import IntegralityViolation, LowerHalfPlane, NonIntegral, NotInGHat
 from .lattice import Context, MukaiVector
 from .pell import GMatrix, PellContext
-from .surd import QnComplex, QnNumber, Surd, is_perfect_square, qn_rat, squarefree_decompose
+from .surd import QnComplex, QnNumber, Surd, is_perfect_square, qn_rat
 from .walls import Wall, wall_between
 
 
@@ -87,27 +87,19 @@ def act_on_vector(v: MukaiVector, g: GMatrix, ctx: Context) -> MukaiVector:
     if not v.is_integral:
         raise NonIntegral(f"{v} is not integral")
     require_member(g, ctx)
-    m11, m12 = Surd(v.r), Surd(v.d) * Surd(1, ctx.n)
-    m22 = Surd(v.a)
-    t11 = g.a * m11 + g.c * m12
-    t12 = g.a * m12 + g.c * m22
-    t21 = g.b * m11 + g.d * m12
-    t22 = g.b * m12 + g.d * m22
-    out11 = t11 * g.a + t12 * g.c
-    out12 = t11 * g.b + t12 * g.d
-    out21 = t21 * g.a + t22 * g.c
-    out22 = t21 * g.b + t22 * g.d
-    if out12 != out21:
+    m12 = Surd(v.d) * Surd(1, ctx.n)
+    out = GMatrix(g.a, g.c, g.b, g.d) * GMatrix(Surd(v.r), m12, m12, Surd(v.a)) * g
+    if out.b != out.c:
         raise IntegralityViolation(f"asymmetric image under {g}")
-    if not (out11.is_rational() and out22.is_rational()):
+    if not (out.a.is_rational() and out.d.is_rational()):
         raise IntegralityViolation(f"non-integral diagonal under {g}")
-    r_new, a_new = out11.as_fraction(), out22.as_fraction()
-    if out12.is_zero():
+    r_new, a_new = out.a.as_fraction(), out.d.as_fraction()
+    if out.b.is_zero():
         d_new = Fraction(0)
     else:
-        scaled = out12 * Surd(1, ctx.n)  # (d'*sqrt(n))*sqrt(n) = d'*n
+        scaled = out.b * Surd(1, ctx.n)  # (d'*sqrt(n))*sqrt(n) = d'*n
         if not scaled.is_rational():
-            raise IntegralityViolation(f"off-diagonal {out12} not in Z*sqrt(n)")
+            raise IntegralityViolation(f"off-diagonal {out.b} not in Z*sqrt(n)")
         d_new = scaled.as_fraction() / ctx.n
     if r_new.denominator != 1 or a_new.denominator != 1 or d_new.denominator != 1:
         raise IntegralityViolation(f"non-integral image of {v} under {g}")
@@ -122,14 +114,13 @@ def _clear_entry(entry: Surd, rho: int, n: int) -> QnNumber:
     """entry * sqrt(rho) as an element of Q(sqrt n); the group pattern
     guarantees the product is either rational or a rational multiple of
     sqrt(n)."""
-    if entry.is_zero():
-        return qn_rat(0, n)
-    if entry.rad == rho:
-        return qn_rat(entry.coef * rho, n)
-    k, rest = squarefree_decompose(entry.rad * rho * n)
-    if rest != 1:
+    cleared = entry * Surd(1, rho)
+    if cleared.is_rational():
+        return qn_rat(cleared.coef, n)
+    scaled = cleared * Surd(1, n)  # (c*sqrt(n))*sqrt(n) = c*n
+    if not scaled.is_rational():
         raise NotInGHat(f"entry {entry} breaks the group pattern (rho={rho})")
-    return QnNumber(0, Fraction(entry.coef * k, n), n)
+    return QnNumber(0, Fraction(scaled.coef, n), n)
 
 
 def mobius(g: GMatrix, z: QnComplex, ctx: Context) -> QnComplex:

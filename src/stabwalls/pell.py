@@ -9,8 +9,10 @@ stable-sheaf criteria.
 
 P(x, y) is a `GMatrix`, the one 2x2 surd-matrix type: the Pell matrices
 are the subgroup of the surd-matrix group of `fmgroup` with a = d and
-b = l*c, so the iterates are read off `GMatrix.power` and the
-wall-swapping transforms use the same product.
+b = l*c.  The iterates are the bottom rows of the powers of the generator,
+and every label family walks them in order through `orbit`: one
+`GMatrix.power` for the first label, then one row-times-generator step per
+label.  The wall-swapping transforms use the same product.
 
 The generator comes from one exact path.  The map phi(P) = y + x*sqrt(l)
 sends a member to b*sqrt(s) + a*sqrt(r*l), whose square
@@ -27,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .errors import (
     AccumulationPoint,
@@ -37,7 +40,7 @@ from .errors import (
     SquareCase,
 )
 from .lattice import Context, MukaiVector, RHO, UNIT, pairing
-from .surd import Surd, divisors, is_perfect_square, squarefree_decompose
+from .surd import Surd, divisors, is_perfect_square
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,7 @@ class PellContext:
     def lambda_0(self) -> Fraction:
         """The abscissa b_-1/(a_-1*sqrt(n)): the endpoint of C_-1 where the
         complete cross-section between C_0 and C_-1 sits."""
-        it = iterate(self, -1)
-        return ratio_over_sqrt_n(it.b, it.a, self.n)
+        return slope_endpoints(self, iterate(self, -1))[0]
 
 
 @dataclass(frozen=True)
@@ -201,42 +203,40 @@ def iterate(pell: PellContext, m: int) -> Iterate:
     return Iterate(m, g.c, g.d)
 
 
-def ratio_over_sqrt_n(num: Surd, den: Surd, n: int) -> Fraction:
-    """num / (den * sqrt(n)), exact; raises InvariantViolation when the
-    value is irrational."""
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator in slope")
-    # num/(den*sqrt(n)) = c_num*sqrt(r_num*r_den*n) / (c_den*r_den*n)
-    k, rest = squarefree_decompose(num.rad * den.rad * n)
-    if rest != 1:
-        raise InvariantViolation(f"slope {num}/({den}*sqrt({n})) is irrational")
-    return Fraction(num.coef * k, 1) / (den.coef * den.rad * n)
+def orbit(pell: PellContext, m: int) -> Iterator[Iterate]:
+    """The iterates m, m+1, m+2, ...: one power for the first, then
+    (a', b') = (a, b) * generator, the bottom row of generator^m times the
+    generator, for each next one."""
+    g = pell.generator
+    it = iterate(pell, m)
+    while True:
+        yield it
+        it = Iterate(it.m + 1, it.a * g.a + it.b * g.c, it.a * g.b + it.b * g.d)
 
 
-def slope_endpoints(pell: PellContext, m: int) -> tuple[Fraction, Fraction]:
+def slope_endpoints(pell: PellContext, it: Iterate) -> tuple[Fraction, Fraction]:
     """The two rational abscissae b_m/(a_m*sqrt(n)) and l*a_m/(b_m*sqrt(n))
     where the m-th codimension-0 circle meets the real axis (m != 0).  With
     u_m = (r, d, a) = (a_m^2, a_m*b_m/sqrt(n), b_m^2) they are d/r and
     l*d/a."""
-    if m == 0:
+    if it.m == 0:
         raise ValueError("m = 0 is the vertical line")
-    u, _ = u_vectors(pell, m)
+    u, _ = u_vectors(pell, it)
     return u.d / u.r, pell.ell * u.d / u.a
 
 
-def u_vectors(pell: PellContext, m: int) -> tuple[MukaiVector, MukaiVector]:
+def u_vectors(pell: PellContext, it: Iterate) -> tuple[MukaiVector, MukaiVector]:
     """The isotropic pair (u_m, u_m') = (a_m^2 e^{...}, b_m^2 e^{...}) with
     <u_m^2> = <u_m'^2> = 0 and <u_m, u_m'> = -1; m = 0 gives (rho, 1)."""
-    if m == 0:
-        return RHO, UNIT
-    it = iterate(pell, m)
     r1 = it.a.square()
     r2 = it.b.square()
-    # a_m * b_m / sqrt(n) is an integer
-    prod = it.a * it.b
-    d = ratio_over_sqrt_n(prod, Surd(1), pell.n)
+    # a_m * b_m / sqrt(n) is an integer: a_m * b_m * sqrt(n) is n times it
+    scaled = it.a * it.b * Surd(1, pell.n)
+    if not scaled.is_rational():
+        raise InvariantViolation(f"m={it.m}: a_m*b_m*sqrt(n) = {scaled} is irrational")
+    d = scaled.as_fraction() / pell.n
     if not (r1.denominator == 1 and r2.denominator == 1 and d.denominator == 1):
-        raise IntegralityViolation(f"m={m}: u_m = ({r1}, {d}, {r2}) is not integral")
+        raise IntegralityViolation(f"m={it.m}: u_m = ({r1}, {d}, {r2}) is not integral")
     u = MukaiVector(int(r1), d, int(r2))
     u_prime = MukaiVector(int(r2), pell.ell * d, pell.ell**2 * int(r1))
     return u, u_prime
@@ -248,11 +248,12 @@ def numerical_solutions(pell: PellContext, m_range: range) -> list[NumericalSolu
     ctx = pell.lattice
     v = MukaiVector(1, 0, -pell.ell)
     out = []
-    for m in m_range:
+    for it in islice(orbit(pell, m_range.start), len(m_range)):
+        m = it.m
         if m == 0:
             sol = NumericalSolution(UNIT, RHO, 1, pell.ell)
         else:
-            u, u_prime = u_vectors(pell, m)
+            u, u_prime = u_vectors(pell, it)
             sol = NumericalSolution(u, u_prime, pell.ell, 1)
         combo = sol.v1.scale(sol.l1) - sol.v2.scale(sol.l2)
         if combo != v and combo != -v:
@@ -290,11 +291,8 @@ def presentation_report(n: int, ell: int) -> dict:
 # on the left in lam is closed on the right in x.
 
 
-def _squared_ends(ell: int, a: Surd, b: Surd) -> tuple[Fraction, Optional[Fraction]]:
-    """(P_k^2, Q_k^2) from the iterate (a_k, b_k); (a_0, b_0) = (0, 1)
-    gives P_0 = 0 and Q_0 = +inf, returned as None."""
-    if a.is_zero():
-        return Fraction(0), None
+def _squared_ends(ell: int, a: Surd, b: Surd) -> tuple[Fraction, Fraction]:
+    """(P_k^2, Q_k^2) from the iterate (a_k, b_k), k >= 1."""
     big_a, big_b = a.square(), b.square()
     ba, lab = big_b / big_a, ell * ell * big_a / big_b
     return (ba, lab) if ba < ell else (lab, ba)
@@ -307,59 +305,25 @@ def _within(x: Fraction, lo: Fraction, hi: Optional[Fraction], closed_left: bool
     return (hi is None or x <= hi) and lo < x
 
 
-def in_interval(pell: PellContext, lam: Fraction, m: int, starred: bool) -> bool:
-    """Whether the rational slope lam lies in I_m, or in its right-closed
-    twin I_m* when starred."""
-    lam = Fraction(lam)
-    if (lam < 0) if m >= 1 else (lam > 0):
-        return False
-    k = m if m >= 1 else 1 - m
-    prev, cur = iterate(pell, k - 1), iterate(pell, k)
-    p_prev, q_prev = _squared_ends(pell.ell, prev.a, prev.b)
-    p_k, q_k = _squared_ends(pell.ell, cur.a, cur.b)
-    x, closed_left = lam * lam, (m >= 1) != starred
-    return _within(x, p_prev, p_k, closed_left) or _within(x, q_k, q_prev, closed_left)
-
-
 def interval_index(pell: PellContext, lam: Fraction) -> dict:
     """Locate the rational slope lam in the half-open interval decomposition
     of P^1(R) minus the accumulation points +-sqrt(l); `starred` reports
     whether lam is interior (in both the interval and its right-closed twin).
 
-    The walk k = 1, 2, ... takes one generator product per step and stops
-    at the first piece of I_k (lam >= 0) or I_(1-k) (lam < 0) that holds
-    lam; P_k and Q_k close in on sqrt(l) and x != l, so the walk ends."""
+    The orbit walk k = 1, 2, ... stops at the first piece of I_k (lam >= 0)
+    or I_(1-k) (lam < 0) that holds lam; P_k and Q_k close in on sqrt(l)
+    and x != l, so the walk ends.  lam lies in the twin I_m* too unless it
+    is the closed end of its piece, so `starred` settles both memberships."""
     lam = Fraction(lam)
     x = lam * lam
     if x == pell.ell:
         raise AccumulationPoint(f"lambda^2 = {pell.ell}")
     positive = lam >= 0
     p_prev, q_prev = Fraction(0), None
-    acc, k = pell.generator, 1
-    while True:
-        p_k, q_k = _squared_ends(pell.ell, acc.c, acc.d)
+    for it in orbit(pell, 1):
+        p_k, q_k = _squared_ends(pell.ell, it.a, it.b)
         for lo, hi in ((p_prev, p_k), (q_k, q_prev)):
             if _within(x, lo, hi, closed_left=positive):
                 closed_end = lo if positive else hi
-                return {"m": k if positive else 1 - k, "starred": x != closed_end}
+                return {"m": it.m if positive else 1 - it.m, "starred": x != closed_end}
         p_prev, q_prev = p_k, q_k
-        acc, k = acc * pell.generator, k + 1
-
-
-def sheaf_verdict(pell: PellContext, lam: Fraction, m: int) -> dict:
-    """Transform-image test for index m <= 0: a slope in I_m yields a stable
-    sheaf (up to shift); a slope in I_m* yields one after dualizing; interior
-    slopes satisfy both, endpoints exactly one."""
-    if m > 0:
-        raise ValueError("verdict defined for m <= 0")
-    stable = in_interval(pell, lam, m, starred=False)
-    dual = in_interval(pell, lam, m, starred=True)
-    if stable and dual:
-        label = "Both"
-    elif stable:
-        label = "StableSheaf"
-    elif dual:
-        label = "DualStableSheaf"
-    else:
-        label = "Neither"
-    return {"stable_sheaf": stable, "dual_stable_sheaf": dual, "verdict": label}

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -60,7 +61,7 @@ from .lattice import (
     self_pairing,
 )
 from .charge import StabilityPoint
-from .pell import PellContext, slope_endpoints, solve_generator, u_vectors
+from .pell import PellContext, orbit, slope_endpoints, solve_generator, u_vectors
 from .surd import QnNumber, RatLike, divisors, is_perfect_square, sqrt_of_fraction
 
 
@@ -267,7 +268,7 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
 
 def _circle_through(lam1: Fraction, lam2: Fraction) -> Circle:
     """The circle meeting the real axis at lam1 and lam2: C_m, from the
-    two slope abscissae of `slope_endpoints(pell, m)`."""
+    two slope abscissae `slope_endpoints` reads off the m-th iterate."""
     return Circle((lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2)
 
 
@@ -279,14 +280,14 @@ def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:
     ctx = pell.lattice
     v = MukaiVector(1, 0, -pell.ell)
     out = []
-    for m in m_range:
-        if m == 0:
+    for it in islice(orbit(pell, m_range.start), len(m_range)):
+        if it.m == 0:
             out.append(Wall(VLine(Fraction(0)), UNIT, codim0=True, label=0))
             continue
-        u, _ = u_vectors(pell, m)
+        u, _ = u_vectors(pell, it)
         circle = _circle_through(u.d / u.r, pell.ell * u.d / u.a)
         witness = u if pairing(u, v, ctx) > 0 else -u
-        out.append(Wall(circle, witness, codim0=True, label=m))
+        out.append(Wall(circle, witness, codim0=True, label=it.m))
     return out
 
 
@@ -336,7 +337,7 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
     a square).  A circle with irrational endpoints is no C_m.  The -m-th
     iterate negates b_m/a_m, so C_-m is C_m mirrored in s = 0 and
     a_{-m}^2 = a_m^2; and a_{k+1} = y*a_k + x*b_k > a_k for the generator
-    (x, y).  So the walk k = 1, 2, ... over m = -k, k ends once a_k^2
+    (x, y).  So the orbit walk k = 1, 2, ... over m = -k, k ends once a_k^2
     passes the bound and misses no label.  Vertical lines are decided by
     the lattice criterion instead (see vline_codim0_label)."""
     v = MukaiVector(1, 0, -pell.ell)
@@ -348,16 +349,14 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
     rad = Fraction(math.isqrt(r_sq.numerator), math.isqrt(r_sq.denominator))
     ends = (w.shape.center - rad, w.shape.center + rad)
     bound = max(1 / abs(pell.n * e * e - pell.ell) for e in ends) + 1
-    k = 1
-    while True:
-        lam1, lam2 = slope_endpoints(pell, k)
+    for it in orbit(pell, 1):
+        lam1, lam2 = slope_endpoints(pell, it)
         if 1 / abs(pell.n * lam1 * lam1 - pell.ell) > bound:  # a_k^2
             return None
         if w.shape == _circle_through(-lam1, -lam2):
-            return -k
+            return -it.m
         if w.shape == _circle_through(lam1, lam2):
-            return k
-        k += 1
+            return it.m
 
 
 def cross_section(n: int, ell: int) -> tuple[Fraction, Optional[PellContext]]:

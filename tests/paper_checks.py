@@ -3,8 +3,10 @@
 Yoshioka, "Bridgeland's stabilities on abelian surfaces" (arXiv:1203.0884):
 the central charges and phases of Mukai vectors, the charge-compatibility
 identity of the Fourier-Mukai transforms, the transformed half-plane and
-the conjugation of the group into Gamma_0(n); plus a floating-point
-alignment scan that cross-checks the exact walls.  The tests import this
+the conjugation of the group into Gamma_0(n); a floating-point alignment
+scan that cross-checks the exact walls; and the interval membership test
+and sheaf verdict of the slope intervals I_m and I_m*, the oracle for
+`pell.interval_index` and the `intervals` command.  The tests import this
 module as they import reference_kernel.
 """
 
@@ -14,13 +16,13 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from stabwalls.charge import StabilityPoint
 from stabwalls.errors import NotInGHat, PreconditionError
 from stabwalls.fmgroup import act_on_vector, g_membership, mobius, require_member
 from stabwalls.lattice import Context, MukaiVector, beta_data
-from stabwalls.pell import GMatrix
+from stabwalls.pell import GMatrix, PellContext, iterate
 from stabwalls.surd import QnComplex, QnNumber, RatLike, Surd, qn_rat
 from stabwalls.walls import VLine, Wall
 
@@ -327,3 +329,62 @@ def gamma0_check(g: GMatrix, ctx: Context) -> bool:
         if not entry.is_rational() or entry.coef.denominator != 1:
             return False
     return int(bottom_left.as_fraction()) % n == 0
+
+
+# ---------------------------------------------------------------------------
+# slope intervals
+#
+# I_m and I_m* as in the comment block of `stabwalls.pell`: membership is
+# decided on x = lam^2 against the rational squares P_k^2 and Q_k^2, here
+# for any label m and either twin, with (a_0, b_0) = (0, 1) giving P_0 = 0
+# and Q_0 = +inf.
+
+
+def _squared_ends(ell: int, a: Surd, b: Surd) -> tuple[Fraction, Optional[Fraction]]:
+    """(P_k^2, Q_k^2) from the iterate (a_k, b_k); (a_0, b_0) = (0, 1)
+    gives P_0 = 0 and Q_0 = +inf, returned as None."""
+    if a.is_zero():
+        return Fraction(0), None
+    big_a, big_b = a.square(), b.square()
+    ba, lab = big_b / big_a, ell * ell * big_a / big_b
+    return (ba, lab) if ba < ell else (lab, ba)
+
+
+def _within(x: Fraction, lo: Fraction, hi: Optional[Fraction], closed_left: bool) -> bool:
+    """x in [lo, hi) when closed_left, else in (lo, hi]; hi None is +inf."""
+    if closed_left:
+        return (hi is None or x < hi) and lo <= x
+    return (hi is None or x <= hi) and lo < x
+
+
+def in_interval(pell: PellContext, lam: Fraction, m: int, starred: bool) -> bool:
+    """Whether the rational slope lam lies in I_m, or in its right-closed
+    twin I_m* when starred."""
+    lam = Fraction(lam)
+    if (lam < 0) if m >= 1 else (lam > 0):
+        return False
+    k = m if m >= 1 else 1 - m
+    prev, cur = iterate(pell, k - 1), iterate(pell, k)
+    p_prev, q_prev = _squared_ends(pell.ell, prev.a, prev.b)
+    p_k, q_k = _squared_ends(pell.ell, cur.a, cur.b)
+    x, closed_left = lam * lam, (m >= 1) != starred
+    return _within(x, p_prev, p_k, closed_left) or _within(x, q_k, q_prev, closed_left)
+
+
+def sheaf_verdict(pell: PellContext, lam: Fraction, m: int) -> dict:
+    """Transform-image test for index m <= 0: a slope in I_m yields a stable
+    sheaf (up to shift); a slope in I_m* yields one after dualizing; interior
+    slopes satisfy both, endpoints exactly one."""
+    if m > 0:
+        raise ValueError("verdict defined for m <= 0")
+    stable = in_interval(pell, lam, m, starred=False)
+    dual = in_interval(pell, lam, m, starred=True)
+    if stable and dual:
+        label = "Both"
+    elif stable:
+        label = "StableSheaf"
+    elif dual:
+        label = "DualStableSheaf"
+    else:
+        label = "Neither"
+    return {"stable_sheaf": stable, "dual_stable_sheaf": dual, "verdict": label}

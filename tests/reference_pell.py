@@ -16,7 +16,7 @@ The slope-interval block at the end (`_Endpoint` through `interval_index`)
 is the earlier interval code, also kept verbatim: surd endpoints with a
 +-infinity sentinel, one piece table per sign of epsilon, and a probe of
 m = 1, 0, 2, -1, ... that recomputes the endpoints at every probe.  It is
-the reference for `pell.in_interval` and `pell.interval_index`; its
+the reference for `paper_checks.in_interval` and `pell.interval_index`; its
 `in_interval` takes the slope as a `Surd`, and its `iterate` calls resolve
 to the reference `iterate` above, so it takes the contexts of the
 reference `solve_generator`.

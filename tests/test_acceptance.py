@@ -15,6 +15,7 @@ from paper_checks import (
     cloud_max_distance,
     equal_up_to_sign,
     float_align_scan,
+    in_interval,
 )
 from stabwalls.fmgroup import (
     act_on_vector,
@@ -29,7 +30,6 @@ from stabwalls.oracle import brute_walls
 from stabwalls.pell import (
     GMatrix,
     identity_matrix,
-    in_interval,
     interval_index,
     iterate,
     solve_generator,
@@ -144,7 +144,7 @@ def test_criterion_4_lattice_properties():
         pc = solve_generator(n, ell)
         target = MukaiVector(1, 0, -ell)
         for m in range(-8, 9):
-            u, u_prime = u_vectors(pc, m)
+            u, u_prime = u_vectors(pc, iterate(pc, m))
             assert self_pairing(u, ctx) == 0 and self_pairing(u_prime, ctx) == 0
             assert pairing(u, u_prime, ctx) == -1
             assert u.scale(ell) - u_prime in (target, -target)

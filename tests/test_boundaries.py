@@ -107,6 +107,7 @@ def _command_argvs(svg_path: str) -> list[list[str]]:
         ["walls", "--n", "1", "--ell", "2", "--window=1:0:1"],
         ["walls", "--n", "1", "--ell", "2", "--m-range=3"],
         ["pell", "--n", "2", "--ell", "1", "--m-range=-1..1"],
+        ["pell", "--n", "2", "--ell", "1", "--m-range=0..1"],
         ["pell", "--n", "1", "--ell", "4"],
         ["numsol", "--n", "1", "--ell", "5", "--m-range=-1..1"],
         ["numsol", "--n", "1", "--ell", "4"],

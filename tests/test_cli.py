@@ -2,14 +2,16 @@ import contextlib
 import io
 import json
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from paper_checks import sheaf_verdict
 from stabwalls.cli import main
 from stabwalls.jsonio import frac_str
-from stabwalls.pell import slope_endpoints, solve_generator
+from stabwalls.pell import iterate, slope_endpoints, solve_generator
 from stabwalls.walls import cross_section
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -147,7 +149,8 @@ def test_svg_matches_golden(tmp_path, capsys):
     )
     assert code == 0 and [w["m"] for w in data["walls"] if w["codim0"]] == [0, -1, -29]
     text = far.read_text()
-    for end in slope_endpoints(solve_generator(1, 2), -29):
+    pc = solve_generator(1, 2)
+    for end in slope_endpoints(pc, iterate(pc, -29)):
         assert f">{frac_str(end)}</text>" in text
 
 
@@ -163,6 +166,46 @@ def test_numsol(capsys):
         {"v1": "1,0,0", "v2": "0,0,1", "l1": 1, "l2": 4}
     ]
     assert data["presentations"] == {"count": 1, "both_presentations": False}
+
+
+def test_intervals_verdict_matches_sheaf_verdict(capsys):
+    """The `intervals` verdict is the oracle's `sheaf_verdict` at the
+    located label, on seeded slopes over the non-square (n <= 6, l < 30).
+    At the rational +-P_k, +-Q_k (k <= 3) it is StableSheaf on the negative
+    side, where they are closed ends, and absent on the positive side,
+    where the label is >= 1."""
+    rng = random.Random(884)
+    eps_seen, verdicts = set(), set()
+    for n in range(1, 7):
+        for ell in range(1, 30):
+            if math.isqrt(n * ell) ** 2 == n * ell:
+                continue
+            pc = solve_generator(n, ell)
+            eps_seen.add(pc.epsilon)
+            slopes = [F(rng.randint(-300, 300), rng.randint(1, 40)) for _ in range(3)]
+            q = rng.randint(1, 300)  # near -sqrt(l), where |m| grows
+            slopes.append(-F(math.isqrt(ell * q * q) + rng.randint(0, 1), q))
+            ends = []
+            for k in range(1, 4):
+                it = iterate(pc, k)
+                if it.a.rad == it.b.rad:
+                    ratio = F(it.b.coef) / it.a.coef
+                    ends += [ratio, -ratio, ell / ratio, -ell / ratio]
+            for lam in slopes + ends:
+                if lam * lam == ell:
+                    continue
+                code, out = run(capsys, "intervals", "--n", str(n), "--ell", str(ell),
+                                f"--lambda={frac_str(lam)}")
+                assert code == 0 and (out["m"] >= 1) == (lam >= 0), (n, ell, lam)
+                if out["m"] >= 1:
+                    assert "verdict" not in out, (n, ell, lam)
+                    continue
+                assert out["verdict"] == sheaf_verdict(pc, lam, out["m"])["verdict"], (n, ell, lam)
+                verdicts.add(out["verdict"])
+                if lam in ends:
+                    assert out["verdict"] == "StableSheaf", (n, ell, lam)
+    assert eps_seen == {1, -1}
+    assert verdicts == {"Both", "StableSheaf"}
 
 
 def test_walls_explicit_class(capsys):
@@ -244,7 +287,8 @@ def test_classify_on_codim0_wall_matches_walls(case, m, f, height):
     if m == 0:
         s, t2 = F(0), height
     else:
-        lam1, lam2 = slope_endpoints(solve_generator(n, ell), m)
+        pc = solve_generator(n, ell)
+        lam1, lam2 = slope_endpoints(pc, iterate(pc, m))
         radius = (lam2 - lam1) / 2
         s, t2 = (lam1 + lam2) / 2 + f * radius, (1 - f * f) * radius**2
     base = ("--n", str(n), "--ell", str(ell), "--m-range=-4..4")

@@ -2,20 +2,21 @@ import functools
 import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
 import reference_pell
+from paper_checks import in_interval, sheaf_verdict
 from stabwalls.errors import AccumulationPoint, SquareCase
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing, self_pairing
 from stabwalls.pell import (
     GMatrix,
-    in_interval,
     interval_index,
     iterate,
     numerical_solutions,
+    orbit,
     presentation_report,
-    sheaf_verdict,
     slope_endpoints,
     solve_generator,
     u_vectors,
@@ -137,16 +138,33 @@ def test_iterate_group_law_and_det():
                 assert prod.det() == pc.epsilon ** (m1 + m2)
 
 
+def test_orbit_walks_the_powers():
+    """The walk from lo gives the iterates that one power per label gives,
+    across m = 0, for both signs of epsilon, the torsion case l = 1 and a
+    non-squarefree n; the iterate walked to m = 0 gives (rho, 1)."""
+    eps_seen = set()
+    for n, ell in [(1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (4, 3), (6, 5)]:
+        pc = solve_generator(n, ell)
+        eps_seen.add(pc.epsilon)
+        for lo in (-9, -1, 0, 2):
+            walked = list(islice(orbit(pc, lo), 12))
+            assert walked == [iterate(pc, m) for m in range(lo, lo + 12)], (n, ell, lo)
+        at_zero = next(it for it in orbit(pc, -5) if it.m == 0)
+        assert u_vectors(pc, at_zero) == (RHO, UNIT), (n, ell)
+    assert eps_seen == {1, -1}
+
+
 # -- isotropic pairs ----------------------------------------------------------
 
 
 def test_u_vector_examples():
-    assert u_vectors(solve_generator(1, 2), -1)[0] == MukaiVector(1, -1, 1)
-    assert u_vectors(solve_generator(1, 5), -1)[0] == MukaiVector(1, -2, 4)
+    pc2, pc5, pc6 = solve_generator(1, 2), solve_generator(1, 5), solve_generator(1, 6)
+    assert u_vectors(pc2, iterate(pc2, -1))[0] == MukaiVector(1, -1, 1)
+    assert u_vectors(pc5, iterate(pc5, -1))[0] == MukaiVector(1, -2, 4)
     # (4,-10,25) is the value consistent with the l=6 circle
     # (s+49/20)^2 + t^2 = 1/400; its first component is 4 = a^2, not 25
-    assert u_vectors(solve_generator(1, 6), -1)[0] == MukaiVector(4, -10, 25)
-    assert u_vectors(solve_generator(1, 2), 0) == (RHO, UNIT)
+    assert u_vectors(pc6, iterate(pc6, -1))[0] == MukaiVector(4, -10, 25)
+    assert u_vectors(pc2, iterate(pc2, 0)) == (RHO, UNIT)
 
 
 def test_u_vector_invariants():
@@ -155,7 +173,7 @@ def test_u_vector_invariants():
         pc = solve_generator(n, ell)
         v = MukaiVector(1, 0, -ell)
         for m in range(-8, 9):
-            u, u_prime = u_vectors(pc, m)
+            u, u_prime = u_vectors(pc, iterate(pc, m))
             assert self_pairing(u, ctx) == 0
             assert self_pairing(u_prime, ctx) == 0
             assert pairing(u, u_prime, ctx) == -1
@@ -165,10 +183,10 @@ def test_u_vector_invariants():
 
 def test_slope_endpoints_are_rational_and_match_circles():
     pc = solve_generator(1, 2)
-    lam1, lam2 = slope_endpoints(pc, -1)
+    lam1, lam2 = slope_endpoints(pc, iterate(pc, -1))
     assert sorted([lam1, lam2]) == [F(-2), F(-1)]
     pc6 = solve_generator(1, 6)
-    lam1, lam2 = slope_endpoints(pc6, -1)
+    lam1, lam2 = slope_endpoints(pc6, iterate(pc6, -1))
     assert sorted([lam1, lam2]) == [F(-5, 2), F(-12, 5)]
 
 
