@@ -2,8 +2,10 @@
 
 Commands: walls | pell | numsol | classify | intervals | act | mobius |
 wmax | verify.  Results print as JSON on stdout; rationals are strings
-"p/q".  Exit codes: 0 success, 2 precondition/input errors, 3 internal
-invariant violations (bugs).
+"p/q".  Exit codes: 0 success, 2 precondition/input errors, bad command
+lines included, 3 internal invariant violations (bugs).  A value that
+starts with "-" is written with "=", as in --lambda=-3/2: argparse reads
+a separate "-3/2" as an option.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 
-from .errors import InvariantViolation, PreconditionError, SquareCase
+from .errors import InvariantViolation, PreconditionError, SquareCase, UsageError
 from .jsonio import (
     chamber_record,
     frac_str,
@@ -36,6 +37,14 @@ from . import walls as walls_mod
 from . import fmgroup
 from . import oracle as oracle_mod
 from . import svg as svg_mod
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like any other input error: as JSON on
+    stdout with exit code 2, not as usage text on stderr."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _parse_window(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -105,11 +114,12 @@ def cmd_walls(args) -> dict:
 def cmd_pell(args) -> dict:
     pc = pell_mod.solve_generator(args.n, args.ell)
     m_range = _parse_m_range(args.m_range)
-    iterates, u_vecs = [], []
-    for it in islice(pell_mod.orbit(pc, m_range.start), len(m_range)):
-        u, u_prime = pell_mod.u_vectors(pc, it)
-        iterates.append({"m": it.m, "a": surd_str(it.a), "b": surd_str(it.b)})
-        u_vecs.append({"m": it.m, "u": vector_str(u), "u_prime": vector_str(u_prime)})
+    pairs = pell_mod.isotropic_pairs(pc, m_range)
+    iterates = [{"m": it.m, "a": surd_str(it.a), "b": surd_str(it.b)} for it, _, _ in pairs]
+    u_vecs = [
+        {"m": it.m, "u": vector_str(u), "u_prime": vector_str(u_prime)}
+        for it, u, u_prime in pairs
+    ]
     gen = pc.generator
     out = {
         "n": pc.n,
@@ -123,7 +133,7 @@ def cmd_pell(args) -> dict:
         "iterates": iterates,
         "u_vectors": u_vecs,
         "numerical_solutions": [
-            solution_record(s) for s in pell_mod.numerical_solutions(pc, m_range)
+            solution_record(s) for s in pell_mod.numerical_solutions(pc, pairs)
         ],
         "presentations": pell_mod.presentation_report(args.n, args.ell),
     }
@@ -139,7 +149,7 @@ def cmd_numsol(args) -> dict:
     except SquareCase:
         sols = [pell_mod.NumericalSolution(UNIT, RHO, 1, args.ell)]
     else:
-        sols = pell_mod.numerical_solutions(pc, m_range)
+        sols = pell_mod.numerical_solutions(pc, pell_mod.isotropic_pairs(pc, m_range))
     return {
         "numerical_solutions": [solution_record(s) for s in sols],
         "presentations": pell_mod.presentation_report(args.n, args.ell),
@@ -189,10 +199,8 @@ def cmd_mobius(args) -> dict:
 
 
 def cmd_wmax(args) -> dict:
-    ctx = Context(args.n)
-    v = MukaiVector(1, 0, -args.ell)
     wall_list, _ = walls_mod.wall_set(args.n, args.ell)
-    return wmax_record(walls_mod.w_max_report(v, wall_list, ctx))
+    return wmax_record(walls_mod.w_max_report(wall_list))
 
 
 def _verify_report(v: MukaiVector, s0: Fraction, enumerated: list, ctx: Context) -> dict:
@@ -222,7 +230,7 @@ def cmd_verify(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stabwalls",
         description="Exact wall-and-chamber computations for rank-one "
         "ideal-sheaf classes on abelian surfaces",
@@ -239,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="(H^2)/2")
     p.add_argument("--ell", type=int, default=0, help="v = (1, 0, -ell)")
     p.add_argument("--m-range", default="-2..2", help="label range lo..hi")
-    p.add_argument("--v", help='explicit class "r,d,a" (needs --s0)')
-    p.add_argument("--s0", help="cross-section abscissa for --v")
+    p.add_argument("--v", help='explicit class "r,d,a" (needs --s0; negative r as --v=-1,0,3)')
+    p.add_argument("--s0", help="cross-section abscissa for --v (negative as --s0=-3/2)")
     p.add_argument("--window", default="-3:1:3/2", help="smin:smax:tmax")
     p.add_argument("--svg", help="write an SVG diagram to this path")
     p.add_argument("--verify", action="store_true", help="run the brute-force oracle")
@@ -256,25 +264,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="chamber classification of a point")
     common(p, m_range="-2..2")
-    p.add_argument("--s", required=True, help="s coordinate (rational)")
+    p.add_argument("--s", required=True, help="s coordinate (rational; negative as --s=-3/2)")
     p.add_argument("--t2", required=True, help="t^2 coordinate (positive rational)")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("intervals", help="slope interval index and verdict")
     common(p)
-    p.add_argument("--lambda", required=True, help="slope (rational)")
+    p.add_argument("--lambda", required=True, help="slope (rational; negative as --lambda=-3/2)")
     p.set_defaults(fn=cmd_intervals)
 
     p = sub.add_parser("act", help="lattice action of a group matrix")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", required=True, help='matrix "a,b;c,d" with surd entries')
-    p.add_argument("--v", required=True, help='vector "r,d,a"')
+    p.add_argument(
+        "--g", required=True, help='matrix "a,b;c,d" with surd entries (negative a as --g=-1,0;0,1)'
+    )
+    p.add_argument("--v", required=True, help='vector "r,d,a" (negative r as --v=-1,0,0)')
     p.set_defaults(fn=cmd_act)
 
     p = sub.add_parser("mobius", help="half-plane action of a group matrix")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", required=True, help='matrix "a,b;c,d" with surd entries')
-    p.add_argument("--z", required=True, help='point "x+y*i", field coefficients')
+    p.add_argument(
+        "--g", required=True, help='matrix "a,b;c,d" with surd entries (negative a as --g=-1,0;0,1)'
+    )
+    p.add_argument(
+        "--z", required=True, help='point "x+y*i", field coefficients (negative x as --z=-1+1*i)'
+    )
     p.set_defaults(fn=cmd_mobius)
 
     p = sub.add_parser("wmax", help="outermost wall and Gieseker ranges")
@@ -288,9 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload = args.fn(args)
     except (PreconditionError, ValueError, ZeroDivisionError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

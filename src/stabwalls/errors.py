@@ -23,15 +23,15 @@ class MixedRadicand(InvariantViolation):
     guarantees every entry stays a single term, so this is a bug upstream."""
 
 
+class UsageError(PreconditionError):
+    """A command line that argparse rejects."""
+
+
 class NonIntegral(PreconditionError):
     pass
 
 
 class DegenerateV(PreconditionError):
-    pass
-
-
-class RankZero(PreconditionError):
     pass
 
 

@@ -6,25 +6,23 @@ and determinant a*d*r - b*c*s = +-1.  It acts on vectors through the
 symmetric-matrix embedding (right action g: M -> gT M g) and on the
 half-plane by Moebius transformations; contravariant elements
 (determinant -1) act through z -> -conj(g0 * z) after factoring off
-diag(1, -1), so orientation bookkeeping lives in one place.  The
-wall-swapping transforms psi_map / psi_apply_to_wall move labeled walls.
+diag(1, -1), so orientation bookkeeping lives in one place.
 
 The paper's statements about these actions (the charge compatibility of
-the transforms, the transformed half-plane and the conjugation into
-Gamma_0(n)) are checked by the test suite, in tests/paper_checks.py.
+the transforms, the wall-swapping transforms and how they move the labeled
+walls, the transformed half-plane and the conjugation into Gamma_0(n)) are
+checked by the test suite, in tests/paper_checks.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import IntegralityViolation, LowerHalfPlane, NonIntegral, NotInGHat
 from .lattice import Context, MukaiVector
-from .pell import GMatrix, PellContext
+from .pell import GMatrix
 from .surd import QnComplex, QnNumber, Surd, is_perfect_square, qn_rat
-from .walls import Wall, wall_between
 
 
 def delta_matrix() -> GMatrix:
@@ -70,15 +68,6 @@ def require_member(m: GMatrix, ctx: Context) -> int:
     if parity is None:
         raise NotInGHat(f"{m} is not in the group for n = {ctx.n}")
     return parity
-
-
-@dataclass(frozen=True)
-class FMDescriptor:
-    """Cohomological data of a transform: the matrix, and the family index
-    when the descriptor came from the wall-swapping construction."""
-
-    matrix: GMatrix
-    psi_index: Optional[int] = None
 
 
 def act_on_vector(v: MukaiVector, g: GMatrix, ctx: Context) -> MukaiVector:
@@ -152,29 +141,3 @@ def mobius(g: GMatrix, z: QnComplex, ctx: Context) -> QnComplex:
         raise LowerHalfPlane(f"image {out} left the upper half-plane")
     return out
 
-
-# ---------------------------------------------------------------------------
-# wall-swapping transforms
-
-
-def psi_map(pell: PellContext, m: int) -> FMDescriptor:
-    """The contravariant transform with matrix A^{-m} diag(1,-1) A^{m}; it
-    swaps the labeled walls around index m (m+k -> m-k)."""
-    a = pell.generator
-    return FMDescriptor(a.power(-m) * delta_matrix() * a.power(m), psi_index=m)
-
-
-def psi_apply_to_wall(
-    psi: FMDescriptor, wall: Wall, pell: PellContext, ctx: Context
-) -> Wall:
-    """Transport a wall for (1, 0, -l) by acting on its witness and
-    rebuilding; labels move by m+k -> m-k."""
-    v = MukaiVector(1, 0, -pell.ell)
-    w_img = act_on_vector(wall.witness, psi.matrix, ctx)
-    new = wall_between(v, w_img, ctx) or wall_between(v, -w_img, ctx)
-    if new is None:
-        raise IntegralityViolation(f"transport of {wall} lost the wall conditions")
-    label = wall.label
-    if label is not None and psi.psi_index is not None:
-        label = 2 * psi.psi_index - label
-    return Wall(new.shape, new.witness, wall.codim0, label)

@@ -46,9 +46,6 @@ class MukaiVector:
     def is_zero(self) -> bool:
         return self.r == 0 and self.d == 0 and self.a == 0
 
-    def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r + other.r, self.d + other.d, self.a + other.a)
-
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r - other.r, self.d - other.d, self.a - other.a)
 

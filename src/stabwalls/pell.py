@@ -242,18 +242,29 @@ def u_vectors(pell: PellContext, it: Iterate) -> tuple[MukaiVector, MukaiVector]
     return u, u_prime
 
 
-def numerical_solutions(pell: PellContext, m_range: range) -> list[NumericalSolution]:
-    """Numerical solutions of (1, 0, -l): v = +-(l1*v1 - l2*v2) with both v_i
+def isotropic_pairs(
+    pell: PellContext, m_range: range
+) -> list[tuple[Iterate, MukaiVector, MukaiVector]]:
+    """(iterate, u_m, u_m') for each label m in m_range, in one orbit walk."""
+    return [
+        (it, *u_vectors(pell, it)) for it in islice(orbit(pell, m_range.start), len(m_range))
+    ]
+
+
+def numerical_solutions(
+    pell: PellContext, pairs: list[tuple[Iterate, MukaiVector, MukaiVector]]
+) -> list[NumericalSolution]:
+    """Numerical solutions of (1, 0, -l), one per label of `pairs` (as
+    `isotropic_pairs` returns them): v = +-(l1*v1 - l2*v2) with both v_i
     positive isotropic primitive, <v1,v2> = -1 and (l1-1)(l2-1) = 0."""
     ctx = pell.lattice
     v = MukaiVector(1, 0, -pell.ell)
     out = []
-    for it in islice(orbit(pell, m_range.start), len(m_range)):
+    for it, u, u_prime in pairs:
         m = it.m
         if m == 0:
             sol = NumericalSolution(UNIT, RHO, 1, pell.ell)
         else:
-            u, u_prime = u_vectors(pell, it)
             sol = NumericalSolution(u, u_prime, pell.ell, 1)
         combo = sol.v1.scale(sol.l1) - sol.v2.scale(sol.l2)
         if combo != v and combo != -v:

@@ -1,9 +1,9 @@
 """Exact scalar arithmetic: pure surds q*sqrt(m), the field Q(sqrt(n)),
 and complex numbers over it.
 
-All comparisons are exact (sign analysis and squaring); no floats enter
-any predicate.  `Surd.to_float` is the one float conversion, for tests
-that cross-check against floating point.
+Every comparison is exact (sign analysis and squaring), and nothing here
+converts to floating point.  A `Surd` needs no order of its own: the
+commands compare the rational squares of surds instead.
 """
 
 from __future__ import annotations
@@ -116,37 +116,6 @@ class Surd:
 
     def __neg__(self) -> "Surd":
         return Surd(-self.coef, self.rad)
-
-    def sign(self) -> int:
-        return (self.coef > 0) - (self.coef < 0)
-
-    def compare(self, other: Union["Surd", RatLike]) -> int:
-        """Exact three-way comparison of real values."""
-        if not isinstance(other, Surd):
-            other = Surd(other)
-        ss, so = self.sign(), other.sign()
-        if ss != so:
-            return (ss > so) - (ss < so)
-        if ss == 0:
-            return 0
-        # same nonzero sign: compare squares, orientation flips if negative
-        a, b = self.square(), other.square()
-        return ss * ((a > b) - (a < b))
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
-    def to_float(self) -> float:
-        return float(self.coef) * math.sqrt(self.rad)
 
     def __str__(self):
         if self.rad == 1:

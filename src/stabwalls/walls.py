@@ -42,16 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Optional, Union
 
-from .errors import (
-    BadCrossSection,
-    DegenerateV,
-    NonIntegral,
-    NoWalls,
-    RankZero,
-)
+from .errors import BadCrossSection, DegenerateV, NonIntegral, NoWalls
 from .lattice import (
     Context,
     MukaiVector,
@@ -61,7 +54,7 @@ from .lattice import (
     self_pairing,
 )
 from .charge import StabilityPoint
-from .pell import PellContext, orbit, slope_endpoints, solve_generator, u_vectors
+from .pell import PellContext, isotropic_pairs, orbit, slope_endpoints, solve_generator
 from .surd import QnNumber, RatLike, divisors, is_perfect_square, sqrt_of_fraction
 
 
@@ -95,6 +88,11 @@ class Wall:
     witness: MukaiVector
     codim0: bool = False
     label: Optional[int] = None
+
+
+# C_0, the t-axis s = 0, witnessed by 1 = (1, 0, 0).  A vertical wall of v
+# lies at s = d/r, so C_0 is the one vertical wall of (1, 0, -l).
+C0 = Wall(VLine(Fraction(0)), UNIT, codim0=True, label=0)
 
 
 def _shape_sort_key(shape: Shape):
@@ -280,11 +278,10 @@ def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:
     ctx = pell.lattice
     v = MukaiVector(1, 0, -pell.ell)
     out = []
-    for it in islice(orbit(pell, m_range.start), len(m_range)):
+    for it, u, _ in isotropic_pairs(pell, m_range):
         if it.m == 0:
-            out.append(Wall(VLine(Fraction(0)), UNIT, codim0=True, label=0))
+            out.append(C0)
             continue
-        u, _ = u_vectors(pell, it)
         circle = _circle_through(u.d / u.r, pell.ell * u.d / u.a)
         witness = u if pairing(u, v, ctx) > 0 else -u
         out.append(Wall(circle, witness, codim0=True, label=it.m))
@@ -296,34 +293,13 @@ def fundamental_walls(pell: PellContext) -> list[Wall]:
     and C_-1 themselves tagged codimension-0.
 
     Every wall strictly between the two crosses the vertical line through
-    the abscissa lambda_0 = b_-1/(a_-1*sqrt(n)) (an endpoint of C_-1, where
-    C_-1 itself only touches t = 0), so one exact cross-section enumeration
-    is complete.
+    the abscissa lambda_0 = b_-1/(a_-1*sqrt(n)) (an endpoint of C_-1), so
+    one exact cross-section enumeration is complete.  It holds neither
+    C_0, a vertical line, nor C_-1, which meets that line only at t = 0.
     """
-    ctx = pell.lattice
     v = MukaiVector(1, 0, -pell.ell)
-    lam0 = pell.lambda_0()
-    cm1, c0 = codim0_walls(pell, range(-1, 1))
-    between = [
-        w
-        for w in enumerate_walls_on_line(v, lam0, ctx)
-        if w.shape != cm1.shape and w.shape != c0.shape
-    ]
-    return sort_walls(between + [c0, cm1])
-
-
-def vline_codim0_label(v: MukaiVector, shape: VLine, ctx: Context) -> Optional[int]:
-    """Label 0 when the vertical wall s = d/r has codimension 0: that needs
-    v = r*e^{kH} - a*rho with k integral and (r-1)(a-1) = 0."""
-    if v.r == 0:
-        return None
-    k = Fraction(v.d) / v.r
-    if shape.s0 != k or k.denominator != 1:
-        return None
-    a0 = ctx.n * v.d * v.d / v.r - v.a  # v = r*e^{kH} - a0*rho
-    if a0.denominator != 1:
-        return None
-    return 0 if (v.r - 1) * (int(a0) - 1) == 0 else None
+    between = enumerate_walls_on_line(v, pell.lambda_0(), pell.lattice)
+    return sort_walls(between + codim0_walls(pell, range(-1, 1)))
 
 
 def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
@@ -338,11 +314,10 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
     iterate negates b_m/a_m, so C_-m is C_m mirrored in s = 0 and
     a_{-m}^2 = a_m^2; and a_{k+1} = y*a_k + x*b_k > a_k for the generator
     (x, y).  So the orbit walk k = 1, 2, ... over m = -k, k ends once a_k^2
-    passes the bound and misses no label.  Vertical lines are decided by
-    the lattice criterion instead (see vline_codim0_label)."""
-    v = MukaiVector(1, 0, -pell.ell)
+    passes the bound and misses no label.  The one vertical wall is C_0
+    (see C0)."""
     if isinstance(w.shape, VLine):
-        return vline_codim0_label(v, w.shape, pell.lattice)
+        return 0 if w.shape.s0 == 0 else None
     r_sq = w.shape.radius_sq
     if not (is_perfect_square(r_sq.numerator) and is_perfect_square(r_sq.denominator)):
         return None
@@ -379,20 +354,16 @@ def wall_set(
     the Pell group when there is one.
 
     Square case: the walls crossing -sqrt(l/n), their mirrors in s > 0 and
-    the t-axis when it is a wall; the set is finite and complete.  Pell
-    case: the fundamental walls plus the labeled C_m for m in m_range."""
+    the t-axis C_0; the set is finite and complete.  Pell case: the
+    fundamental walls plus the labeled C_m for m in m_range."""
+    ctx = Context(n)  # rejects n < 1 before the square route divides by n
     s0, pell = cross_section(n, ell)
     if pell is not None:
         found = fundamental_walls(pell) + codim0_walls(pell, m_range)
     else:
-        ctx = Context(n)
         v = MukaiVector(1, 0, -ell)
         found = enumerate_walls_on_line(v, s0, ctx)
-        found += [_mirror_wall(w) for w in found]
-        axis = wall_between(v, UNIT, ctx)
-        if axis is not None:
-            label = vline_codim0_label(v, axis.shape, ctx)
-            found.append(Wall(axis.shape, axis.witness, label is not None, label))
+        found += [_mirror_wall(w) for w in found] + [C0]
     unique: dict[Shape, Wall] = {}
     for w in found:
         unique.setdefault(w.shape, w)
@@ -468,16 +439,11 @@ class WMaxReport:
     lambda2: QnNumber
 
 
-def w_max_report(v: MukaiVector, walls: Iterable[Wall], ctx: Context) -> WMaxReport:
-    """The outermost wall in the region r*s < d_beta and its real-axis
-    abscissae; Fourier-Mukai transforms based outside [lambda1, lambda2]
-    preserve Gieseker semistability."""
-    if v.r <= 0:
-        raise RankZero("w_max needs rk v > 0")
-    p = Fraction(v.d) / v.r
-    left = [
-        w for w in walls if isinstance(w.shape, Circle) and w.shape.center < p
-    ]
+def w_max_report(walls: Iterable[Wall]) -> WMaxReport:
+    """The outermost wall of (1, 0, -l) in the region r*s < d_beta, which is
+    s < 0, and its real-axis abscissae; Fourier-Mukai transforms based
+    outside [lambda1, lambda2] preserve Gieseker semistability."""
+    left = [w for w in walls if isinstance(w.shape, Circle) and w.shape.center < 0]
     if not left:
         raise NoWalls("no walls on the r*s < d_beta side")
     top = max(left, key=lambda w: w.shape.radius_sq)

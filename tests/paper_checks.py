@@ -3,11 +3,13 @@
 Yoshioka, "Bridgeland's stabilities on abelian surfaces" (arXiv:1203.0884):
 the central charges and phases of Mukai vectors, the charge-compatibility
 identity of the Fourier-Mukai transforms, the transformed half-plane and
-the conjugation of the group into Gamma_0(n); a floating-point alignment
-scan that cross-checks the exact walls; and the interval membership test
-and sheaf verdict of the slope intervals I_m and I_m*, the oracle for
-`pell.interval_index` and the `intervals` command.  The tests import this
-module as they import reference_kernel.
+the wall-swapping transforms and how they move the labeled walls, the
+conjugation of the group into Gamma_0(n); a floating-point alignment scan
+that cross-checks the exact walls; the interval membership test and sheaf
+verdict of the slope intervals I_m and I_m*, the oracle for
+`pell.interval_index` and the `intervals` command; and the exact order and
+float view of surds that the cross-checks compare with.  The tests import
+this module as they import reference_kernel.
 """
 
 from __future__ import annotations
@@ -19,12 +21,18 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from stabwalls.charge import StabilityPoint
-from stabwalls.errors import NotInGHat, PreconditionError
-from stabwalls.fmgroup import act_on_vector, g_membership, mobius, require_member
+from stabwalls.errors import IntegralityViolation, NotInGHat, PreconditionError
+from stabwalls.fmgroup import (
+    act_on_vector,
+    delta_matrix,
+    g_membership,
+    mobius,
+    require_member,
+)
 from stabwalls.lattice import Context, MukaiVector, beta_data
 from stabwalls.pell import GMatrix, PellContext, iterate
 from stabwalls.surd import QnComplex, QnNumber, RatLike, Surd, qn_rat
-from stabwalls.walls import VLine, Wall
+from stabwalls.walls import VLine, Wall, wall_between
 
 
 class ZeroCharge(PreconditionError):
@@ -47,6 +55,22 @@ def qnc_rat(u: RatLike, v: RatLike, n: int) -> QnComplex:
 def equal_up_to_sign(x: GMatrix, y: GMatrix) -> bool:
     """x == +-y: equality in G/{+-1}."""
     return x == y or x == GMatrix(-y.a, -y.b, -y.c, -y.d)
+
+
+def surd_compare(x: Surd, y: Surd) -> int:
+    """Exact three-way comparison of the real values of two surds: by
+    sign, then by the squares, whose order flips for negative values."""
+    sx = (x.coef > 0) - (x.coef < 0)
+    sy = (y.coef > 0) - (y.coef < 0)
+    if sx != sy:
+        return (sx > sy) - (sx < sy)
+    a, b = x.square(), y.square()
+    return sx * ((a > b) - (a < b))
+
+
+def surd_float(x: Surd) -> float:
+    """The float nearest a surd, for floating-point cross-checks."""
+    return float(x.coef) * math.sqrt(x.rad)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +258,29 @@ def swap_diagonal(g: GMatrix) -> GMatrix:
 def dual_flip(g: GMatrix) -> GMatrix:
     """(a,b;c,d) -> (a,-b;-c,d): the shifted-dual kernel, same direction."""
     return GMatrix(g.a, -g.b, -g.c, g.d)
+
+
+# ---------------------------------------------------------------------------
+# wall-swapping transforms
+
+
+def psi_map(pell: PellContext, m: int) -> GMatrix:
+    """The matrix A^{-m} diag(1,-1) A^{m} of the contravariant transform
+    that swaps the labeled walls around index m (m+k -> m-k)."""
+    a = pell.generator
+    return a.power(-m) * delta_matrix() * a.power(m)
+
+
+def psi_apply_to_wall(pell: PellContext, m: int, wall: Wall, ctx: Context) -> Wall:
+    """Transport a wall for (1, 0, -l) by psi_map(pell, m), acting on its
+    witness and rebuilding; labels move by m+k -> m-k."""
+    v = MukaiVector(1, 0, -pell.ell)
+    w_img = act_on_vector(wall.witness, psi_map(pell, m), ctx)
+    new = wall_between(v, w_img, ctx) or wall_between(v, -w_img, ctx)
+    if new is None:
+        raise IntegralityViolation(f"transport of {wall} lost the wall conditions")
+    label = None if wall.label is None else 2 * m - wall.label
+    return Wall(new.shape, new.witness, wall.codim0, label)
 
 
 # ---------------------------------------------------------------------------

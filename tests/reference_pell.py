@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from stabwalls.errors import AccumulationPoint, IntegralityViolation, InvariantViolation, SquareCase
+from paper_checks import surd_compare, surd_float
 from stabwalls.pell import Iterate, PellContext
 from stabwalls.surd import Surd, divisors, is_perfect_square
 
@@ -76,7 +77,7 @@ def _phi_less_than(g: PellMatrix, other: PellMatrix) -> bool:
     # x.rad*y.rad times a square equals n, so the canonical radicands agree
     s1 = Surd(w1, g.x.rad * g.y.rad * g.ell)
     s2 = Surd(w2, other.x.rad * other.y.rad * other.ell)
-    return Surd(u1 - u2).compare(s2 + -s1) < 0
+    return surd_compare(Surd(u1 - u2), s2 + -s1) < 0
 
 
 def _divisor_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -188,7 +189,7 @@ def solve_generator(n: int, ell: int, brute_limit: int = _MAX_BRUTE) -> PellCont
             best = cand
     # a smaller-phi solution could still hide at larger a with a smaller
     # radicand; a final sweep up to phi_min / sqrt(l) closes the gap
-    phi_best = best.y.to_float() + best.x.to_float() * math.sqrt(ell)
+    phi_best = surd_float(best.y) + surd_float(best.x) * math.sqrt(ell)
     final_bound = int(phi_best / math.sqrt(ell)) + 2
     if final_bound > bound:
         for cand in _candidates_upto(n, ell, min(final_bound, brute_limit)):
@@ -238,7 +239,7 @@ class _Endpoint:
         """sign(self - lam)."""
         if self.inf_sign:
             return self.inf_sign
-        return self.value.compare(lam)
+        return surd_compare(self.value, lam)
 
 
 def _b_over_a(pell: PellContext, m: int, sign: int = 1) -> _Endpoint:

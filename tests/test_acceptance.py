@@ -16,13 +16,14 @@ from paper_checks import (
     equal_up_to_sign,
     float_align_scan,
     in_interval,
+    psi_apply_to_wall,
+    psi_map,
+    surd_float,
 )
 from stabwalls.fmgroup import (
     act_on_vector,
     delta_matrix,
     mobius,
-    psi_apply_to_wall,
-    psi_map,
     require_member,
 )
 from stabwalls.lattice import Context, MukaiVector, pairing, self_pairing, twist
@@ -71,7 +72,7 @@ def test_criterion_1_pell_goldens():
             for b in range(0, 11):
                 x, y = Surd(a, r), Surd(b, s)
                 if y.square() - x.square() in (1, -1):
-                    phi = y.to_float() + x.to_float()
+                    phi = surd_float(y) + surd_float(x)
                     if phi > 1 and (best is None or phi < best[0]):
                         best = (phi, x, y)
     pc = solve_generator(2, 1)
@@ -254,18 +255,17 @@ def test_criterion_6_group_properties():
         for m in range(-5, 6):
             psi = psi_map(pc, m)
             for k in range(-5, 6):
-                lhs = a.power(m + k) * psi.matrix
+                lhs = a.power(m + k) * psi
                 rhs = delta_matrix() * a.power(m - k)
                 require_member(lhs, ctx)
                 require_member(rhs, ctx)
                 assert equal_up_to_sign(lhs, rhs)
         fam = {w.label: w for w in codim0_walls(pc, range(-4, 5))}
         for m in range(-2, 3):
-            psi = psi_map(pc, m)
             for k in range(-2, 3):
                 if abs(m + k) > 4 or abs(m - k) > 4:
                     continue
-                moved = psi_apply_to_wall(psi, fam[m + k], pc, ctx)
+                moved = psi_apply_to_wall(pc, m, fam[m + k], ctx)
                 assert moved.shape == fam[m - k].shape
     _report(6, "Moebius/composition, 200 charge compatibilities, Psi identities and transport")
 

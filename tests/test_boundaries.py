@@ -1,8 +1,9 @@
-"""Structural checks on the package source: module boundaries, no bare
-asserts, no floats in predicates, every def reached by a command, and the
+"""Structural checks on the package source: module boundaries and import
+layers, no bare asserts, no floats, every def reached by a command, and the
 names the benchmark traces."""
 
 import ast
+import graphlib
 import importlib
 import sys
 from pathlib import Path
@@ -42,6 +43,34 @@ def test_no_cross_module_private_access():
     assert offences == []
 
 
+def _internal_imports(path: Path) -> set[str]:
+    """The package modules that one module of the package imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stabwalls."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(
+                a.name.split(".")[1] for a in node.names if a.name.startswith("stabwalls.")
+            )
+    return out
+
+
+def test_import_layers():
+    """The package's own imports form no cycle, and fmgroup, the group
+    actions, sits below the wall layer: it imports none of walls, the
+    output modules, the oracle or the CLI, so walls may act by the group."""
+    graph = {path.stem: _internal_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert len(graph) > 1 and all(deps <= set(graph) for deps in graph.values())
+    assert graph["fmgroup"] & {"walls", "jsonio", "svg", "oracle", "cli"} == set()
+    tuple(graphlib.TopologicalSorter(graph).static_order())  # CycleError names a cycle
+
+
 def test_no_assert_statements():
     """Invariant checks raise errors.InvariantViolation subclasses: an
     `assert` vanishes under `python -O` and would not map to exit code 3."""
@@ -55,14 +84,11 @@ def test_no_assert_statements():
 
 
 def test_no_float_outside_display():
-    """No predicate sees a float: `float(...)`, `math.sqrt(...)` and
-    `.to_float()` are called only by `Surd.to_float`, which serves the
-    floating-point cross-checks of the tests."""
-    allowed = {"surd.py"}
+    """No predicate sees a float: no module calls `float(...)`,
+    `math.sqrt(...)` or a `.to_float()`; the floating-point cross-checks
+    of the tests convert with `paper_checks.surd_float`."""
     offences = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name in allowed:
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
@@ -121,6 +147,7 @@ def _command_argvs(svg_path: str) -> list[list[str]]:
         ["act", "--n", "1", "--g", "1,0;0,-1", "--v", "1,-1,1"],
         ["act", "--n", "1", "--g", "2,0;0,1", "--v", "1,0,0"],
         ["act", "--n", "1", "--g", "1,2;1,1", "--v", "1,1/2,0"],
+        ["act", "--n", "1", "--g", "-1,0;0,1", "--v", "1,0,0"],
         ["mobius", "--n", "2", "--g", "sqrt(2),1;1,1*sqrt(2)", "--z", "1/2+1*i"],
         ["mobius", "--n", "1", "--g", "0,1;1,0", "--z", "1+1*sqrt(1)*i"],
         ["mobius", "--n", "1", "--g", "1,0;0,1", "--z", "1-1*i"],
@@ -129,23 +156,9 @@ def _command_argvs(svg_path: str) -> list[list[str]]:
     ]
 
 
-# defs that no command enters, each kept on purpose
-UNREACHED = {
-    "fmgroup.psi_map": "wall-swapping transform that the C_0/C_-1 involution builds on",
-    "fmgroup.psi_apply_to_wall": "transports walls by psi_map, for the same involution",
-    "lattice.MukaiVector.__add__": "vector addition, the group law beside __sub__ and __neg__",
-    "surd.Surd.sign": "the sign test that Surd.compare starts from",
-    "surd.Surd.compare": "exact surd order, used by tests/reference_pell.py",
-    "surd.Surd.__lt__": "rich comparison through Surd.compare",
-    "surd.Surd.__le__": "rich comparison through Surd.compare",
-    "surd.Surd.__gt__": "rich comparison through Surd.compare",
-    "surd.Surd.__ge__": "rich comparison through Surd.compare",
-    "surd.Surd.to_float": "float view of a surd for the float cross-checks of the tests",
-}
-
-
 def test_every_function_serves_a_command(tmp_path, capsys):
-    """Every def under src/ runs in some CLI command, save UNREACHED."""
+    """Every def under src/ runs in some CLI command: what only the tests
+    need lives in the tests."""
     from stabwalls import cli
 
     entered = set()
@@ -175,8 +188,7 @@ def test_every_function_serves_a_command(tmp_path, capsys):
         for name, first in _defs(ast.parse(path.read_text()))
         if (path, first) not in seen
     ]
-    assert sorted(set(missing) - set(UNREACHED)) == []
-    assert sorted(set(UNREACHED) - set(missing)) == []
+    assert missing == []
 
 
 def test_bench_traced_names_resolve():

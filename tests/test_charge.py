@@ -29,7 +29,7 @@ def test_charge_additive():
         s = F(rng.randint(-4, 4), rng.randint(1, 3))
         n = rng.randint(1, 3)
         a, b = charge(v, s, Context(n)), charge(w, s, Context(n))
-        c = charge(v + w, s, Context(n))
+        c = charge(MukaiVector(v.r + w.r, v.d + w.d, v.a + w.a), s, Context(n))
         assert (c.re0, c.re2, c.im1) == (a.re0 + b.re0, a.re2 + b.re2, a.im1 + b.im1)
 
 

@@ -126,6 +126,28 @@ def test_exit_code_on_precondition(capsys):
         "type": "ValueError",
         "message": "m-range must be lo..hi with lo <= hi",
     }
+    # a command line that argparse rejects is a JSON input error too; a
+    # value starting with "-" must be joined with "="
+    for argv, message in (
+        (
+            ["intervals", "--n", "1", "--ell", "2", "--lambda", "-3/2"],
+            "argument --lambda: expected one argument",
+        ),
+        (
+            ["act", "--n", "1", "--g", "-1,0;0,1", "--v", "1,0,0"],
+            "argument --g: expected one argument",
+        ),
+        (
+            ["intervals", "--ell", "2", "--lambda=1"],
+            "the following arguments are required: --n",
+        ),
+    ):
+        code, data = run(capsys, *argv)
+        assert code == 2 and data["error"] == {"type": "UsageError", "message": message}, argv
+    code, data = run(capsys, "intervals", "--n", "1", "--ell", "2", "--lambda=-3/2")
+    assert code == 0 and data["lambda"] == "-3/2"
+    code, data = run(capsys, "act", "--n", "1", "--g=-1,0;0,1", "--v=-1,0,0")
+    assert code == 0 and data["image"] == "-1,0,0"
 
 
 def test_unwritable_svg_path_is_an_input_error(tmp_path, capsys):

@@ -13,6 +13,8 @@ from paper_checks import (
     gamma0_check,
     half_plane_image_check,
     param_transform,
+    psi_apply_to_wall,
+    psi_map,
     qnc_rat,
     swap_diagonal,
 )
@@ -22,8 +24,6 @@ from stabwalls.fmgroup import (
     delta_matrix,
     g_membership,
     mobius,
-    psi_apply_to_wall,
-    psi_map,
     require_member,
 )
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing
@@ -228,9 +228,9 @@ def test_theta_psi_matrix_identity():
         a = pc.generator
         for m in range(-5, 6):
             psi = psi_map(pc, m)
-            assert g_membership(psi.matrix, ctx) == -1  # contravariant
+            assert g_membership(psi, ctx) == -1  # contravariant
             for k in range(-5, 6):
-                lhs = _member_product(a.power(m + k), psi.matrix, ctx)
+                lhs = _member_product(a.power(m + k), psi, ctx)
                 rhs = _member_product(delta_matrix(), a.power(m - k), ctx)
                 assert equal_up_to_sign(lhs, rhs)
 
@@ -238,11 +238,11 @@ def test_theta_psi_matrix_identity():
 def test_psi_wall_transport():
     pc2 = solve_generator(1, 2)
     fam = {w.label: w for w in codim0_walls(pc2, range(-3, 4))}
-    t = psi_apply_to_wall(psi_map(pc2, 0), fam[-1], pc2, C1)
+    t = psi_apply_to_wall(pc2, 0, fam[-1], C1)
     assert t.shape == fam[1].shape and t.label == 1
-    t = psi_apply_to_wall(psi_map(pc2, -1), fam[-2], pc2, C1)
+    t = psi_apply_to_wall(pc2, -1, fam[-2], C1)
     assert t.shape == fam[0].shape and t.label == 0
-    t = psi_apply_to_wall(psi_map(pc2, -1), fam[-1], pc2, C1)
+    t = psi_apply_to_wall(pc2, -1, fam[-1], C1)
     assert t.shape == fam[-1].shape and t.label == -1
 
 

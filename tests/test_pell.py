@@ -7,12 +7,13 @@ from itertools import islice
 import pytest
 
 import reference_pell
-from paper_checks import in_interval, sheaf_verdict
+from paper_checks import in_interval, sheaf_verdict, surd_float
 from stabwalls.errors import AccumulationPoint, SquareCase
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing, self_pairing
 from stabwalls.pell import (
     GMatrix,
     interval_index,
+    isotropic_pairs,
     iterate,
     numerical_solutions,
     orbit,
@@ -52,7 +53,7 @@ def test_generator_2_1_against_small_brute_force():
             for b in range(0, 11):
                 x, y = Surd(a, r), Surd(b, s)
                 if y.square() - x.square() in (1, -1):
-                    phi = y.to_float() + x.to_float()
+                    phi = surd_float(y) + surd_float(x)
                     if phi > 1 and (best is None or phi < best[0]):
                         best = (phi, x, y)
     pc = solve_generator(2, 1)
@@ -216,17 +217,18 @@ def test_accumulation_monotonicity():
 
 def test_numerical_solution_examples():
     pc2 = solve_generator(1, 2)
-    sols = {s.v1: s for s in numerical_solutions(pc2, range(-1, 2))}
+    sols = {s.v1: s for s in numerical_solutions(pc2, isotropic_pairs(pc2, range(-1, 2)))}
     u_m1 = MukaiVector(1, -1, 1)
     assert u_m1 in sols
     s = sols[u_m1]
     assert (s.l1, s.l2) == (2, 1)
     assert s.v1.scale(2) - s.v2 in (MukaiVector(1, 0, -2), -MukaiVector(1, 0, -2))
     pc5 = solve_generator(1, 5)
-    s5 = {s.v1: s for s in numerical_solutions(pc5, range(-1, 0))}[MukaiVector(1, -2, 4)]
+    s5 = {s.v1: s for s in numerical_solutions(pc5, isotropic_pairs(pc5, range(-1, 0)))}
+    s5 = s5[MukaiVector(1, -2, 4)]
     assert s5.v2 == MukaiVector(4, -10, 25)
     assert s5.v1.scale(5) - s5.v2 == MukaiVector(1, 0, -5)
-    m0 = [s for s in numerical_solutions(pc2, range(0, 1))][0]
+    m0 = [s for s in numerical_solutions(pc2, isotropic_pairs(pc2, range(0, 1)))][0]
     assert (m0.v1, m0.v2, m0.l1, m0.l2) == (UNIT, RHO, 1, 2)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from paper_checks import qnc_rat
+from paper_checks import qnc_rat, surd_compare, surd_float
 from stabwalls.errors import MixedRadicand
 from stabwalls.surd import QnComplex, QnNumber, Surd, squarefree_decompose, sqrt_of_fraction
 
@@ -29,11 +29,11 @@ def test_add_examples():
 
 
 def test_cmp_examples():
-    assert Surd(1, 2) < Surd(1, 3)
-    assert Surd(F(3, 2)) > Surd(1, 2)  # 9/4 > 2
-    assert Surd(2, 2).compare(Surd(2, 2)) == 0
-    assert Surd(-1, 2) < Surd(0)
-    assert Surd(-1, 3) < Surd(-1, 2)
+    assert surd_compare(Surd(1, 2), Surd(1, 3)) < 0
+    assert surd_compare(Surd(F(3, 2)), Surd(1, 2)) > 0  # 9/4 > 2
+    assert surd_compare(Surd(2, 2), Surd(2, 2)) == 0
+    assert surd_compare(Surd(-1, 2), Surd(0)) < 0
+    assert surd_compare(Surd(-1, 3), Surd(-1, 2)) < 0
 
 
 surds = st.builds(
@@ -53,8 +53,8 @@ def test_mul_associative_commutative(a, b, c):
 
 @given(surds, surds)
 def test_cmp_matches_float(a, b):
-    if abs(a.to_float() - b.to_float()) > 1e-6:
-        assert (a.compare(b) > 0) == (a.to_float() > b.to_float())
+    if abs(surd_float(a) - surd_float(b)) > 1e-6:
+        assert (surd_compare(a, b) > 0) == (surd_float(a) > surd_float(b))
 
 
 def test_canonical_zero():

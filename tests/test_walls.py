@@ -5,10 +5,10 @@ import pytest
 
 from reference_kernel import proportional, reference_wall_between
 from stabwalls.charge import StabilityPoint
-from stabwalls.errors import BadCrossSection, DegenerateV, RankZero, SquareCase
+from stabwalls.errors import BadCrossSection, DegenerateV, SquareCase
 from stabwalls.lattice import Context, MukaiVector, UNIT, pairing, self_pairing
 from stabwalls.pell import solve_generator
-from stabwalls.surd import QnNumber, sqrt_of_fraction
+from stabwalls.surd import QnNumber, is_perfect_square, sqrt_of_fraction
 from stabwalls.walls import (
     ChamberReport,
     Circle,
@@ -19,9 +19,9 @@ from stabwalls.walls import (
     enumerate_walls_on_line,
     fundamental_walls,
     is_codim0,
-    vline_codim0_label,
     w_max_report,
     wall_between,
+    wall_set,
 )
 from stabwalls.oracle import brute_walls
 
@@ -319,13 +319,27 @@ def test_is_codim0_examples():
     assert is_codim0(Wall(VLine(F(0)), UNIT), pc2) == 0
 
 
-def test_vline_codim0_criterion():
-    # v = 2e^{0} - 1*rho = (2, 0, -1): a = 1 passes (r-1)(a-1) = 0
-    assert vline_codim0_label(MukaiVector(2, 0, -1), VLine(F(0)), C1) == 0
-    # v = (2, 0, -2): r = 2, a = 2: fails
-    assert vline_codim0_label(MukaiVector(2, 0, -2), VLine(F(0)), C1) is None
-    # wrong abscissa
-    assert vline_codim0_label(MukaiVector(1, 0, -2), VLine(F(1)), C1) is None
+def test_wall_set_labels_are_the_codim0_labels():
+    """The labels wall_set attaches are the ones is_codim0 derives: over
+    every non-square (n <= 6, l < 30) each wall's label is its is_codim0
+    label and codim0 marks exactly the labeled walls; in the square case
+    (n <= 6, n*l <= 144) the one vertical wall is C_0, labeled 0."""
+    for n in range(1, 7):
+        for ell in range(1, 30):
+            if is_perfect_square(n * ell):
+                continue
+            walls, pc = wall_set(n, ell, range(-3, 4))
+            for w in walls:
+                assert is_codim0(w, pc) == w.label, (n, ell, w)
+                assert w.codim0 == (w.label is not None), (n, ell, w)
+            assert sorted(w.label for w in walls if w.codim0) == list(range(-3, 4)), (n, ell)
+    c0 = Wall(VLine(F(0)), UNIT, codim0=True, label=0)
+    for n in range(1, 7):
+        for ell in range(1, 144 // n + 1):
+            if is_perfect_square(n * ell):
+                walls, pc = wall_set(n, ell)
+                assert pc is None
+                assert [w for w in walls if isinstance(w.shape, VLine)] == [c0], (n, ell)
 
 
 def test_isometry_transport_of_wall_conditions():
@@ -396,10 +410,10 @@ def test_classify_on_axis():
 
 
 def test_w_max_goldens():
-    rep = w_max_report(MukaiVector(1, 0, -2), fundamental_walls(solve_generator(1, 2)), C1)
+    rep = w_max_report(fundamental_walls(solve_generator(1, 2)))
     assert rep.wall.shape == Circle(F(-3, 2), F(1, 4))
     assert (rep.lambda1, rep.lambda2) == (QnNumber(-2, 0, 1), QnNumber(-1, 0, 1))
-    rep = w_max_report(MukaiVector(1, 0, -3), fundamental_walls(solve_generator(1, 3)), C1)
+    rep = w_max_report(fundamental_walls(solve_generator(1, 3)))
     assert rep.wall.shape == Circle(F(-2), F(1))
     assert (rep.lambda1, rep.lambda2) == (QnNumber(-3, 0, 1), QnNumber(-1, 0, 1))
 
@@ -424,7 +438,5 @@ def test_enumerate_rank_zero_target():
 def test_w_max_errors():
     from stabwalls.errors import NoWalls
 
-    with pytest.raises(RankZero):
-        w_max_report(MukaiVector(0, 1, 0), [], C1)
     with pytest.raises(NoWalls):
-        w_max_report(MukaiVector(1, 0, -2), [Wall(VLine(F(0)), UNIT)], C1)
+        w_max_report([Wall(VLine(F(0)), UNIT)])
