@@ -43,9 +43,6 @@ class MukaiVector:
     def is_integral(self) -> bool:
         return self.d.denominator == 1 and self.a.denominator == 1
 
-    def is_zero(self) -> bool:
-        return self.r == 0 and self.d == 0 and self.a == 0
-
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r - other.r, self.d - other.d, self.a - other.a)
 

@@ -55,8 +55,6 @@ def divisors(k: int) -> list[int]:
 
 
 def frac(x: RatLike) -> Fraction:
-    # the isinstance short-circuit matters: MukaiVector.__init__ calls this
-    # in the enumeration hot loop
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

@@ -22,8 +22,17 @@ associated to Bridgeland stability conditions on projective surfaces").
 Given (j, m1), P := n*D1^2 - m1 equals r1*A1, and A1 lies on the 1/q^2 grid
 because v1 is integral, so r1*(q^2*A1) = N := q^2*P = n*j^2 - m1*q^2.
 Two cases exhaust the candidates:
-  * P != 0: r1 is a signed divisor of the integer N, and d1 = (j + r1*p)/q
-    is integral only for j + r1*p = 0 (mod q);
+  * P != 0: r1 is a signed divisor of the integer N, found in two
+    residue classes mod q.  d1 = (j + r1*p)/q is integral only for
+    r1 = c1 := -j*p^-1 (mod q).  With a1q := q^2*A1 = N/r1,
+    q^2*a1 = a1q + n*(2*d1*p*q - r1*p^2), so a1 is integral only if
+    N/r1 = e1 := n*p^2*c1 (mod q).  As |r1|*|N/r1| = |N|, the smaller
+    i = min(|r1|, |N/r1|) is at most sqrt|N|, so at most isqrt|N|, and it
+    lies in one of the classes +-c1, +-e1 mod q.  So trial division by
+    those i in [1, isqrt|N|], with the candidates +-i, +-N/i for each
+    divisor i, reaches every usable r1 in at most min(4, q)*(isqrt|N|/q + 1)
+    divisibility tests (the elementary case of Lenstra, "Divisors in
+    residue classes", Math. Comp. 42, 1984);
   * P == 0: r1 = 0 or A1 = 0.  r1 = 0 needs q | j and an integral a1; two
     rank-0 vectors define no wall, so r != 0 and the bracket below bounds
     r*(A - A1).  A1 = 0 fixes r1 mod q; the bracket bounds (r - r1)*A, and
@@ -55,7 +64,7 @@ from .lattice import (
 )
 from .charge import StabilityPoint
 from .pell import PellContext, isotropic_pairs, orbit, slope_endpoints, solve_generator
-from .surd import QnNumber, RatLike, divisors, is_perfect_square, sqrt_of_fraction
+from .surd import QnNumber, RatLike, is_perfect_square, sqrt_of_fraction
 
 
 @dataclass(frozen=True)
@@ -110,28 +119,21 @@ def witness_key(v: MukaiVector):
     return (abs(v.r), abs(v.d), abs(v.a), v.r, v.d, v.a)
 
 
-def wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall]:
-    """The wall for v defined by v1, or None when v1 defines none.
+def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> Optional[Shape]:
+    """The shape of the wall for v = (r, d, a) defined by v1 = (r1, d1, a1),
+    or None when v1 defines none.  All six entries are integers and
+    <v^2> > 0 (see integral_triple); a rational pair is scaled to integers
+    first, which changes no sign and no shape.
 
     v1 qualifies when <v1^2> >= 0, <(v-v1)^2> >= 0, <v1, v-v1> > 0 and the
-    triples (r, d, a) of v1 and v are not proportional; the locus is then a
-    circle, a vertical line, or empty (radius^2 <= 0 returns None silently).
-
-    Every test runs on integers: both vectors are scaled by the lcm L of
-    the denominators of their d and a.  Scaling multiplies each pairing and
-    each 2x2 minor by L^2, so no sign changes, and the center and radius^2
-    below are quotients of equal degree in L, so no shape changes.  radius^2 > 0 is cross-multiplied by the square of its
-    denominator; the Fractions are built only for a wall that is returned.
+    triples are not proportional; the locus is then a circle, a vertical
+    line, or empty (radius^2 <= 0 gives None).  Every test runs on
+    integers; radius^2 > 0 is cross-multiplied by the square of its
+    denominator, and the Fractions are built only for a shape that is
+    returned.
     """
-    vd, va, v1d, v1a = v.d, v.a, v1.d, v1.a
-    L = math.lcm(vd.denominator, va.denominator, v1d.denominator, v1a.denominator)
-    r, d, a = L * v.r, vd.numerator * L // vd.denominator, va.numerator * L // va.denominator
-    r1, d1 = L * v1.r, v1d.numerator * L // v1d.denominator
-    a1 = v1a.numerator * L // v1a.denominator
-    n2 = 2 * ctx.n
+    n2 = 2 * n
     vv = n2 * d * d - 2 * r * a
-    if vv <= 0:
-        raise DegenerateV(f"<v^2> = {Fraction(vv, L * L)} <= 0")
     v1v1 = n2 * d1 * d1 - 2 * r1 * a1
     vv1 = n2 * d * d1 - r * a1 - r1 * a
     # <v1^2> >= 0, <(v-v1)^2> = vv - 2*vv1 + v1v1 >= 0, <v1, v-v1> = vv1 - v1v1 > 0
@@ -142,7 +144,7 @@ def wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall
     if r:
         denom = r * d1 - r1 * d
         if not denom:
-            return Wall(VLine(Fraction(v.d, v.r)), v1)
+            return VLine(Fraction(d, r))
         # center = y/(2n*denom); radius^2 = (d/r - center)^2 - <v^2>/(2n*r^2)
         # = (x^2 - 2n*<v^2>*denom^2) / (2n*r*denom)^2
         y = a1 * r - a * r1
@@ -150,8 +152,7 @@ def wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall
         rad = x * x - n2 * vv * denom * denom
         if rad <= 0:
             return None
-        center = Fraction(y, n2 * denom)
-        return Wall(Circle(center, Fraction(rad, (n2 * r * denom) ** 2)), v1)
+        return Circle(Fraction(y, n2 * denom), Fraction(rad, (n2 * r * denom) ** 2))
     # rank 0: <v^2> = 2n*d^2 > 0 forces d != 0, and every wall is a circle
     # around a/(2n*d) with radius^2 = (a/(2n*d) - d1/r1)^2 - <v1^2>/(2n*r1^2)
     if not r1:
@@ -160,14 +161,17 @@ def wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall
     rad = x * x - n2 * d * d * v1v1
     if rad <= 0:
         return None
-    return Wall(Circle(Fraction(a, n2 * d), Fraction(rad, (n2 * d * r1) ** 2)), v1)
+    return Circle(Fraction(a, n2 * d), Fraction(rad, (n2 * d * r1) ** 2))
 
 
-def _crossing_t_sq(wall: Wall, s0: Fraction) -> Optional[Fraction]:
-    if isinstance(wall.shape, VLine):
-        return None
-    t_sq = wall.shape.t_sq_at(s0)
-    return t_sq if t_sq > 0 else None
+def integral_triple(v: MukaiVector, ctx: Context) -> tuple[int, int, int]:
+    """(r, d, a) of v as integers, for an integral v with <v^2> > 0."""
+    if not v.is_integral:
+        raise NonIntegral(f"{v} is not integral")
+    vv = self_pairing(v, ctx)
+    if vv <= 0:
+        raise DegenerateV(f"<v^2> = {vv} <= 0")
+    return v.r, int(v.d), int(v.a)
 
 
 def _mirror_vector(v: MukaiVector) -> MukaiVector:
@@ -197,13 +201,9 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
     candidates are harmless.  The loops run on integers scaled by q^2,
     q = den(s0): j = q*D(v1), N = q^2*P and X = q^2*(r - r1)(A - A1).
     """
-    if not v.is_integral:
-        raise NonIntegral(f"{v} is not integral")
+    r, d, a = integral_triple(v, ctx)
     s0 = Fraction(s0)
-    vv = self_pairing(v, ctx)
-    if vv <= 0:
-        raise DegenerateV(f"<v^2> = {vv} <= 0")
-    n, r, d, a = ctx.n, v.r, int(v.d), int(v.a)
+    n = ctx.n
     p, q = s0.numerator, s0.denominator
     qq = q * q
     Dq = d * q - r * p  # q*D(v)
@@ -224,28 +224,32 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
         a1, rest = divmod(a1q + n * (2 * d1 * p * q - r1 * p * p), qq)
         if rest:
             return
+        shape = wall_between(n, r, d, a, r1, d1, a1)
+        if shape is None or isinstance(shape, VLine) or shape.t_sq_at(s0) <= 0:
+            return
         v1 = MukaiVector(r1, d1, a1)
-        w = wall_between(v, v1, ctx)
-        if w is None:
-            return
-        if _crossing_t_sq(w, s0) is None:
-            return
-        prev = found.get(w.shape)
+        prev = found.get(shape)
         if prev is None or witness_key(v1) < witness_key(prev.witness):
-            found[w.shape] = w
+            found[shape] = Wall(shape, v1)
 
     for j in range(1, Dq):
         u2 = n * (Dq - j) ** 2  # q^2 * n*D(v - v1)^2: m2 = 0 at X = u2
         c1 = -j * p_inv % q  # residue of r1 mod q
+        e1 = n * p * p * c1 % q  # residue of a1q = N/r1 mod q (a1 integral)
+        classes = {c1, -c1 % q, e1, -e1 % q}  # of i = |r1| or |N/r1|
         for m1 in range(half):
             lo = u2 - (half - 1 - m1) * qq  # m2 <= <v^2>/2 - 1 - m1 at X = lo
             N = n * j * j - m1 * qq
             if N:
-                # case 1: r1 != 0 divides N, A1 = P/r1
-                for k in divisors(abs(N)):
-                    for r1 in (k, -k):
-                        if r1 % q == c1 and lo <= (r - r1) * (Aq - N // r1) <= u2:
-                            consider(r1, N // r1, j)
+                # case 1: r1 != 0 divides N, A1 = P/r1; i = min(|r1|, |N/r1|) <= isqrt|N|
+                sq = math.isqrt(abs(N))
+                for res in classes:
+                    for i in range(res or q, sq + 1, q):
+                        if N % i:
+                            continue
+                        for r1 in {i, -i, N // i, -N // i}:
+                            if r1 % q == c1 and lo <= (r - r1) * (Aq - N // r1) <= u2:
+                                consider(r1, N // r1, j)
                 continue
             # case 2, P = 0: the r1 = 0 family (q | j; two rank-0 vectors give no wall)
             if r and c1 == 0:

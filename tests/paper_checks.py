@@ -7,8 +7,9 @@ the wall-swapping transforms and how they move the labeled walls, the
 conjugation of the group into Gamma_0(n); a floating-point alignment scan
 that cross-checks the exact walls; the interval membership test and sheaf
 verdict of the slope intervals I_m and I_m*, the oracle for
-`pell.interval_index` and the `intervals` command; and the exact order and
-float view of surds that the cross-checks compare with.  The tests import
+`pell.interval_index` and the `intervals` command; the exact order and
+float view of surds that the cross-checks compare with; and `wall_of`, the
+wall test on rational Mukai vectors.  The tests import
 this module as they import reference_kernel.
 """
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from stabwalls.charge import StabilityPoint
-from stabwalls.errors import IntegralityViolation, NotInGHat, PreconditionError
+from stabwalls.errors import DegenerateV, IntegralityViolation, NotInGHat, PreconditionError
 from stabwalls.fmgroup import (
     act_on_vector,
     delta_matrix,
@@ -45,6 +46,27 @@ class SamePoint(PreconditionError):
 
 class DegenerateGamma(PreconditionError):
     pass
+
+
+def wall_of(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall]:
+    """The wall for v defined by v1, or None when v1 defines none: the
+    integer test `walls.wall_between` on rational vectors.
+
+    Both vectors are scaled by the lcm L of the denominators of their d and
+    a.  Scaling multiplies each pairing and each 2x2 minor by L^2, so no
+    sign changes, and the center and radius^2 are quotients of equal degree
+    in L, so no shape changes.
+    """
+    vd, va, v1d, v1a = v.d, v.a, v1.d, v1.a
+    L = math.lcm(vd.denominator, va.denominator, v1d.denominator, v1a.denominator)
+    r, d, a = L * v.r, vd.numerator * L // vd.denominator, va.numerator * L // va.denominator
+    r1, d1 = L * v1.r, v1d.numerator * L // v1d.denominator
+    a1 = v1a.numerator * L // v1a.denominator
+    vv = 2 * ctx.n * d * d - 2 * r * a
+    if vv <= 0:
+        raise DegenerateV(f"<v^2> = {Fraction(vv, L * L)} <= 0")
+    shape = wall_between(ctx.n, r, d, a, r1, d1, a1)
+    return None if shape is None else Wall(shape, v1)
 
 
 def qnc_rat(u: RatLike, v: RatLike, n: int) -> QnComplex:
@@ -276,7 +298,7 @@ def psi_apply_to_wall(pell: PellContext, m: int, wall: Wall, ctx: Context) -> Wa
     witness and rebuilding; labels move by m+k -> m-k."""
     v = MukaiVector(1, 0, -pell.ell)
     w_img = act_on_vector(wall.witness, psi_map(pell, m), ctx)
-    new = wall_between(v, w_img, ctx) or wall_between(v, -w_img, ctx)
+    new = wall_of(v, w_img, ctx) or wall_of(v, -w_img, ctx)
     if new is None:
         raise IntegralityViolation(f"transport of {wall} lost the wall conditions")
     label = None if wall.label is None else 2 * m - wall.label

@@ -1,15 +1,22 @@
-"""The wall enumeration kernel as it stood before the divisor-driven
+"""Two earlier wall enumeration kernels, kept verbatim and test-only as
+references that `walls.enumerate_walls_on_line` must match shape for shape
+and witness for witness.
+
+`reference_enumerate` is the kernel as it stood before the divisor-driven
 rewrite: five branches over (A != 0, P != 0), (A != 0, P = 0),
 (A = 0, r != 0) and (A = 0, r = 0), with an r1 range loop and 1/q^2 grids.
+It is slow at the fundamental cross-sections of large l, so tests feed it
+small cases.  It validates its candidates with `reference_wall_between`,
+the wall test as it stood before it was decided on integers: every
+pairing, minor and radius^2 computed in `Fraction`.  Kept verbatim with its
+helper `proportional`, so that neither check shares the code it checks.
 
-Kept verbatim, test-only, as the reference that `walls.enumerate_walls_on_line`
-must match shape for shape and witness for witness.  It is slow at the
-fundamental cross-sections of large l, so tests feed it small cases.
-
-It validates its candidates with `reference_wall_between`, the wall test as
-it stood before it was decided on integers: every pairing, minor and
-radius^2 computed in `Fraction`.  Kept verbatim with its helper
-`proportional`, so that neither check shares the code it checks.
+`divisor_enumerate` is the divisor-driven kernel as it stood before the
+residue-class search: for each grid pair (j, m1) it tries every signed
+divisor of N, found by trial division up to isqrt|N|.  It validates its
+candidates with `paper_checks.wall_of`, the shipping integer wall test on
+Mukai vectors, so it checks which candidates the search reaches, at the
+Pell cross-sections too.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from paper_checks import wall_of
 from stabwalls.errors import BadCrossSection, DegenerateV, NonIntegral
 from stabwalls.lattice import Context, MukaiVector, beta_data, pairing, self_pairing
 from stabwalls.surd import RatLike, divisors
@@ -193,4 +201,83 @@ def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]
                         for r1 in divisors(int(scaled)):
                             for sgn in (1, -1):
                                 consider(sgn * r1, p_val / (sgn * r1), d1t)
+    return sort_walls(found.values())
+
+
+def _multiples(lo: int, hi: int, step: int) -> range:
+    """The integers k with lo <= k*step <= hi (step != 0)."""
+    if step < 0:
+        lo, hi, step = -hi, -lo, -step
+    return range(-(-lo // step), hi // step + 1)
+
+
+def divisor_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:
+    """The complete set of walls for v meeting the open ray {s0} x R_{>0}.
+
+    Complete by the derivation in the `walls` module docstring; each
+    candidate is validated through wall_of and the exact crossing
+    test, so extra candidates are harmless.  The loops run on integers
+    scaled by q^2, q = den(s0): j = q*D(v1), N = q^2*P and
+    X = q^2*(r - r1)(A - A1).
+    """
+    if not v.is_integral:
+        raise NonIntegral(f"{v} is not integral")
+    s0 = Fraction(s0)
+    vv = self_pairing(v, ctx)
+    if vv <= 0:
+        raise DegenerateV(f"<v^2> = {vv} <= 0")
+    n, r, d, a = ctx.n, v.r, int(v.d), int(v.a)
+    p, q = s0.numerator, s0.denominator
+    qq = q * q
+    Dq = d * q - r * p  # q*D(v)
+    Aq = a * qq - 2 * n * d * p * q + n * r * p * p  # q^2*A(v)
+    if Dq == 0:
+        raise BadCrossSection(f"d_beta(v) = 0 at s = {s0}")
+    if Dq < 0:
+        mirrored = divisor_enumerate(_mirror_vector(v), -s0, ctx)
+        return sort_walls(_mirror_wall(w) for w in mirrored)
+    half = n * d * d - r * a  # <v^2>/2
+    p_inv = pow(p, -1, q)  # d(v1) = (j + r1*p)/q is integral iff r1 = -j*p_inv mod q
+    found: dict[Shape, Wall] = {}
+
+    def consider(r1: int, a1q: int, j: int):
+        d1, rest = divmod(j + r1 * p, q)
+        if rest:
+            return
+        a1, rest = divmod(a1q + n * (2 * d1 * p * q - r1 * p * p), qq)
+        if rest:
+            return
+        v1 = MukaiVector(r1, d1, a1)
+        w = wall_of(v, v1, ctx)
+        if w is None:
+            return
+        if _crossing_t_sq(w, s0) is None:
+            return
+        prev = found.get(w.shape)
+        if prev is None or witness_key(v1) < witness_key(prev.witness):
+            found[w.shape] = w
+
+    for j in range(1, Dq):
+        u2 = n * (Dq - j) ** 2  # q^2 * n*D(v - v1)^2: m2 = 0 at X = u2
+        c1 = -j * p_inv % q  # residue of r1 mod q
+        for m1 in range(half):
+            lo = u2 - (half - 1 - m1) * qq  # m2 <= <v^2>/2 - 1 - m1 at X = lo
+            N = n * j * j - m1 * qq
+            if N:
+                # case 1: r1 != 0 divides N, A1 = P/r1
+                for k in divisors(abs(N)):
+                    for r1 in (k, -k):
+                        if r1 % q == c1 and lo <= (r - r1) * (Aq - N // r1) <= u2:
+                            consider(r1, N // r1, j)
+                continue
+            # case 2, P = 0: the r1 = 0 family (q | j; two rank-0 vectors give no wall)
+            if r and c1 == 0:
+                base = Aq + 2 * n * p * j  # q^2*(A + 2n*d1*s0), d1 = j/q
+                for a1 in _multiples(r * base - u2, r * base - lo, r * qq):
+                    consider(0, a1 * qq - 2 * n * p * j, j)
+            # and the A1 = 0 family, r1 = c1 + q*k (A = 0 gives no crossing)
+            if Aq:
+                for k in _multiples((r - c1) * Aq - u2, (r - c1) * Aq - lo, q * Aq):
+                    if c1 + q * k:  # r1 = 0 belongs to the family above
+                        consider(c1 + q * k, 0, j)
     return sort_walls(found.values())

@@ -19,6 +19,7 @@ from paper_checks import (
     psi_apply_to_wall,
     psi_map,
     surd_float,
+    wall_of,
 )
 from stabwalls.fmgroup import (
     act_on_vector,
@@ -44,7 +45,6 @@ from stabwalls.walls import (
     enumerate_walls_on_line,
     fundamental_walls,
     sort_walls,
-    wall_between,
 )
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -102,7 +102,7 @@ def test_criterion_2_wall_goldens():
     assert [w.shape for w in walls4] == [Circle(F(-5, 2), F(9, 4))]
     # l=1: s = 0 is the only wall (nothing crosses the square abscissa)
     assert enumerate_walls_on_line(MukaiVector(1, 0, -1), -1, Context(1)) == []
-    assert wall_between(MukaiVector(1, 0, -1), MukaiVector(1, 0, 0), Context(1)).shape == VLine(F(0))
+    assert wall_of(MukaiVector(1, 0, -1), MukaiVector(1, 0, 0), Context(1)).shape == VLine(F(0))
     _report(2, "C_-1 circles for l = 2,3,5,6, the l=3 and l=4 walls, l=1 axis only")
 
 

@@ -1,11 +1,15 @@
-"""The divisor-driven enumeration kernel returns exactly the walls, and the
-witnesses, of the earlier five-branch kernel kept in reference_kernel.py."""
+"""The residue-class enumeration kernel returns exactly the walls, and the
+witnesses, of the two earlier kernels kept in reference_kernel.py: the
+five-branch kernel on small cross-sections, and the divisor-driven kernel
+on the Pell cross-sections, where the residue classes mod q = den(s0)
+decide which divisors are found."""
 
 from fractions import Fraction as F
 
-from reference_kernel import reference_enumerate
+from reference_kernel import divisor_enumerate, reference_enumerate
 from stabwalls.errors import BadCrossSection
 from stabwalls.lattice import Context, MukaiVector, beta_data, self_pairing
+from stabwalls.surd import is_perfect_square
 from stabwalls.walls import cross_section, enumerate_walls_on_line
 
 # explicit cross-sections: A = 0 with rank >= 2, rank 0 with A = 0, A != 0
@@ -63,3 +67,22 @@ def test_kernel_matches_reference():
     assert reached >= {
         "A != 0", "A = 0, r != 0", "r = A = 0", "P = 0, A != 0", "P = 0, A = 0, r != 0"
     }
+
+
+def test_kernel_matches_divisor_kernel_at_pell_cross_sections():
+    """Every non-square (n, l) with n = 1 and l < 31, or n in {2, 3, 5, 6}
+    and l < 19, at lambda_0: the cross-section that `walls` enumerates."""
+    checked = 0
+    for n, top in ((1, 31), (2, 19), (3, 19), (5, 19), (6, 19)):
+        for ell in range(1, top):
+            if is_perfect_square(n * ell):
+                continue
+            ctx, v = Context(n), MukaiVector(1, 0, -ell)
+            s0 = cross_section(n, ell)[0]
+            got = enumerate_walls_on_line(v, s0, ctx)
+            expected = divisor_enumerate(v, s0, ctx)
+            assert [(w.shape, w.witness) for w in got] == [
+                (w.shape, w.witness) for w in expected
+            ], (n, ell)
+            checked += 1
+    assert checked == 90

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from paper_checks import wall_of
 from reference_kernel import proportional, reference_wall_between
 from stabwalls.charge import StabilityPoint
 from stabwalls.errors import BadCrossSection, DegenerateV, SquareCase
@@ -20,7 +21,6 @@ from stabwalls.walls import (
     fundamental_walls,
     is_codim0,
     w_max_report,
-    wall_between,
     wall_set,
 )
 from stabwalls.oracle import brute_walls
@@ -32,26 +32,26 @@ C1 = Context(1)
 
 
 def test_wall_between_examples():
-    w = wall_between(MukaiVector(1, 0, -3), MukaiVector(1, -1, 1), C1)
+    w = wall_of(MukaiVector(1, 0, -3), MukaiVector(1, -1, 1), C1)
     assert w.shape == Circle(F(-2), F(1))
-    w = wall_between(MukaiVector(1, 0, -2), MukaiVector(1, -1, 1), C1)
+    w = wall_of(MukaiVector(1, 0, -2), MukaiVector(1, -1, 1), C1)
     assert w.shape == Circle(F(-3, 2), F(1, 4))
-    w = wall_between(MukaiVector(1, 0, -4), MukaiVector(1, 0, -1), C1)
+    w = wall_of(MukaiVector(1, 0, -4), MukaiVector(1, 0, -1), C1)
     assert w.shape == VLine(F(0))
-    assert wall_between(MukaiVector(1, 0, -2), MukaiVector(1, 0, 1), C1) is None
+    assert wall_of(MukaiVector(1, 0, -2), MukaiVector(1, 0, 1), C1) is None
 
 
 def test_wall_between_degenerate():
     with pytest.raises(DegenerateV):
-        wall_between(MukaiVector(1, 0, 1), MukaiVector(1, -1, 1), C1)
+        wall_of(MukaiVector(1, 0, 1), MukaiVector(1, -1, 1), C1)
 
 
 def test_wall_between_rank_zero_v():
     # v = (0,2,1), n=1: concentric circles around a/(2nd) = 1/4
     v = MukaiVector(0, 2, 1)
-    w = wall_between(v, MukaiVector(-2, 0, 0), C1)
+    w = wall_of(v, MukaiVector(-2, 0, 0), C1)
     assert w.shape == Circle(F(1, 4), F(1, 16))
-    assert wall_between(v, MukaiVector(0, 1, 1), C1) is None  # rank-0 pair
+    assert wall_of(v, MukaiVector(0, 1, 1), C1) is None  # rank-0 pair
 
 
 def test_empty_circle_returns_none():
@@ -61,13 +61,13 @@ def test_empty_circle_returns_none():
     assert self_pairing(v1, C1) >= 0
     assert self_pairing(rest, C1) >= 0
     assert pairing(v1, rest, C1) > 0
-    assert wall_between(v, v1, C1) is None
+    assert wall_of(v, v1, C1) is None
 
 
 def test_proportional_witness_returns_none():
     v, v1 = MukaiVector(2, 2, 0), MukaiVector(1, 1, 0)
     assert pairing(v1, v - v1, C1) > 0  # conditions hold, but v1 in Q*v
-    assert wall_between(v, v1, C1) is None
+    assert wall_of(v, v1, C1) is None
 
 
 
@@ -115,7 +115,7 @@ def test_wall_between_matches_reference():
         expected, rule = _wall_between_outcome(v, v1, ctx)
         reached.add(rule)
         try:
-            w = wall_between(v, v1, ctx)
+            w = wall_of(v, v1, ctx)
         except DegenerateV as exc:
             got = ("raise", type(exc), str(exc))
         else:
@@ -148,7 +148,7 @@ def test_pencil_membership_and_disjointness():
         for r1 in range(-4, 5):
             for d1 in range(-4, 5):
                 for a1 in range(-4, 5):
-                    w = wall_between(v, MukaiVector(r1, d1, a1), ctx)
+                    w = wall_of(v, MukaiVector(r1, d1, a1), ctx)
                     if w is not None and isinstance(w.shape, Circle):
                         circles.append(w.shape)
         for sh in circles:
@@ -183,7 +183,7 @@ def test_cor_square_endpoint_containment():
         for r1 in range(-3, 4):
             for d1 in range(-3, 4):
                 for a1 in range(-3, 4):
-                    w = wall_between(v, MukaiVector(r1, d1, a1), ctx)
+                    w = wall_of(v, MukaiVector(r1, d1, a1), ctx)
                     if w is None or not isinstance(w.shape, Circle):
                         continue
                     checked += 1
@@ -207,7 +207,7 @@ def test_enumerate_golden_l3():
     walls = enumerate_walls_on_line(MukaiVector(1, 0, -3), -2, C1)
     assert [w.shape for w in walls] == [Circle(F(-2), F(1))]
     # the textbook witness (1,-1,1) defines the same wall
-    alt = wall_between(MukaiVector(1, 0, -3), MukaiVector(1, -1, 1), C1)
+    alt = wall_of(MukaiVector(1, 0, -3), MukaiVector(1, -1, 1), C1)
     assert alt.shape == walls[0].shape
 
 
@@ -356,11 +356,11 @@ def test_isometry_transport_of_wall_conditions():
         if self_pairing(v, C1) <= 0:
             continue
         g = rng.choice(mats)
-        defines = wall_between(v, u, C1) is not None
+        defines = wall_of(v, u, C1) is not None
         vi, ui = act_on_vector(v, g, C1), act_on_vector(u, g, C1)
         if self_pairing(vi, C1) <= 0:
             continue
-        defines_img = wall_between(vi, ui, C1) is not None
+        defines_img = wall_of(vi, ui, C1) is not None
         # the locus may be empty (radius^2 <= 0) on one side only when the
         # pairing conditions hold; compare the pairing conditions directly
         cond = lambda a, b: (
