@@ -5,12 +5,14 @@ wmax | verify.  Results print as JSON on stdout; rationals are strings
 "p/q".  Exit codes: 0 success, 2 precondition/input errors, bad command
 lines included, 3 internal invariant violations (bugs).  A value that
 starts with "-" is written with "=", as in --lambda=-3/2: argparse reads
-a separate "-3/2" as an option.
+a separate "-3/2" as an option.  `main(argv)` may be called any number of
+times in one process; the parser is built on the first call only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -68,8 +70,7 @@ def _parse_m_range(text: str) -> range:
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_walls(args) -> dict:
@@ -102,7 +103,11 @@ def cmd_walls(args) -> dict:
             "walls": [wall_record(w) for w in wall_list],
         }
         if args.verify:
-            payload["verify"] = cmd_verify(args)
+            # the walls just found that cross s0 are the enumeration there:
+            # no mirrored wall, C_0 or C_-1 crosses it
+            s0, _ = walls_mod.cross_section(args.n, args.ell)
+            crossing = [w for w in wall_list if not w.codim0 and w.shape.t_sq_at(s0) > 0]
+            payload["verify"] = _verify_report(MukaiVector(1, 0, -args.ell), s0, crossing, ctx)
         title = f"Walls for 1 - {args.ell}rho (n = {args.n})"
     if args.svg:
         with open(args.svg, "w") as fh:
@@ -229,7 +234,11 @@ def cmd_verify(args) -> dict:
     return _verify_report(v, s0, walls_mod.enumerate_walls_on_line(v, s0, ctx), ctx)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Parsing leaves
+    it unchanged: each parse fills a fresh Namespace, subcommand defaults
+    included, and a bad command line raises UsageError."""
     ap = _Parser(
         prog="stabwalls",
         description="Exact wall-and-chamber computations for rank-one "

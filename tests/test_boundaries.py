@@ -167,6 +167,9 @@ def test_every_function_serves_a_command(tmp_path, capsys):
         if event == "call":
             entered.add(frame.f_code)
 
+    # start cold, as a fresh process does: an earlier test may have built
+    # the parser, and a cached build_parser would never be entered again
+    cli.build_parser.cache_clear()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:

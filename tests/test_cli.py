@@ -9,7 +9,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from paper_checks import sheaf_verdict
-from stabwalls.cli import main
+from stabwalls import walls as walls_mod
+from stabwalls.cli import build_parser, main
 from stabwalls.jsonio import frac_str
 from stabwalls.pell import iterate, slope_endpoints, solve_generator
 from stabwalls.walls import cross_section
@@ -42,9 +43,30 @@ def test_walls_l4_square_route(capsys):
     ]
 
 
-def test_walls_verify_flag(capsys):
+def test_walls_verify_flag(capsys, monkeypatch):
+    """walls --n --ell --verify judges the walls it listed, with one
+    enumeration, and its verify block is the `verify` command's answer, on
+    the square and Pell routes."""
     code, data = run(capsys, "walls", "--n", "1", "--ell", "3", "--verify")
     assert code == 0 and data["verify"]["agree"]
+    calls = []
+    enumerate_walls = walls_mod.enumerate_walls_on_line
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_walls(*args)
+
+    monkeypatch.setattr(walls_mod, "enumerate_walls_on_line", counted)
+    routes = set()
+    for n in range(1, 7):
+        for ell in range(1, 20):
+            calls.clear()
+            code, data = run(capsys, "walls", "--n", str(n), "--ell", str(ell), "--verify")
+            assert code == 0 and len(calls) == 1, (n, ell)
+            code, verify = run(capsys, "verify", "--n", str(n), "--ell", str(ell))
+            assert code == 0 and data["verify"] == verify, (n, ell)
+            routes.add(math.isqrt(n * ell) ** 2 == n * ell)
+    assert routes == {True, False}
 
 
 def test_pell_l6(capsys):
@@ -148,6 +170,36 @@ def test_exit_code_on_precondition(capsys):
     assert code == 0 and data["lambda"] == "-3/2"
     code, data = run(capsys, "act", "--n", "1", "--g=-1,0;0,1", "--v=-1,0,0")
     assert code == 0 and data["image"] == "-1,0,0"
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """main reuses one parser; no call leaves anything in it that changes
+    the answer to a later call."""
+    assert build_parser() is build_parser()
+    plain = ["walls", "--n", "1", "--ell", "2"]
+    build_parser.cache_clear()
+    assert main(plain) == 0
+    cold = capsys.readouterr().out
+    code, data = run(capsys, *plain, "--verify")
+    assert code == 0 and "verify" in data
+    assert main(plain) == 0
+    after = capsys.readouterr().out
+    assert after == cold and "verify" not in json.loads(after)
+    # a usage error between two good calls changes nothing
+    good = ["act", "--n", "1", "--g=1,2;1,1", "--v", "0,0,1"]
+    code, first = run(capsys, *good)
+    assert code == 0
+    code, data = run(capsys, "act", "--n", "1", "--g", "-1,0;0,1", "--v", "1,0,0")
+    assert code == 2 and data["error"]["type"] == "UsageError"
+    assert run(capsys, *good) == (0, first)
+    # subcommand defaults are applied afresh on every call
+    for command, default in (("walls", range(-2, 3)), ("pell", range(-3, 4))):
+        base = [command, "--n", "1", "--ell", "2"]
+        assert run(capsys, *base, "--m-range=-1..0")[0] == 0
+        code, data = run(capsys, *base)
+        labels = (sorted(w["m"] for w in data["walls"] if w["codim0"]) if command == "walls"
+                  else [it["m"] for it in data["iterates"]])
+        assert code == 0 and labels == list(default), command
 
 
 def test_unwritable_svg_path_is_an_input_error(tmp_path, capsys):
