@@ -103,11 +103,7 @@ def cmd_walls(args) -> dict:
             "walls": [wall_record(w) for w in wall_list],
         }
         if args.verify:
-            # the walls just found that cross s0 are the enumeration there:
-            # no mirrored wall, C_0 or C_-1 crosses it
-            s0, _ = walls_mod.cross_section(args.n, args.ell)
-            crossing = [w for w in wall_list if not w.codim0 and w.shape.t_sq_at(s0) > 0]
-            payload["verify"] = _verify_report(MukaiVector(1, 0, -args.ell), s0, crossing, ctx)
+            payload["verify"] = _verify_wall_set(args.n, args.ell, wall_list, ctx)
         title = f"Walls for 1 - {args.ell}rho (n = {args.n})"
     if args.svg:
         with open(args.svg, "w") as fh:
@@ -227,11 +223,18 @@ def _verify_report(v: MukaiVector, s0: Fraction, enumerated: list, ctx: Context)
     }
 
 
+def _verify_wall_set(n: int, ell: int, wall_list: list, ctx: Context) -> dict:
+    """_verify_report for a wall set of (1, 0, -l) from `wall_set`: its
+    walls that cross s0 are the enumeration there, as no mirrored wall,
+    C_0 or C_-1 crosses it."""
+    s0, _ = walls_mod.cross_section(n, ell)
+    crossing = [w for w in wall_list if not w.codim0 and w.shape.t_sq_at(s0) > 0]
+    return _verify_report(MukaiVector(1, 0, -ell), s0, crossing, ctx)
+
+
 def cmd_verify(args) -> dict:
-    ctx = Context(args.n)
-    v = MukaiVector(1, 0, -args.ell)
-    s0, _ = walls_mod.cross_section(args.n, args.ell)
-    return _verify_report(v, s0, walls_mod.enumerate_walls_on_line(v, s0, ctx), ctx)
+    wall_list, _ = walls_mod.wall_set(args.n, args.ell)
+    return _verify_wall_set(args.n, args.ell, wall_list, Context(args.n))
 
 
 @functools.cache

@@ -1,5 +1,5 @@
 """Wall construction, complete enumeration on a rational cross-section,
-codimension-0 detection, fundamental wall sets and chamber classification.
+codimension-0 detection, wall sets and chamber classification.
 
 All geometry is exact: a wall is a circle (rational center, rational
 radius^2) or a vertical line in the (s, t) half-plane, and every predicate
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import BadCrossSection, DegenerateV, NonIntegral, NoWalls
+from .errors import BadCrossSection, DegenerateV, InvariantViolation, NonIntegral, NoWalls
 from .lattice import (
     Context,
     MukaiVector,
@@ -63,7 +63,7 @@ from .lattice import (
     self_pairing,
 )
 from .charge import StabilityPoint
-from .pell import PellContext, isotropic_pairs, orbit, slope_endpoints, solve_generator
+from .pell import PellContext, isotropic_pairs, orbit, solve_generator, u_vectors
 from .surd import QnNumber, RatLike, is_perfect_square, sqrt_of_fraction
 
 
@@ -95,13 +95,16 @@ Shape = Union[Circle, VLine]
 class Wall:
     shape: Shape
     witness: MukaiVector
-    codim0: bool = False
-    label: Optional[int] = None
+    label: Optional[int] = None  # m when the wall is the codimension-0 C_m
+
+    @property
+    def codim0(self) -> bool:
+        return self.label is not None
 
 
 # C_0, the t-axis s = 0, witnessed by 1 = (1, 0, 0).  A vertical wall of v
 # lies at s = d/r, so C_0 is the one vertical wall of (1, 0, -l).
-C0 = Wall(VLine(Fraction(0)), UNIT, codim0=True, label=0)
+C0 = Wall(VLine(Fraction(0)), UNIT, label=0)
 
 
 def _shape_sort_key(shape: Shape):
@@ -183,7 +186,7 @@ def _mirror_wall(w: Wall) -> Wall:
         shape: Shape = VLine(-w.shape.s0)
     else:
         shape = Circle(-w.shape.center, w.shape.radius_sq)
-    return Wall(shape, _mirror_vector(w.witness), w.codim0, w.label)
+    return Wall(shape, _mirror_vector(w.witness), w.label)
 
 
 def _multiples(lo: int, hi: int, step: int) -> range:
@@ -265,45 +268,29 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
 
 
 # ---------------------------------------------------------------------------
-# codimension-0 family and fundamental domain
+# codimension-0 family and wall sets
 
 
-def _circle_through(lam1: Fraction, lam2: Fraction) -> Circle:
-    """The circle meeting the real axis at lam1 and lam2: C_m, from the
-    two slope abscissae `slope_endpoints` reads off the m-th iterate."""
-    return Circle((lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2)
+def _codim0_wall(pell: PellContext, m: int, u: MukaiVector) -> Wall:
+    """C_m for m != 0: the wall of v = (1, 0, -l) that the m-th
+    isotropic vector u = u_m defines, witnessed by u or -u, whichever has
+    <w, v> > 0.  It meets the real axis at the slope abscissae d/r and
+    l*d/a of u = (r, d, a) (see `slope_endpoints`)."""
+    ell = pell.ell
+    w = u if pairing(u, MukaiVector(1, 0, -ell), pell.lattice) > 0 else -u
+    shape = wall_between(pell.n, 1, 0, -ell, w.r, int(w.d), int(w.a))
+    if shape is None:
+        raise InvariantViolation(f"(n,l)=({pell.n},{ell}): u_{m} = {u} defines no wall")
+    return Wall(shape, w, label=m)
 
 
 def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:
     """The labeled codimension-0 walls C_m: the t-axis for m = 0, otherwise
-    the circle through the two rational slope abscissae d/r and l*d/a of
-    the m-th isotropic vector u_m = (r, d, a) (see `slope_endpoints`),
-    witnessed by u_m signed so that <u, v - u> > 0 for v = (1, 0, -l)."""
-    ctx = pell.lattice
-    v = MukaiVector(1, 0, -pell.ell)
-    out = []
-    for it, u, _ in isotropic_pairs(pell, m_range):
-        if it.m == 0:
-            out.append(C0)
-            continue
-        circle = _circle_through(u.d / u.r, pell.ell * u.d / u.a)
-        witness = u if pairing(u, v, ctx) > 0 else -u
-        out.append(Wall(circle, witness, codim0=True, label=it.m))
-    return out
-
-
-def fundamental_walls(pell: PellContext) -> list[Wall]:
-    """All walls for (1, 0, -l) between C_0 (the t-axis) and C_-1, plus C_0
-    and C_-1 themselves tagged codimension-0.
-
-    Every wall strictly between the two crosses the vertical line through
-    the abscissa lambda_0 = b_-1/(a_-1*sqrt(n)) (an endpoint of C_-1), so
-    one exact cross-section enumeration is complete.  It holds neither
-    C_0, a vertical line, nor C_-1, which meets that line only at t = 0.
-    """
-    v = MukaiVector(1, 0, -pell.ell)
-    between = enumerate_walls_on_line(v, pell.lambda_0(), pell.lattice)
-    return sort_walls(between + codim0_walls(pell, range(-1, 1)))
+    the wall of the m-th isotropic vector u_m (see `_codim0_wall`)."""
+    return [
+        C0 if it.m == 0 else _codim0_wall(pell, it.m, u)
+        for it, u, _ in isotropic_pairs(pell, m_range)
+    ]
 
 
 def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
@@ -317,9 +304,9 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
     a square).  A circle with irrational endpoints is no C_m.  The -m-th
     iterate negates b_m/a_m, so C_-m is C_m mirrored in s = 0 and
     a_{-m}^2 = a_m^2; and a_{k+1} = y*a_k + x*b_k > a_k for the generator
-    (x, y).  So the orbit walk k = 1, 2, ... over m = -k, k ends once a_k^2
-    passes the bound and misses no label.  The one vertical wall is C_0
-    (see C0)."""
+    (x, y).  So the orbit walk k = 1, 2, ... over m = -k, k ends once
+    a_k^2, the rank of u_k, passes the bound and misses no label.  The one
+    vertical wall is C_0 (see C0)."""
     if isinstance(w.shape, VLine):
         return 0 if w.shape.s0 == 0 else None
     r_sq = w.shape.radius_sq
@@ -329,12 +316,13 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
     ends = (w.shape.center - rad, w.shape.center + rad)
     bound = max(1 / abs(pell.n * e * e - pell.ell) for e in ends) + 1
     for it in orbit(pell, 1):
-        lam1, lam2 = slope_endpoints(pell, it)
-        if 1 / abs(pell.n * lam1 * lam1 - pell.ell) > bound:  # a_k^2
+        u, _ = u_vectors(pell, it)
+        if u.r > bound:
             return None
-        if w.shape == _circle_through(-lam1, -lam2):
+        c_k = _codim0_wall(pell, it.m, u)
+        if w.shape == _mirror_wall(c_k).shape:
             return -it.m
-        if w.shape == _circle_through(lam1, lam2):
+        if w.shape == c_k.shape:
             return it.m
 
 
@@ -343,8 +331,12 @@ def cross_section(n: int, ell: int) -> tuple[Fraction, Optional[PellContext]]:
     and the Pell group when there is one.
 
     Square case (l*n a perfect square, no group): the rational abscissa
-    -sqrt(l/n), which every wall in s < 0 crosses.  Pell case: lambda_0
-    between C_0 and C_-1 (see fundamental_walls)."""
+    -sqrt(l/n), which every wall in s < 0 crosses.  Pell case: the
+    abscissa lambda_0 = b_-1/(a_-1*sqrt(n)), an endpoint of C_-1.  Every
+    wall strictly between C_0 (the t-axis) and C_-1 crosses the vertical
+    line through lambda_0, so one exact enumeration there is complete.  It
+    holds neither C_0, a vertical line, nor C_-1, which meets that line
+    only at t = 0."""
     if is_perfect_square(ell * n):
         return -Fraction(math.isqrt(ell * n), n), None
     pell = solve_generator(n, ell)
@@ -355,19 +347,17 @@ def wall_set(
     n: int, ell: int, m_range: range = range(0)
 ) -> tuple[list[Wall], Optional[PellContext]]:
     """The wall set of (1, 0, -l), deduplicated by shape and sorted, with
-    the Pell group when there is one.
-
-    Square case: the walls crossing -sqrt(l/n), their mirrors in s > 0 and
-    the t-axis C_0; the set is finite and complete.  Pell case: the
-    fundamental walls plus the labeled C_m for m in m_range."""
+    the Pell group when there is one: the walls crossing the cross-section
+    plus, in the square case, their mirrors in s > 0 and the t-axis C_0,
+    a finite and complete set; in the Pell case, C_0, C_-1 and the labeled
+    C_m for m in m_range."""
     ctx = Context(n)  # rejects n < 1 before the square route divides by n
     s0, pell = cross_section(n, ell)
-    if pell is not None:
-        found = fundamental_walls(pell) + codim0_walls(pell, m_range)
-    else:
-        v = MukaiVector(1, 0, -ell)
-        found = enumerate_walls_on_line(v, s0, ctx)
+    found = enumerate_walls_on_line(MukaiVector(1, 0, -ell), s0, ctx)
+    if pell is None:
         found += [_mirror_wall(w) for w in found] + [C0]
+    else:
+        found += codim0_walls(pell, range(-1, 1)) + codim0_walls(pell, m_range)
     unique: dict[Shape, Wall] = {}
     for w in found:
         unique.setdefault(w.shape, w)

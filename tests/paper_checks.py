@@ -302,7 +302,7 @@ def psi_apply_to_wall(pell: PellContext, m: int, wall: Wall, ctx: Context) -> Wa
     if new is None:
         raise IntegralityViolation(f"transport of {wall} lost the wall conditions")
     label = None if wall.label is None else 2 * m - wall.label
-    return Wall(new.shape, new.witness, wall.codim0, label)
+    return Wall(new.shape, new.witness, label)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def _mirror_wall(w: Wall) -> Wall:
         shape: Shape = VLine(-w.shape.s0)
     else:
         shape = Circle(-w.shape.center, w.shape.radius_sq)
-    return Wall(shape, _mirror_vector(w.witness), w.codim0, w.label)
+    return Wall(shape, _mirror_vector(w.witness), w.label)
 
 
 def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:

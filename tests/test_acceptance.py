@@ -43,8 +43,8 @@ from stabwalls.walls import (
     VLine,
     codim0_walls,
     enumerate_walls_on_line,
-    fundamental_walls,
     sort_walls,
+    wall_set,
 )
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -89,12 +89,12 @@ def test_criterion_2_wall_goldens():
         6: Circle(F(-49, 20), F(1, 400)),
     }
     for ell, shape in c1.items():
-        fam = fundamental_walls(solve_generator(1, ell))
+        fam = wall_set(1, ell)[0]
         labelled = {w.label: w.shape for w in fam if w.codim0}
         assert labelled[-1] == shape, ell
         assert labelled[0] == VLine(F(0))
     # l=3: unique intermediate wall
-    fam3 = fundamental_walls(solve_generator(1, 3))
+    fam3 = wall_set(1, 3)[0]
     between = [w.shape for w in fam3 if not w.codim0]
     assert between == [Circle(F(-2), F(1))]
     # l=4: unique wall in s < 0 at the square abscissa
@@ -160,7 +160,7 @@ def test_criterion_5_geometry_properties():
         v = MukaiVector(1, 0, -ell)
         pc = solve_generator(n, ell)
         walls = sort_walls(
-            list(fundamental_walls(pc)) + list(codim0_walls(pc, range(-4, 5)))
+            list(wall_set(n, ell)[0]) + list(codim0_walls(pc, range(-4, 5)))
         )
         # the pencil of v: p = d/r, q = <v^2>/(2n r^2)
         p, q = F(v.d) / v.r, self_pairing(v, ctx) / (2 * ctx.n * v.r**2)
@@ -332,8 +332,7 @@ def test_criterion_8_figures():
             assert out.read_bytes() == (GOLDENS / name).read_bytes(), name
     # float alignment clouds hug the exact walls within one grid cell
     ctx = Context(1)
-    pc2 = solve_generator(1, 2)
-    walls = list(fundamental_walls(pc2))
+    walls = wall_set(1, 2)[0]
     cfg = ScanConfig(grid=0.05)
     clouds = float_align_scan(MukaiVector(1, 0, -2), walls, (-3.0, 0.5, 1.5), cfg, ctx)
     cell = cfg.grid * 2**0.5

@@ -12,6 +12,7 @@ from paper_checks import sheaf_verdict
 from stabwalls import walls as walls_mod
 from stabwalls.cli import build_parser, main
 from stabwalls.jsonio import frac_str
+from stabwalls.lattice import Context, MukaiVector
 from stabwalls.pell import iterate, slope_endpoints, solve_generator
 from stabwalls.walls import cross_section
 
@@ -46,7 +47,8 @@ def test_walls_l4_square_route(capsys):
 def test_walls_verify_flag(capsys, monkeypatch):
     """walls --n --ell --verify judges the walls it listed, with one
     enumeration, and its verify block is the `verify` command's answer, on
-    the square and Pell routes."""
+    the square and Pell routes.  The walls it judges are exactly those of
+    a direct enumeration at the cross-section."""
     code, data = run(capsys, "walls", "--n", "1", "--ell", "3", "--verify")
     assert code == 0 and data["verify"]["agree"]
     calls = []
@@ -65,6 +67,10 @@ def test_walls_verify_flag(capsys, monkeypatch):
             assert code == 0 and len(calls) == 1, (n, ell)
             code, verify = run(capsys, "verify", "--n", str(n), "--ell", str(ell))
             assert code == 0 and data["verify"] == verify, (n, ell)
+            s0, _ = cross_section(n, ell)
+            direct = enumerate_walls(MukaiVector(1, 0, -ell), s0, Context(n))
+            assert verify["enumerated"] == len(direct), (n, ell)
+            assert verify["cross_section"] == frac_str(s0), (n, ell)
             routes.add(math.isqrt(n * ell) ** 2 == n * ell)
     assert routes == {True, False}
 

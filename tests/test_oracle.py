@@ -3,8 +3,7 @@ from fractions import Fraction as F
 from paper_checks import ScanConfig, cloud_max_distance, float_align_scan
 from stabwalls.lattice import Context, MukaiVector
 from stabwalls.oracle import brute_walls
-from stabwalls.pell import solve_generator
-from stabwalls.walls import Circle, VLine, fundamental_walls
+from stabwalls.walls import Circle, VLine, wall_set
 
 C1 = Context(1)
 
@@ -23,8 +22,7 @@ def test_brute_walls_monotone_in_bound():
 
 
 def test_float_align_scan_hugs_walls():
-    pc2 = solve_generator(1, 2)
-    walls = [w for w in fundamental_walls(pc2)]
+    walls = wall_set(1, 2)[0]
     cfg = ScanConfig(grid=0.05, tol=1e-9)
     clouds = float_align_scan(
         MukaiVector(1, 0, -2), walls, (-3.0, 0.5, 1.5), cfg, C1
@@ -37,8 +35,7 @@ def test_float_align_scan_hugs_walls():
 
 
 def test_float_align_scan_vline_column():
-    pc2 = solve_generator(1, 2)
-    vline = [w for w in fundamental_walls(pc2) if isinstance(w.shape, VLine)]
+    vline = [w for w in wall_set(1, 2)[0] if isinstance(w.shape, VLine)]
     cfg = ScanConfig(grid=0.1)
     clouds = float_align_scan(MukaiVector(1, 0, -2), vline, (-1.0, 1.0, 1.0), cfg, C1)
     assert all(abs(s) <= cfg.grid + 1e-9 for s, _ in clouds[0])

@@ -8,7 +8,7 @@ from reference_kernel import proportional, reference_wall_between
 from stabwalls.charge import StabilityPoint
 from stabwalls.errors import BadCrossSection, DegenerateV, SquareCase
 from stabwalls.lattice import Context, MukaiVector, UNIT, pairing, self_pairing
-from stabwalls.pell import solve_generator
+from stabwalls.pell import iterate, slope_endpoints, solve_generator, u_vectors
 from stabwalls.surd import QnNumber, is_perfect_square, sqrt_of_fraction
 from stabwalls.walls import (
     ChamberReport,
@@ -17,8 +17,8 @@ from stabwalls.walls import (
     Wall,
     classify_point,
     codim0_walls,
+    cross_section,
     enumerate_walls_on_line,
-    fundamental_walls,
     is_codim0,
     w_max_report,
     wall_set,
@@ -266,11 +266,11 @@ def test_enumerate_matches_oracle_exactly_on_goldens():
 
 
 def test_fundamental_walls_goldens():
-    fw2 = fundamental_walls(solve_generator(1, 2))
+    fw2 = wall_set(1, 2)[0]
     assert [w.shape for w in fw2] == [VLine(F(0)), Circle(F(-3, 2), F(1, 4))]
     assert all(w.codim0 for w in fw2)
 
-    fw3 = fundamental_walls(solve_generator(1, 3))
+    fw3 = wall_set(1, 3)[0]
     shapes = [w.shape for w in fw3]
     assert Circle(F(-2), F(1)) in shapes
     assert Circle(F(-7, 4), F(1, 16)) in shapes
@@ -278,25 +278,18 @@ def test_fundamental_walls_goldens():
     between = [w for w in fw3 if not w.codim0]
     assert [w.shape for w in between] == [Circle(F(-2), F(1))]
 
-    fw5 = fundamental_walls(solve_generator(1, 5))
+    fw5 = wall_set(1, 5)[0]
     assert Circle(F(-9, 4), F(1, 16)) in [w.shape for w in fw5]
 
-    fw6 = fundamental_walls(solve_generator(1, 6))
+    fw6 = wall_set(1, 6)[0]
     assert Circle(F(-49, 20), F(1, 400)) in [w.shape for w in fw6]
 
 
 def test_fundamental_walls_square_case():
+    # the square case has no group, so no C_-1 bounds a fundamental domain
     with pytest.raises(SquareCase):
-        fundamental_walls_square()
-
-
-def fundamental_walls_square():
-    return fundamental_walls(_fake_square_pell())
-
-
-def _fake_square_pell():
-    # solve_generator itself refuses; construct the refusal through it
-    return solve_generator(1, 4)
+        solve_generator(1, 4)
+    assert cross_section(1, 4) == (F(-2), None)
 
 
 def test_codim0_walls_goldens():
@@ -307,6 +300,57 @@ def test_codim0_walls_goldens():
     pc6 = solve_generator(1, 6)
     walls = {w.label: w.shape for w in codim0_walls(pc6, range(-1, 0))}
     assert walls[-1] == Circle(F(-49, 20), F(1, 400))
+
+
+def test_codim0_walls_match_the_slope_endpoint_circles():
+    """Each C_m, built as the wall of its witness, is the circle through
+    the two slope abscissae of the m-th iterate, and the witness is +-u_m
+    with <w, v> = 1: over every non-square (n <= 6, l < 30) and
+    0 < |m| <= 6."""
+    checked = 0
+    for n in range(1, 7):
+        ctx = Context(n)
+        for ell in range(1, 30):
+            if is_perfect_square(n * ell):
+                continue
+            pc = solve_generator(n, ell)
+            v = MukaiVector(1, 0, -ell)
+            for w in codim0_walls(pc, range(-6, 7)):
+                if w.label == 0:
+                    continue
+                it = iterate(pc, w.label)
+                lam1, lam2 = slope_endpoints(pc, it)
+                circle = Circle((lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2)
+                assert w.shape == circle, (n, ell, w)
+                u, _ = u_vectors(pc, it)
+                assert w.witness in (u, -u), (n, ell, w)
+                assert pairing(w.witness, v, ctx) == 1, (n, ell, w)
+                checked += 1
+    assert checked == 1848
+
+
+def test_classify_codim0_answer_is_the_wall_label():
+    """classify reports is_codim0 of the wall a point lies on; that answer
+    is the wall's own label, for the top point of every wall of
+    wall_set(n, l, -3..3) over every non-square (n <= 6, l < 20)."""
+    checked = 0
+    for n in range(1, 7):
+        ctx = Context(n)
+        for ell in range(1, 20):
+            if is_perfect_square(n * ell):
+                continue
+            v = MukaiVector(1, 0, -ell)
+            walls, pc = wall_set(n, ell, range(-3, 4))
+            for w in walls:
+                if isinstance(w.shape, VLine):
+                    pt = StabilityPoint(w.shape.s0, F(1))
+                else:
+                    pt = StabilityPoint(w.shape.center, w.shape.radius_sq)
+                rep = classify_point(v, pt, walls, ctx)
+                assert rep.kind == "OnWall" and rep.wall == w, (n, ell, w)
+                assert is_codim0(rep.wall, pc) == w.label, (n, ell, w)
+                checked += 1
+    assert checked == 1629
 
 
 def test_is_codim0_examples():
@@ -333,7 +377,7 @@ def test_wall_set_labels_are_the_codim0_labels():
                 assert is_codim0(w, pc) == w.label, (n, ell, w)
                 assert w.codim0 == (w.label is not None), (n, ell, w)
             assert sorted(w.label for w in walls if w.codim0) == list(range(-3, 4)), (n, ell)
-    c0 = Wall(VLine(F(0)), UNIT, codim0=True, label=0)
+    c0 = Wall(VLine(F(0)), UNIT, label=0)
     for n in range(1, 7):
         for ell in range(1, 144 // n + 1):
             if is_perfect_square(n * ell):
@@ -378,7 +422,7 @@ def test_isometry_transport_of_wall_conditions():
 
 def _l2_walls():
     pc2 = solve_generator(1, 2)
-    return list(fundamental_walls(pc2)) + list(codim0_walls(pc2, range(-3, 4)))
+    return list(wall_set(1, 2)[0]) + list(codim0_walls(pc2, range(-3, 4)))
 
 
 def test_classify_examples():
@@ -410,10 +454,10 @@ def test_classify_on_axis():
 
 
 def test_w_max_goldens():
-    rep = w_max_report(fundamental_walls(solve_generator(1, 2)))
+    rep = w_max_report(wall_set(1, 2)[0])
     assert rep.wall.shape == Circle(F(-3, 2), F(1, 4))
     assert (rep.lambda1, rep.lambda2) == (QnNumber(-2, 0, 1), QnNumber(-1, 0, 1))
-    rep = w_max_report(fundamental_walls(solve_generator(1, 3)))
+    rep = w_max_report(wall_set(1, 3)[0])
     assert rep.wall.shape == Circle(F(-2), F(1))
     assert (rep.lambda1, rep.lambda2) == (QnNumber(-3, 0, 1), QnNumber(-1, 0, 1))
 
