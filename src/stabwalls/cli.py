@@ -95,7 +95,7 @@ def cmd_walls(args) -> dict:
             payload["verify"] = _verify_report(v, s0, wall_list, ctx)
         title = f"Walls for {vector_str(v)}"
     else:
-        wall_list, _ = walls_mod.wall_set(args.n, args.ell, _parse_m_range(args.m_range))
+        wall_list, s0, _ = walls_mod.wall_set(args.n, args.ell, _parse_m_range(args.m_range))
         payload = {
             "n": args.n,
             "ell": args.ell,
@@ -103,7 +103,7 @@ def cmd_walls(args) -> dict:
             "walls": [wall_record(w) for w in wall_list],
         }
         if args.verify:
-            payload["verify"] = _verify_wall_set(args.n, args.ell, wall_list, ctx)
+            payload["verify"] = _verify_wall_set(args.ell, s0, wall_list, ctx)
         title = f"Walls for 1 - {args.ell}rho (n = {args.n})"
     if args.svg:
         with open(args.svg, "w") as fh:
@@ -161,7 +161,7 @@ def cmd_classify(args) -> dict:
     ctx = Context(args.n)
     v = MukaiVector(1, 0, -args.ell)
     pt = StabilityPoint(parse_frac(args.s), parse_frac(args.t2))
-    wall_list, pc = walls_mod.wall_set(args.n, args.ell, _parse_m_range(args.m_range))
+    wall_list, _, pc = walls_mod.wall_set(args.n, args.ell, _parse_m_range(args.m_range))
     rep = walls_mod.classify_point(v, pt, wall_list, ctx)
     out = chamber_record(rep)
     if rep.kind == "OnWall" and pc is not None:
@@ -200,7 +200,7 @@ def cmd_mobius(args) -> dict:
 
 
 def cmd_wmax(args) -> dict:
-    wall_list, _ = walls_mod.wall_set(args.n, args.ell)
+    wall_list, _, _ = walls_mod.wall_set(args.n, args.ell)
     return wmax_record(walls_mod.w_max_report(wall_list))
 
 
@@ -223,18 +223,17 @@ def _verify_report(v: MukaiVector, s0: Fraction, enumerated: list, ctx: Context)
     }
 
 
-def _verify_wall_set(n: int, ell: int, wall_list: list, ctx: Context) -> dict:
-    """_verify_report for a wall set of (1, 0, -l) from `wall_set`: its
-    walls that cross s0 are the enumeration there, as no mirrored wall,
-    C_0 or C_-1 crosses it."""
-    s0, _ = walls_mod.cross_section(n, ell)
+def _verify_wall_set(ell: int, s0: Fraction, wall_list: list, ctx: Context) -> dict:
+    """_verify_report for a wall set of (1, 0, -l) from `wall_set` and its
+    cross-section s0: its walls that cross s0 are the enumeration there, as
+    no mirrored wall, C_0 or C_-1 crosses it."""
     crossing = [w for w in wall_list if not w.codim0 and w.shape.t_sq_at(s0) > 0]
     return _verify_report(MukaiVector(1, 0, -ell), s0, crossing, ctx)
 
 
 def cmd_verify(args) -> dict:
-    wall_list, _ = walls_mod.wall_set(args.n, args.ell)
-    return _verify_wall_set(args.n, args.ell, wall_list, Context(args.n))
+    wall_list, s0, _ = walls_mod.wall_set(args.n, args.ell)
+    return _verify_wall_set(args.ell, s0, wall_list, Context(args.n))
 
 
 @functools.cache

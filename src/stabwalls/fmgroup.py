@@ -4,9 +4,8 @@ A group element is a `pell.GMatrix` of the pattern
 (a*sqrt(r), b*sqrt(s); c*sqrt(s), d*sqrt(r)) with integer a..d, r*s = n
 and determinant a*d*r - b*c*s = +-1.  It acts on vectors through the
 symmetric-matrix embedding (right action g: M -> gT M g) and on the
-half-plane by Moebius transformations; contravariant elements
-(determinant -1) act through z -> -conj(g0 * z) after factoring off
-diag(1, -1), so orientation bookkeeping lives in one place.
+half-plane by Moebius transformations, of z for determinant +1 and of
+conj(z) for the contravariant elements (determinant -1).
 
 The paper's statements about these actions (the charge compatibility of
 the transforms, the wall-swapping transforms and how they move the labeled
@@ -23,11 +22,6 @@ from .errors import IntegralityViolation, LowerHalfPlane, NonIntegral, NotInGHat
 from .lattice import Context, MukaiVector
 from .pell import GMatrix
 from .surd import QnComplex, QnNumber, Surd, is_perfect_square, qn_rat
-
-
-def delta_matrix() -> GMatrix:
-    """diag(1, -1), the cohomological dualizing factor."""
-    return GMatrix(Surd(1), Surd(0), Surd(0), Surd(-1))
 
 
 def g_membership(m: GMatrix, ctx: Context) -> Optional[int]:
@@ -113,31 +107,21 @@ def _clear_entry(entry: Surd, rho: int, n: int) -> QnNumber:
 
 
 def mobius(g: GMatrix, z: QnComplex, ctx: Context) -> QnComplex:
-    """Action on the upper half-plane, exact in Q(sqrt n)(i).
-
-    Determinant +1 acts by (az+b)/(cz+d) after clearing one surd from
-    numerator and denominator; determinant -1 factors through diag(1,-1)
-    acting as z -> -conj(z)."""
+    """Action on the upper half-plane, exact in Q(sqrt n)(i): (aw+b)/(cw+d)
+    after clearing one surd from numerator and denominator, with w = z for
+    determinant +1 and w = conj(z) for determinant -1."""
     parity = require_member(g, ctx)
     if z.im.sign() <= 0:
         raise ValueError(f"z = {z} not in the upper half-plane")
     n = ctx.n
-    if parity == -1:
-        inner = mobius(delta_matrix() * g, z, ctx)
-        out = QnComplex(-inner.re, inner.im)
-    else:
-        rho = next(
-            (e.rad for e in (g.a, g.d, g.b, g.c) if not e.is_zero()), None
-        )
-        az = _clear_entry(g.a, rho, n)
-        b0 = _clear_entry(g.b, rho, n)
-        cz = _clear_entry(g.c, rho, n)
-        d0 = _clear_entry(g.d, rho, n)
-        as_c = lambda x: QnComplex(x, qn_rat(0, n))
-        num = z * as_c(az) + as_c(b0)
-        den = z * as_c(cz) + as_c(d0)
-        out = num / den
+    w = z if parity == 1 else QnComplex(z.re, -z.im)
+    rho = next((e.rad for e in (g.a, g.d, g.b, g.c) if not e.is_zero()), None)
+    az = _clear_entry(g.a, rho, n)
+    b0 = _clear_entry(g.b, rho, n)
+    cz = _clear_entry(g.c, rho, n)
+    d0 = _clear_entry(g.d, rho, n)
+    as_c = lambda x: QnComplex(x, qn_rat(0, n))
+    out = (w * as_c(az) + as_c(b0)) / (w * as_c(cz) + as_c(d0))
     if out.im.sign() <= 0:
         raise LowerHalfPlane(f"image {out} left the upper half-plane")
     return out
-

@@ -6,8 +6,8 @@ radius^2) or a vertical line in the (s, t) half-plane, and every predicate
 is decided in Q.
 
 Completeness of `enumerate_walls_on_line` (why the search space is finite):
-write D(w), A(w) for the twisted d- and a-components of w at base s0*H and
-normalize D = D(v) > 0.  A witness v1 of a wall crossing {s0} x R_{>0}
+write D(w), A(w) for the twisted d- and a-components of w at base s0*H,
+D = D(v) != 0.  A witness v1 of a wall crossing {s0} x R_{>0}
 satisfies m1 = <v1^2>/2 >= 0, m2 = <(v-v1)^2>/2 >= 0, k = <v1, v-v1> >= 1
 with m1 + m2 + k = <v^2>/2.  At the crossing point the three charges are
 collinear and Z(v) != 0, so v1 = c*v + xi*kappa inside the plane
@@ -15,8 +15,9 @@ collinear and Z(v) != 0, so v1 = c*v + xi*kappa inside the plane
 kernel of Z there and c = D(v1)/D.  k >= 1 forces v1 and v - v1 into the
 positive cone component of v (vectors of nonnegative square in opposite
 components pair nonpositively), and the kernel line R*kappa is negative, so
-c and 1 - c are both positive: D(v1) runs over (0, D) on the 1/q grid,
-s0 = p/q in lowest terms, so D(v1) = j/q with 0 < j < q*D.  This is the
+c and 1 - c are both positive: D(v1) lies on the 1/q grid, s0 = p/q in
+lowest terms, so D(v1) = j/q, and j/q lies strictly between 0 and D(v).
+Every quantity below is an identity in j of either sign.  This is the
 rational-abscissa finiteness argument of Maciocia ("Computing the walls
 associated to Bridgeland stability conditions on projective surfaces").
 Given (j, m1), P := n*D1^2 - m1 equals r1*A1, and A1 lies on the 1/q^2 grid
@@ -177,16 +178,14 @@ def integral_triple(v: MukaiVector, ctx: Context) -> tuple[int, int, int]:
     return v.r, int(v.d), int(v.a)
 
 
-def _mirror_vector(v: MukaiVector) -> MukaiVector:
-    return MukaiVector(v.r, -v.d, v.a)
-
-
 def _mirror_wall(w: Wall) -> Wall:
+    """w reflected in s = 0, witnessed by (r, -d, a)."""
     if isinstance(w.shape, VLine):
         shape: Shape = VLine(-w.shape.s0)
     else:
         shape = Circle(-w.shape.center, w.shape.radius_sq)
-    return Wall(shape, _mirror_vector(w.witness), w.label)
+    v = w.witness
+    return Wall(shape, MukaiVector(v.r, -v.d, v.a), w.label)
 
 
 def _multiples(lo: int, hi: int, step: int) -> range:
@@ -213,9 +212,6 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
     Aq = a * qq - 2 * n * d * p * q + n * r * p * p  # q^2*A(v)
     if Dq == 0:
         raise BadCrossSection(f"d_beta(v) = 0 at s = {s0}")
-    if Dq < 0:
-        mirrored = enumerate_walls_on_line(_mirror_vector(v), -s0, ctx)
-        return sort_walls(_mirror_wall(w) for w in mirrored)
     half = n * d * d - r * a  # <v^2>/2
     p_inv = pow(p, -1, q)  # d(v1) = (j + r1*p)/q is integral iff r1 = -j*p_inv mod q
     found: dict[Shape, Wall] = {}
@@ -235,7 +231,7 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
         if prev is None or witness_key(v1) < witness_key(prev.witness):
             found[shape] = Wall(shape, v1)
 
-    for j in range(1, Dq):
+    for j in range(1, Dq) if Dq > 0 else range(Dq + 1, 0):
         u2 = n * (Dq - j) ** 2  # q^2 * n*D(v - v1)^2: m2 = 0 at X = u2
         c1 = -j * p_inv % q  # residue of r1 mod q
         e1 = n * p * p * c1 % q  # residue of a1q = N/r1 mod q (a1 integral)
@@ -297,29 +293,26 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
     """Label m when w is the codimension-0 wall C_m, else None; exact and
     with no bound on |m|.
 
-    C_m meets the real axis at the rational points b_m/(a_m*sqrt(n)) and
-    l*a_m/(b_m*sqrt(n)), and b_m^2 - l*a_m^2 = +-1, so |n*e^2 - l| is
-    1/a_m^2 at the first endpoint and l/b_m^2 = l/(l*a_m^2 +- 1) at the
-    second: a_m^2 <= 1/|n*e^2 - l| + 1 at both (n*e^2 != l, as l*n is not
-    a square).  A circle with irrational endpoints is no C_m.  The -m-th
-    iterate negates b_m/a_m, so C_-m is C_m mirrored in s = 0 and
-    a_{-m}^2 = a_m^2; and a_{k+1} = y*a_k + x*b_k > a_k for the generator
-    (x, y).  So the orbit walk k = 1, 2, ... over m = -k, k ends once
-    a_k^2, the rank of u_k, passes the bound and misses no label.  The one
-    vertical wall is C_0 (see C0)."""
+    The walls of v = (1, 0, -l) form one pencil: radius^2 = center^2 - l/n
+    (`wall_between` with r = 1, d = 0), so a circle off it is no C_m, and on
+    it the center fixes the circle.  C_k meets the real axis at
+    +-P_k/sqrt(n) and +-Q_k/sqrt(n) with Q_k = l/P_k, and P_k increases
+    towards sqrt(l) (see the slope intervals in `pell`), so
+    |center(C_k)| = (P_k + l/P_k)/(2*sqrt(n)) strictly decreases in k;
+    C_-k is C_k mirrored in s = 0.  The walk k = 1, 2, ... stops once
+    |center(C_k)| < |center(w)|.  It ends: radius^2 > 0 puts |center(w)|
+    above sqrt(l/n), the limit of the centers.  The one vertical wall is
+    C_0 (see C0)."""
     if isinstance(w.shape, VLine):
         return 0 if w.shape.s0 == 0 else None
-    r_sq = w.shape.radius_sq
-    if not (is_perfect_square(r_sq.numerator) and is_perfect_square(r_sq.denominator)):
+    center, r_sq = w.shape.center, w.shape.radius_sq
+    if r_sq <= 0 or r_sq != center * center - Fraction(pell.ell, pell.n):
         return None
-    rad = Fraction(math.isqrt(r_sq.numerator), math.isqrt(r_sq.denominator))
-    ends = (w.shape.center - rad, w.shape.center + rad)
-    bound = max(1 / abs(pell.n * e * e - pell.ell) for e in ends) + 1
     for it in orbit(pell, 1):
         u, _ = u_vectors(pell, it)
-        if u.r > bound:
-            return None
         c_k = _codim0_wall(pell, it.m, u)
+        if abs(c_k.shape.center) < abs(center):
+            return None
         if w.shape == _mirror_wall(c_k).shape:
             return -it.m
         if w.shape == c_k.shape:
@@ -345,12 +338,12 @@ def cross_section(n: int, ell: int) -> tuple[Fraction, Optional[PellContext]]:
 
 def wall_set(
     n: int, ell: int, m_range: range = range(0)
-) -> tuple[list[Wall], Optional[PellContext]]:
+) -> tuple[list[Wall], Fraction, Optional[PellContext]]:
     """The wall set of (1, 0, -l), deduplicated by shape and sorted, with
-    the Pell group when there is one: the walls crossing the cross-section
-    plus, in the square case, their mirrors in s > 0 and the t-axis C_0,
-    a finite and complete set; in the Pell case, C_0, C_-1 and the labeled
-    C_m for m in m_range."""
+    the cross-section s0 it enumerated at and the Pell group when there is
+    one: the walls crossing s0 plus, in the square case, their mirrors in
+    s > 0 and the t-axis C_0, a finite and complete set; in the Pell case,
+    C_0, C_-1 and the labeled C_m for m in m_range."""
     ctx = Context(n)  # rejects n < 1 before the square route divides by n
     s0, pell = cross_section(n, ell)
     found = enumerate_walls_on_line(MukaiVector(1, 0, -ell), s0, ctx)
@@ -361,7 +354,7 @@ def wall_set(
     unique: dict[Shape, Wall] = {}
     for w in found:
         unique.setdefault(w.shape, w)
-    return sort_walls(unique.values()), pell
+    return sort_walls(unique.values()), s0, pell
 
 
 # ---------------------------------------------------------------------------

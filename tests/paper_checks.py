@@ -4,7 +4,8 @@ Yoshioka, "Bridgeland's stabilities on abelian surfaces" (arXiv:1203.0884):
 the central charges and phases of Mukai vectors, the charge-compatibility
 identity of the Fourier-Mukai transforms, the transformed half-plane and
 the wall-swapping transforms and how they move the labeled walls, the
-conjugation of the group into Gamma_0(n); a floating-point alignment scan
+conjugation of the group into Gamma_0(n) and the dualizing factor
+diag(1, -1); a floating-point alignment scan
 that cross-checks the exact walls; the interval membership test and sheaf
 verdict of the slope intervals I_m and I_m*, the oracle for
 `pell.interval_index` and the `intervals` command; the exact order and
@@ -25,7 +26,6 @@ from stabwalls.charge import StabilityPoint
 from stabwalls.errors import DegenerateV, IntegralityViolation, NotInGHat, PreconditionError
 from stabwalls.fmgroup import (
     act_on_vector,
-    delta_matrix,
     g_membership,
     mobius,
     require_member,
@@ -269,6 +269,11 @@ def cloud_max_distance(wall: Wall, cloud: list[tuple[float, float]]) -> float:
 
 # ---------------------------------------------------------------------------
 # conventions of the transforms
+
+
+def delta_matrix() -> GMatrix:
+    """diag(1, -1), the cohomological dualizing factor."""
+    return GMatrix(Surd(1), Surd(0), Surd(0), Surd(-1))
 
 
 def swap_diagonal(g: GMatrix) -> GMatrix:

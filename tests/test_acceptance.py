@@ -13,6 +13,7 @@ from paper_checks import (
     ScanConfig,
     charge_compat_check,
     cloud_max_distance,
+    delta_matrix,
     equal_up_to_sign,
     float_align_scan,
     in_interval,
@@ -23,7 +24,6 @@ from paper_checks import (
 )
 from stabwalls.fmgroup import (
     act_on_vector,
-    delta_matrix,
     mobius,
     require_member,
 )

@@ -47,31 +47,44 @@ def test_walls_l4_square_route(capsys):
 def test_walls_verify_flag(capsys, monkeypatch):
     """walls --n --ell --verify judges the walls it listed, with one
     enumeration, and its verify block is the `verify` command's answer, on
-    the square and Pell routes.  The walls it judges are exactly those of
-    a direct enumeration at the cross-section."""
+    the square and Pell routes.  Each of the two commands solves the Pell
+    generator once on the Pell route and never on the square route.  The
+    walls it judges are exactly those of a direct enumeration at the
+    cross-section."""
     code, data = run(capsys, "walls", "--n", "1", "--ell", "3", "--verify")
     assert code == 0 and data["verify"]["agree"]
-    calls = []
+    calls, solves = [], []
     enumerate_walls = walls_mod.enumerate_walls_on_line
+    solve_generator = walls_mod.solve_generator
 
     def counted(*args):
         calls.append(args)
         return enumerate_walls(*args)
 
+    def counted_solve(*args):
+        solves.append(args)
+        return solve_generator(*args)
+
     monkeypatch.setattr(walls_mod, "enumerate_walls_on_line", counted)
+    monkeypatch.setattr(walls_mod, "solve_generator", counted_solve)
     routes = set()
     for n in range(1, 7):
         for ell in range(1, 20):
+            square = math.isqrt(n * ell) ** 2 == n * ell
             calls.clear()
+            solves.clear()
             code, data = run(capsys, "walls", "--n", str(n), "--ell", str(ell), "--verify")
             assert code == 0 and len(calls) == 1, (n, ell)
+            assert len(solves) == (0 if square else 1), (n, ell)
+            solves.clear()
             code, verify = run(capsys, "verify", "--n", str(n), "--ell", str(ell))
             assert code == 0 and data["verify"] == verify, (n, ell)
+            assert len(solves) == (0 if square else 1), (n, ell)
             s0, _ = cross_section(n, ell)
             direct = enumerate_walls(MukaiVector(1, 0, -ell), s0, Context(n))
             assert verify["enumerated"] == len(direct), (n, ell)
             assert verify["cross_section"] == frac_str(s0), (n, ell)
-            routes.add(math.isqrt(n * ell) ** 2 == n * ell)
+            routes.add(square)
     assert routes == {True, False}
 
 

@@ -8,6 +8,7 @@ from paper_checks import (
     SamePoint,
     charge_at_z,
     charge_compat_check,
+    delta_matrix,
     dual_flip,
     equal_up_to_sign,
     gamma0_check,
@@ -21,7 +22,6 @@ from paper_checks import (
 from stabwalls.errors import NotInGHat
 from stabwalls.fmgroup import (
     act_on_vector,
-    delta_matrix,
     g_membership,
     mobius,
     require_member,

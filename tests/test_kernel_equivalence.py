@@ -35,15 +35,17 @@ def _cases():
 
 
 def _branches(v, s0, ctx):
-    """The reference kernel's branches that this cross-section reaches."""
+    """The reference kernel's branches that this cross-section reaches,
+    and "D < 0" when the kernel walks j over negative values."""
     r, D, A = beta_data(v, s0, ctx)  # mirroring negates D and keeps A
+    sign = {"D < 0"} if D < 0 else set()
     D = abs(D)
     kind = "A != 0" if A else ("A = 0, r != 0" if r else "r = A = 0")
     q, half = s0.denominator, int(self_pairing(v, ctx)) // 2
     p_zero = any(
         ctx.n * j * j == m1 * q * q for j in range(int(D * q) + 1) for m1 in range(half)
     )
-    return {kind} | ({f"P = 0, {kind}"} if p_zero else set())
+    return sign | {kind} | ({f"P = 0, {kind}"} if p_zero else set())
 
 
 def test_kernel_matches_reference():
@@ -65,7 +67,7 @@ def test_kernel_matches_reference():
         checked += 1
     assert checked > 300
     assert reached >= {
-        "A != 0", "A = 0, r != 0", "r = A = 0", "P = 0, A != 0", "P = 0, A = 0, r != 0"
+        "A != 0", "A = 0, r != 0", "r = A = 0", "P = 0, A != 0", "P = 0, A = 0, r != 0", "D < 0"
     }
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from paper_checks import wall_of
+from paper_checks import delta_matrix, wall_of
 from reference_kernel import proportional, reference_wall_between
 from stabwalls.charge import StabilityPoint
 from stabwalls.errors import BadCrossSection, DegenerateV, SquareCase
@@ -340,7 +340,7 @@ def test_classify_codim0_answer_is_the_wall_label():
             if is_perfect_square(n * ell):
                 continue
             v = MukaiVector(1, 0, -ell)
-            walls, pc = wall_set(n, ell, range(-3, 4))
+            walls, _, pc = wall_set(n, ell, range(-3, 4))
             for w in walls:
                 if isinstance(w.shape, VLine):
                     pt = StabilityPoint(w.shape.s0, F(1))
@@ -361,6 +361,12 @@ def test_is_codim0_examples():
     assert is_codim0(w2, pc3) is None
     pc2 = solve_generator(1, 2)
     assert is_codim0(Wall(VLine(F(0)), UNIT), pc2) == 0
+    # off the pencil radius^2 = center^2 - l/n: no C_m, and the walk never starts
+    assert is_codim0(Wall(Circle(F(-1, 10), F(1, 100)), UNIT), pc2) is None
+    # on the pencil, centred midway between C_-5 and C_-6: the walk stops there
+    c6, c5 = (w.shape.center for w in codim0_walls(pc2, range(-6, -4)))
+    mid = (c5 + c6) / 2
+    assert is_codim0(Wall(Circle(mid, mid * mid - 2), UNIT), pc2) is None
 
 
 def test_wall_set_labels_are_the_codim0_labels():
@@ -372,7 +378,7 @@ def test_wall_set_labels_are_the_codim0_labels():
         for ell in range(1, 30):
             if is_perfect_square(n * ell):
                 continue
-            walls, pc = wall_set(n, ell, range(-3, 4))
+            walls, _, pc = wall_set(n, ell, range(-3, 4))
             for w in walls:
                 assert is_codim0(w, pc) == w.label, (n, ell, w)
                 assert w.codim0 == (w.label is not None), (n, ell, w)
@@ -381,14 +387,14 @@ def test_wall_set_labels_are_the_codim0_labels():
     for n in range(1, 7):
         for ell in range(1, 144 // n + 1):
             if is_perfect_square(n * ell):
-                walls, pc = wall_set(n, ell)
+                walls, _, pc = wall_set(n, ell)
                 assert pc is None
                 assert [w for w in walls if isinstance(w.shape, VLine)] == [c0], (n, ell)
 
 
 def test_isometry_transport_of_wall_conditions():
     # wall conditions are pure pairing conditions: preserved by any isometry
-    from stabwalls.fmgroup import act_on_vector, delta_matrix
+    from stabwalls.fmgroup import act_on_vector
 
     rng = random.Random(31)
     a2 = solve_generator(1, 2).generator
