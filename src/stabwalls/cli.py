@@ -76,8 +76,14 @@ def _emit(payload) -> None:
 def cmd_walls(args) -> dict:
     ctx = Context(args.n)
     window = _parse_window(args.window)
-    if args.v is None and args.ell < 1:
-        raise ValueError("give either --ell or an explicit --v with --s0")
+    m_range = _parse_m_range(args.m_range)  # checked on the --v route too
+    if args.v is None:
+        if args.s0 is not None:
+            raise ValueError("--s0 needs --v (an explicit class)")
+        if args.ell < 1:
+            raise ValueError("give either --ell or an explicit --v with --s0")
+    elif args.ell:
+        raise ValueError("give either --ell or an explicit --v, not both")
     if args.v is not None:
         # explicit class: enumerate the walls crossing a chosen cross-section
         if args.s0 is None:
@@ -95,7 +101,7 @@ def cmd_walls(args) -> dict:
             payload["verify"] = _verify_report(v, s0, wall_list, ctx)
         title = f"Walls for {vector_str(v)}"
     else:
-        wall_list, s0, _ = walls_mod.wall_set(args.n, args.ell, _parse_m_range(args.m_range))
+        wall_list, s0, _ = walls_mod.wall_set(args.n, args.ell, m_range)
         payload = {
             "n": args.n,
             "ell": args.ell,

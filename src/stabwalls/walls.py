@@ -45,6 +45,16 @@ The two-sided bracket 0 <= m2 = n*(D - D1)^2 - (r - r1)*(A - A1) <=
 rational s0 happens exactly on the Cor.-square abscissae of the
 finite-wall (square) case, which must be enumerable, so only D(v) = 0
 raises BadCrossSection.
+
+Complement pairing: the conditions on v1 are symmetric in v1 and v - v1
+(m1 and m2 swap, k stays), and both define the same wall.  D(v - v1) =
+D - D1, so v - v1 sits at the grid index q*D - j: the pairing
+j <-> q*D - j maps the open range between 0 and q*D onto itself.  So j
+runs only over the half nearer 0, 0 < |j| <= |q*D|/2, the middle j of an
+even q*D (which pairs with itself) included, and each accepted v1 offers
+both v1 and v - v1 to the witness choice; every witness is one of the two
+for some j of that half.  The cost is about |q*D|/2 * <v^2>/2 pairs
+(j, m1), each with the divisibility tests above.
 """
 
 from __future__ import annotations
@@ -118,23 +128,30 @@ def sort_walls(walls: Iterable[Wall]) -> list[Wall]:
     return sorted(walls, key=lambda w: _shape_sort_key(w.shape))
 
 
-def witness_key(v: MukaiVector):
-    """Order in which a wall's witnesses compete: smallest entries win."""
-    return (abs(v.r), abs(v.d), abs(v.a), v.r, v.d, v.a)
+def witness_key(r: int, d: RatLike, a: RatLike) -> tuple:
+    """Order in which a wall's witnesses (r, d, a) compete: smallest
+    entries win.  The key ends with the witness itself."""
+    return (abs(r), abs(d), abs(a), r, d, a)
 
 
-def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> Optional[Shape]:
+IntShape = tuple[int, ...]  # (cn, cd, rn, rd) for a circle, (sn, sd) for a vertical line
+
+
+def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> Optional[IntShape]:
     """The shape of the wall for v = (r, d, a) defined by v1 = (r1, d1, a1),
-    or None when v1 defines none.  All six entries are integers and
-    <v^2> > 0 (see integral_triple); a rational pair is scaled to integers
-    first, which changes no sign and no shape.
+    on integers, or None when v1 defines none.  All six entries are
+    integers and <v^2> > 0 (see integral_triple); a rational pair is scaled
+    to integers first, which changes no sign and no shape.
 
     v1 qualifies when <v1^2> >= 0, <(v-v1)^2> >= 0, <v1, v-v1> > 0 and the
     triples are not proportional; the locus is then a circle, a vertical
     line, or empty (radius^2 <= 0 gives None).  Every test runs on
     integers; radius^2 > 0 is cross-multiplied by the square of its
-    denominator, and the Fractions are built only for a shape that is
-    returned.
+    denominator.  A circle comes back as (cn, cd, rn, rd): center cn/cd and
+    radius^2 rn/rd in lowest terms with positive denominators; the line
+    s = sn/sd as (sn, sd).  Equal walls give equal tuples, and `shape_of`
+    builds the Fraction shape.  The conditions are symmetric in v1 and
+    v - v1, which give the same wall.
     """
     n2 = 2 * n
     vv = n2 * d * d - 2 * r * a
@@ -148,7 +165,7 @@ def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> O
     if r:
         denom = r * d1 - r1 * d
         if not denom:
-            return VLine(Fraction(d, r))
+            return _lowest(d, r)
         # center = y/(2n*denom); radius^2 = (d/r - center)^2 - <v^2>/(2n*r^2)
         # = (x^2 - 2n*<v^2>*denom^2) / (2n*r*denom)^2
         y = a1 * r - a * r1
@@ -156,7 +173,7 @@ def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> O
         rad = x * x - n2 * vv * denom * denom
         if rad <= 0:
             return None
-        return Circle(Fraction(y, n2 * denom), Fraction(rad, (n2 * r * denom) ** 2))
+        return _lowest(y, n2 * denom) + _lowest(rad, (n2 * r * denom) ** 2)
     # rank 0: <v^2> = 2n*d^2 > 0 forces d != 0, and every wall is a circle
     # around a/(2n*d) with radius^2 = (a/(2n*d) - d1/r1)^2 - <v1^2>/(2n*r1^2)
     if not r1:
@@ -165,7 +182,37 @@ def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> O
     rad = x * x - n2 * d * d * v1v1
     if rad <= 0:
         return None
-    return Circle(Fraction(a, n2 * d), Fraction(rad, (n2 * d * r1) ** 2))
+    return _lowest(a, n2 * d) + _lowest(rad, (n2 * d * r1) ** 2)
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den (den != 0) in lowest terms with a positive denominator."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+def crosses(shape: IntShape, p: int, q: int) -> bool:
+    """Whether an integer shape is a circle meeting the open ray
+    {p/q} x R_{>0} (q > 0): t^2 = radius^2 - (p/q - center)^2 > 0,
+    multiplied through by rd*(q*cd)^2."""
+    if len(shape) == 2:
+        return False
+    cn, cd, rn, rd = shape
+    return (p * cd - q * cn) ** 2 * rd < rn * (q * cd) ** 2
+
+
+def shape_of(shape: IntShape) -> Shape:
+    """The Fraction shape of an integer shape from wall_between."""
+    if len(shape) == 2:
+        return VLine(Fraction(*shape))
+    cn, cd, rn, rd = shape
+    return Circle(Fraction(cn, cd), Fraction(rn, rd))
+
+
+def build_walls(found: dict[IntShape, tuple]) -> list[Wall]:
+    """The sorted Walls of a map from integer shapes to the witness_key of
+    each one's witness: one Fraction shape and one MukaiVector per wall."""
+    return sort_walls(Wall(shape_of(shape), MukaiVector(*key[3:])) for shape, key in found.items())
 
 
 def integral_triple(v: MukaiVector, ctx: Context) -> tuple[int, int, int]:
@@ -198,10 +245,14 @@ def _multiples(lo: int, hi: int, step: int) -> range:
 def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:
     """The complete set of walls for v meeting the open ray {s0} x R_{>0}.
 
-    Complete by the derivation in the module docstring; each candidate is
-    validated through wall_between and the exact crossing test, so extra
-    candidates are harmless.  The loops run on integers scaled by q^2,
-    q = den(s0): j = q*D(v1), N = q^2*P and X = q^2*(r - r1)(A - A1).
+    Complete by the derivation in the module docstring, with j over the
+    half of its range nearer 0; each candidate is validated by the integer
+    wall test wall_between and the cross-multiplied crossing test
+    `crosses`, so extra candidates are harmless.  The loops run on
+    integers scaled by q^2, q = den(s0): j = q*D(v1), N = q^2*P and
+    X = q^2*(r - r1)(A - A1).  The walls are keyed by wall_between's
+    integer shape, and their Fraction shapes, witnesses and Walls are
+    built once per wall, after the loops.
     """
     r, d, a = integral_triple(v, ctx)
     s0 = Fraction(s0)
@@ -214,7 +265,7 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
         raise BadCrossSection(f"d_beta(v) = 0 at s = {s0}")
     half = n * d * d - r * a  # <v^2>/2
     p_inv = pow(p, -1, q)  # d(v1) = (j + r1*p)/q is integral iff r1 = -j*p_inv mod q
-    found: dict[Shape, Wall] = {}
+    found: dict[IntShape, tuple] = {}  # shape -> witness_key of its best witness yet
 
     def consider(r1: int, a1q: int, j: int):
         d1, rest = divmod(j + r1 * p, q)
@@ -224,14 +275,16 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
         if rest:
             return
         shape = wall_between(n, r, d, a, r1, d1, a1)
-        if shape is None or isinstance(shape, VLine) or shape.t_sq_at(s0) <= 0:
+        if shape is None or not crosses(shape, p, q):
             return
-        v1 = MukaiVector(r1, d1, a1)
+        # v - v1 witnesses the same wall from the paired grid index q*D(v) - j
+        key = min(witness_key(r1, d1, a1), witness_key(r - r1, d - d1, a - a1))
         prev = found.get(shape)
-        if prev is None or witness_key(v1) < witness_key(prev.witness):
-            found[shape] = Wall(shape, v1)
+        if prev is None or key < prev:
+            found[shape] = key
 
-    for j in range(1, Dq) if Dq > 0 else range(Dq + 1, 0):
+    mid = abs(Dq) // 2  # j and Dq - j pair up; the middle j of an even Dq pairs with itself
+    for j in range(1, mid + 1) if Dq > 0 else range(-mid, 0):
         u2 = n * (Dq - j) ** 2  # q^2 * n*D(v - v1)^2: m2 = 0 at X = u2
         c1 = -j * p_inv % q  # residue of r1 mod q
         e1 = n * p * p * c1 % q  # residue of a1q = N/r1 mod q (a1 integral)
@@ -260,7 +313,7 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
                 for k in _multiples((r - c1) * Aq - u2, (r - c1) * Aq - lo, q * Aq):
                     if c1 + q * k:  # r1 = 0 belongs to the family above
                         consider(c1 + q * k, 0, j)
-    return sort_walls(found.values())
+    return build_walls(found)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +330,7 @@ def _codim0_wall(pell: PellContext, m: int, u: MukaiVector) -> Wall:
     shape = wall_between(pell.n, 1, 0, -ell, w.r, int(w.d), int(w.a))
     if shape is None:
         raise InvariantViolation(f"(n,l)=({pell.n},{ell}): u_{m} = {u} defines no wall")
-    return Wall(shape, w, label=m)
+    return Wall(shape_of(shape), w, label=m)
 
 
 def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:

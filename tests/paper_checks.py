@@ -33,7 +33,7 @@ from stabwalls.fmgroup import (
 from stabwalls.lattice import Context, MukaiVector, beta_data
 from stabwalls.pell import GMatrix, PellContext, iterate
 from stabwalls.surd import QnComplex, QnNumber, RatLike, Surd, qn_rat
-from stabwalls.walls import VLine, Wall, wall_between
+from stabwalls.walls import VLine, Wall, shape_of, wall_between
 
 
 class ZeroCharge(PreconditionError):
@@ -66,7 +66,7 @@ def wall_of(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall]:
     if vv <= 0:
         raise DegenerateV(f"<v^2> = {Fraction(vv, L * L)} <= 0")
     shape = wall_between(ctx.n, r, d, a, r1, d1, a1)
-    return None if shape is None else Wall(shape, v1)
+    return None if shape is None else Wall(shape_of(shape), v1)
 
 
 def qnc_rat(u: RatLike, v: RatLike, n: int) -> QnComplex:

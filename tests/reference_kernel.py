@@ -41,6 +41,10 @@ def proportional(v: MukaiVector, w: MukaiVector) -> bool:
     )
 
 
+def _witness_key(v: MukaiVector):
+    return witness_key(v.r, v.d, v.a)
+
+
 def reference_wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall]:
     """The wall for v defined by v1, or None when v1 defines none.
 
@@ -149,7 +153,7 @@ def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]
         if _crossing_t_sq(w, s0) is None:
             return
         prev = found.get(w.shape)
-        if prev is None or witness_key(v1) < witness_key(prev.witness):
+        if prev is None or _witness_key(v1) < _witness_key(prev.witness):
             found[w.shape] = w
 
     for j in range(0, int(D * q) + 1):
@@ -254,7 +258,7 @@ def divisor_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:
         if _crossing_t_sq(w, s0) is None:
             return
         prev = found.get(w.shape)
-        if prev is None or witness_key(v1) < witness_key(prev.witness):
+        if prev is None or _witness_key(v1) < _witness_key(prev.witness):
             found[w.shape] = w
 
     for j in range(1, Dq):

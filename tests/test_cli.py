@@ -311,6 +311,25 @@ def test_walls_explicit_class(capsys):
     assert code == 2  # --v without --s0
 
 
+def test_walls_rejects_the_other_routes_flags(capsys):
+    """A flag of one `walls` route is checked or refused on the other, not
+    silently dropped."""
+    for argv, message in (
+        (["--v", "1,0,-2", "--s0=-3/2", "--m-range=x"], "m-range must be lo..hi"),
+        (["--ell", "2", "--s0=garbage"], "--s0 needs --v (an explicit class)"),
+        (["--ell", "2", "--s0=-3/2"], "--s0 needs --v (an explicit class)"),
+        (
+            ["--ell", "5", "--v", "1,0,-2", "--s0=-3/2"],
+            "give either --ell or an explicit --v, not both",
+        ),
+    ):
+        code, data = run(capsys, "walls", "--n", "1", *argv)
+        assert code == 2 and data["error"] == {"type": "ValueError", "message": message}, argv
+    # the --v route itself still answers, with the default --m-range
+    code, data = run(capsys, "walls", "--n", "1", "--v", "1,0,-2", "--s0=-3/2")
+    assert code == 0 and data["v"] == "1,0,-2"
+
+
 def test_frontier_cases_complete(capsys):
     # the fundamental cross-sections of (1,19), (1,21), (1,22) have
     # denominators 39, 12, 42, where |A(v)| = 1/q^2

@@ -5,6 +5,7 @@ import pytest
 
 from paper_checks import delta_matrix, wall_of
 from reference_kernel import proportional, reference_wall_between
+from stabwalls import walls as walls_mod
 from stabwalls.charge import StabilityPoint
 from stabwalls.errors import BadCrossSection, DegenerateV, SquareCase
 from stabwalls.lattice import Context, MukaiVector, UNIT, pairing, self_pairing
@@ -230,6 +231,42 @@ def test_enumerate_positive_side_mirror():
     right = enumerate_walls_on_line(MukaiVector(1, 0, -3), 2, C1)
     assert [w.shape for w in right] == [Circle(F(2), F(1))]
     assert len(left) == len(right)
+
+
+def test_enumerate_half_grid_and_one_shape_build_per_wall(monkeypatch):
+    """The kernel's two savings as machine-independent counts, at the
+    cross-section of (1,13) and for a class with D(v) < 0: every candidate
+    it validates has its grid index j = q*D(v1) in the half of the range
+    nearer 0, up to and including the middle j of an even q*D(v) (v - v1
+    stands for the other half), and it builds one Fraction shape per wall
+    it returns, not one per accepted candidate."""
+    signs = set()
+    for triple, s0 in (((1, 0, -13), cross_section(1, 13)[0]), ((3, -1, -4), F(5, 3))):
+        r, d, a = triple
+        p, q = s0.numerator, s0.denominator
+        grid, builds = [], []
+        wall_between, shape_of = walls_mod.wall_between, walls_mod.shape_of
+
+        def counted_wall_between(n, r, d, a, r1, d1, a1):
+            grid.append(d1 * q - r1 * p)
+            return wall_between(n, r, d, a, r1, d1, a1)
+
+        def counted_shape_of(shape):
+            builds.append(shape)
+            return shape_of(shape)
+
+        monkeypatch.setattr(walls_mod, "wall_between", counted_wall_between)
+        monkeypatch.setattr(walls_mod, "shape_of", counted_shape_of)
+        got = enumerate_walls_on_line(MukaiVector(*triple), s0, C1)
+        monkeypatch.undo()
+        Dq = d * q - r * p  # q*D(v): 18 and -18
+        signs.add(Dq > 0)
+        half = range(1, Dq // 2 + 1) if Dq > 0 else range(Dq // 2, 0)
+        assert grid and set(grid) <= set(half), triple
+        assert Dq // 2 in grid, triple  # the self-complementary middle j
+        assert len(builds) == len(got) > 0, triple
+        assert {shape_of(s) for s in builds} == {w.shape for w in got}, triple
+    assert signs == {True, False}
 
 
 def test_enumerate_matches_oracle_randomized():
