@@ -12,13 +12,14 @@ from fractions import Fraction
 
 from .lattice import MukaiVector
 from .pell import GMatrix, NumericalSolution
-from .surd import QnComplex, QnNumber, Surd
+from .surd import QnComplex, QnNumber, RatLike, Surd
 from .walls import ChamberReport, VLine, Wall, WMaxReport
 
 
-def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def frac_str(x: RatLike) -> str:
+    """An int or a Fraction as "p/q", or "p" when it is an integer."""
+    num, den = x.numerator, x.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def parse_frac(text: str) -> Fraction:

@@ -43,15 +43,6 @@ class MukaiVector:
     def is_integral(self) -> bool:
         return self.d.denominator == 1 and self.a.denominator == 1
 
-    def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r - other.r, self.d - other.d, self.a - other.a)
-
-    def __neg__(self) -> "MukaiVector":
-        return MukaiVector(-self.r, -self.d, -self.a)
-
-    def scale(self, k: int) -> "MukaiVector":
-        return MukaiVector(k * self.r, k * self.d, k * self.a)
-
     def __str__(self):
         return f"{self.r},{self.d},{self.a}"
 

@@ -11,8 +11,15 @@ P(x, y) is a `GMatrix`, the one 2x2 surd-matrix type: the Pell matrices
 are the subgroup of the surd-matrix group of `fmgroup` with a = d and
 b = l*c.  The iterates are the bottom rows of the powers of the generator,
 and every label family walks them in order through `orbit`: one
-`GMatrix.power` for the first label, then one row-times-generator step per
-label.  The wall-swapping transforms use the same product.
+`GMatrix.power` for the first label, then one step per label on integers.
+For the generator (y*sqrt(s), l*x*sqrt(r); x*sqrt(r), y*sqrt(s)) with r, s
+squarefree, a_m = alpha*sqrt(rho) and b_m = beta*sqrt(sigma) where the
+radicands depend only on the parity of m: (r, s) for odd m and (r*s, 1)
+for even m.  So the row-times-generator step is an integer map of
+(alpha, beta) with four constants per parity (see `_parities`), and
+u_m = (alpha^2*rho, alpha*beta/kappa, beta^2*sigma) with n = kappa^2*r*s.
+`Surd`s are built only where an iterate is printed; the wall-swapping
+transforms multiply `GMatrix`es.
 
 The generator comes from one exact path.  The map phi(P) = y + x*sqrt(l)
 sends a member to b*sqrt(s) + a*sqrt(r*l), whose square
@@ -30,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     AccumulationPoint,
@@ -39,7 +46,7 @@ from .errors import (
     NotInGHat,
     SquareCase,
 )
-from .lattice import Context, MukaiVector, RHO, UNIT, pairing
+from .lattice import MukaiVector
 from .surd import Surd, divisors, is_perfect_square
 
 
@@ -95,11 +102,34 @@ def identity_matrix() -> GMatrix:
     return GMatrix(Surd(1), Surd(0), Surd(0), Surd(1))
 
 
-@dataclass(frozen=True)
-class Iterate:
+class Iterate(NamedTuple):
+    """(a_m, b_m) = (alpha*sqrt(rho), beta*sqrt(sigma)) on integers.  The
+    squarefree radicands rho and sigma depend only on the parity of m, and
+    kappa = sqrt(n/(rho*sigma)) not at all (see `_parities`)."""
+
     m: int
-    a: Surd
-    b: Surd
+    alpha: int
+    beta: int
+    rho: int
+    sigma: int
+    kappa: int
+
+    @property
+    def a(self) -> Surd:
+        return Surd.reduced(self.alpha, self.rho)
+
+    @property
+    def b(self) -> Surd:
+        return Surd.reduced(self.beta, self.sigma)
+
+    def u(self) -> tuple[int, int, int]:
+        """u_m = (a_m^2, a_m*b_m/sqrt(n), b_m^2) = (alpha^2*rho,
+        alpha*beta/kappa, beta^2*sigma), an integer triple."""
+        ab = self.alpha * self.beta
+        d, rest = divmod(ab, self.kappa)
+        if rest:
+            raise IntegralityViolation(f"m={self.m}: a_m*b_m/sqrt(n) = {ab}/{self.kappa}")
+        return self.alpha * self.alpha * self.rho, d, self.beta * self.beta * self.sigma
 
 
 @dataclass(frozen=True)
@@ -109,10 +139,6 @@ class PellContext:
     generator: GMatrix
     epsilon: int
     torsion: Optional[GMatrix] = None
-
-    @property
-    def lattice(self) -> Context:
-        return Context(self.n)
 
     def lambda_0(self) -> Fraction:
         """The abscissa b_-1/(a_-1*sqrt(n)): the endpoint of C_-1 where the
@@ -197,21 +223,60 @@ def solve_generator(n: int, ell: int) -> PellContext:
     raise InvariantViolation(f"no generator found for (n,l)=({n},{ell})")
 
 
+# (rho, sigma, (c11, c21, c12, c22)) of one parity of m: the radicands of
+# its iterates, and the step to the next label,
+# (alpha, beta) -> (alpha*c11 + beta*c21, alpha*c12 + beta*c22)
+Parity = tuple[int, int, tuple[int, int, int, int]]
+
+
+def _parities(pell: PellContext) -> tuple[int, tuple[Parity, Parity]]:
+    """kappa and the even and odd `Parity`, read off the generator
+    (y*sqrt(s), l*x*sqrt(r); x*sqrt(r), y*sqrt(s)), r and s squarefree.
+    Its norm y^2*s - l*x^2*r = +-1 makes r and s coprime, so r*s is
+    squarefree and n = kappa^2*r*s.  Odd iterates are
+    (alpha*sqrt(r), beta*sqrt(s)) and even ones (alpha*sqrt(r*s), beta),
+    and the row (a_m, b_m) times the generator steps
+      even to odd: (alpha, beta) -> (alpha*y*s + beta*x, alpha*l*x*r + beta*y),
+      odd to even: (alpha, beta) -> (alpha*y + beta*x, alpha*l*x*r + beta*y*s)."""
+    g, ell = pell.generator, pell.ell
+    x, r, y, s = g.c.coef, g.c.rad, g.d.coef, g.d.rad
+    kappa = math.isqrt(pell.n // (r * s))
+    if kappa * kappa * r * s != pell.n:
+        raise InvariantViolation(f"n = {pell.n} is not a square times {r}*{s}")
+    even = (r * s, 1, (y * s, x, ell * x * r, y))
+    odd = (r, s, (y, x, ell * x * r, y * s))
+    return kappa, (even, odd)
+
+
+def _coef(x: Surd, rad: int) -> int:
+    """The integer alpha with x = alpha*sqrt(rad)."""
+    if x.is_zero():
+        return 0
+    if x.rad != rad or type(x.coef) is not int:
+        raise InvariantViolation(f"{x} is not an integer times sqrt({rad})")
+    return x.coef
+
+
 def iterate(pell: PellContext, m: int) -> Iterate:
     """(a_m, b_m) with generator^m = (b_m, l*a_m; a_m, b_m)."""
+    kappa, steps = _parities(pell)
+    rho, sigma, _ = steps[m & 1]
     g = pell.generator.power(m)
-    return Iterate(m, g.c, g.d)
+    return Iterate(m, _coef(g.c, rho), _coef(g.d, sigma), rho, sigma, kappa)
 
 
 def orbit(pell: PellContext, m: int) -> Iterator[Iterate]:
-    """The iterates m, m+1, m+2, ...: one power for the first, then
-    (a', b') = (a, b) * generator, the bottom row of generator^m times the
-    generator, for each next one."""
-    g = pell.generator
+    """The iterates m, m+1, m+2, ...: one power for the first, then one
+    integer step of its parity (see `_parities`) for each next one, the
+    bottom row (a_m, b_m) times the generator."""
+    kappa, steps = _parities(pell)
     it = iterate(pell, m)
+    alpha, beta = it.alpha, it.beta
     while True:
-        yield it
-        it = Iterate(it.m + 1, it.a * g.a + it.b * g.c, it.a * g.b + it.b * g.d)
+        rho, sigma, (c11, c21, c12, c22) = steps[m & 1]
+        yield Iterate(m, alpha, beta, rho, sigma, kappa)
+        alpha, beta = alpha * c11 + beta * c21, alpha * c12 + beta * c22
+        m += 1
 
 
 def slope_endpoints(pell: PellContext, it: Iterate) -> tuple[Fraction, Fraction]:
@@ -221,25 +286,22 @@ def slope_endpoints(pell: PellContext, it: Iterate) -> tuple[Fraction, Fraction]
     l*d/a."""
     if it.m == 0:
         raise ValueError("m = 0 is the vertical line")
-    u, _ = u_vectors(pell, it)
-    return u.d / u.r, pell.ell * u.d / u.a
+    r, d, a = it.u()
+    return Fraction(d, r), Fraction(pell.ell * d, a)
+
+
+def _u_triples(ell: int, it: Iterate) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(u_m, u_m') as integer triples: u_m' = (b_m^2, l*d, l^2*a_m^2) for
+    u_m = (a_m^2, d, b_m^2)."""
+    r, d, a = it.u()
+    return (r, d, a), (a, ell * d, ell * ell * r)
 
 
 def u_vectors(pell: PellContext, it: Iterate) -> tuple[MukaiVector, MukaiVector]:
     """The isotropic pair (u_m, u_m') = (a_m^2 e^{...}, b_m^2 e^{...}) with
     <u_m^2> = <u_m'^2> = 0 and <u_m, u_m'> = -1; m = 0 gives (rho, 1)."""
-    r1 = it.a.square()
-    r2 = it.b.square()
-    # a_m * b_m / sqrt(n) is an integer: a_m * b_m * sqrt(n) is n times it
-    scaled = it.a * it.b * Surd(1, pell.n)
-    if not scaled.is_rational():
-        raise InvariantViolation(f"m={it.m}: a_m*b_m*sqrt(n) = {scaled} is irrational")
-    d = scaled.as_fraction() / pell.n
-    if not (r1.denominator == 1 and r2.denominator == 1 and d.denominator == 1):
-        raise IntegralityViolation(f"m={it.m}: u_m = ({r1}, {d}, {r2}) is not integral")
-    u = MukaiVector(int(r1), d, int(r2))
-    u_prime = MukaiVector(int(r2), pell.ell * d, pell.ell**2 * int(r1))
-    return u, u_prime
+    u, u_prime = _u_triples(pell.ell, it)
+    return MukaiVector(*u), MukaiVector(*u_prime)
 
 
 def isotropic_pairs(
@@ -256,21 +318,23 @@ def numerical_solutions(
 ) -> list[NumericalSolution]:
     """Numerical solutions of (1, 0, -l), one per label of `pairs` (as
     `isotropic_pairs` returns them): v = +-(l1*v1 - l2*v2) with both v_i
-    positive isotropic primitive, <v1,v2> = -1 and (l1-1)(l2-1) = 0."""
-    ctx = pell.lattice
-    v = MukaiVector(1, 0, -pell.ell)
+    positive isotropic primitive, <v1,v2> = -1 and (l1-1)(l2-1) = 0.  They
+    are (u_m, u_m') with (l1, l2) = (l, 1), and (1, rho) = (u_0', u_0) with
+    (1, l) at m = 0; both conditions are checked on integer triples."""
+    n, ell = pell.n, pell.ell
     out = []
     for it, u, u_prime in pairs:
-        m = it.m
-        if m == 0:
-            sol = NumericalSolution(UNIT, RHO, 1, pell.ell)
+        v1, v2 = _u_triples(ell, it)
+        if it.m == 0:
+            v1, v2, sol = v2, v1, NumericalSolution(u_prime, u, 1, ell)
         else:
-            sol = NumericalSolution(u, u_prime, pell.ell, 1)
-        combo = sol.v1.scale(sol.l1) - sol.v2.scale(sol.l2)
-        if combo != v and combo != -v:
-            raise InvariantViolation(f"m={m}: {combo} != +-{v}")
-        if pairing(sol.v1, sol.v2, ctx) != -1:
-            raise InvariantViolation(f"m={m}: <v1, v2> != -1")
+            sol = NumericalSolution(u, u_prime, ell, 1)
+        (r1, d1, a1), (r2, d2, a2), l1, l2 = v1, v2, sol.l1, sol.l2
+        combo = (l1 * r1 - l2 * r2, l1 * d1 - l2 * d2, l1 * a1 - l2 * a2)
+        if combo != (1, 0, -ell) and combo != (-1, 0, ell):
+            raise InvariantViolation(f"m={it.m}: {combo} != +-(1, 0, {-ell})")
+        if 2 * n * d1 * d2 - r1 * a2 - r2 * a1 != -1:
+            raise InvariantViolation(f"m={it.m}: <v1, v2> != -1")
         out.append(sol)
     return out
 
@@ -302,18 +366,24 @@ def presentation_report(n: int, ell: int) -> dict:
 # on the left in lam is closed on the right in x.
 
 
-def _squared_ends(ell: int, a: Surd, b: Surd) -> tuple[Fraction, Fraction]:
-    """(P_k^2, Q_k^2) from the iterate (a_k, b_k), k >= 1."""
-    big_a, big_b = a.square(), b.square()
-    ba, lab = big_b / big_a, ell * ell * big_a / big_b
-    return (ba, lab) if ba < ell else (lab, ba)
+def _squared_ends(ell: int, it: Iterate) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(P_k^2, Q_k^2) as (num, den) pairs from the iterate (a_k, b_k),
+    k >= 1: B/A and l^2*A/B with A = a_k^2 and B = b_k^2, smaller first."""
+    big_a, big_b = it.alpha * it.alpha * it.rho, it.beta * it.beta * it.sigma
+    ba, lab = (big_b, big_a), (ell * ell * big_a, big_b)
+    return (ba, lab) if big_b < ell * big_a else (lab, ba)
 
 
-def _within(x: Fraction, lo: Fraction, hi: Optional[Fraction], closed_left: bool) -> bool:
-    """x in [lo, hi) when closed_left, else in (lo, hi]; hi None is +inf."""
+def _within(
+    xn: int, xd: int, lo: tuple[int, int], hi: Optional[tuple[int, int]], closed_left: bool
+) -> bool:
+    """x = xn/xd in [lo, hi) when closed_left, else in (lo, hi]; the ends
+    are (num, den) pairs with positive denominators, hi None is +inf."""
+    lo_minus_x = lo[0] * xd - xn * lo[1]  # has the sign of lo - x
+    x_minus_hi = -1 if hi is None else xn * hi[1] - hi[0] * xd
     if closed_left:
-        return (hi is None or x < hi) and lo <= x
-    return (hi is None or x <= hi) and lo < x
+        return lo_minus_x <= 0 and x_minus_hi < 0
+    return lo_minus_x < 0 and x_minus_hi <= 0
 
 
 def interval_index(pell: PellContext, lam: Fraction) -> dict:
@@ -324,17 +394,19 @@ def interval_index(pell: PellContext, lam: Fraction) -> dict:
     The orbit walk k = 1, 2, ... stops at the first piece of I_k (lam >= 0)
     or I_(1-k) (lam < 0) that holds lam; P_k and Q_k close in on sqrt(l)
     and x != l, so the walk ends.  lam lies in the twin I_m* too unless it
-    is the closed end of its piece, so `starred` settles both memberships."""
+    is the closed end of its piece, so `starred` settles both memberships.
+    x = lam^2 is compared with the ends by cross-multiplication."""
     lam = Fraction(lam)
-    x = lam * lam
-    if x == pell.ell:
+    xn, xd = lam.numerator ** 2, lam.denominator ** 2
+    if xn == pell.ell * xd:
         raise AccumulationPoint(f"lambda^2 = {pell.ell}")
     positive = lam >= 0
-    p_prev, q_prev = Fraction(0), None
+    p_prev, q_prev = (0, 1), None
     for it in orbit(pell, 1):
-        p_k, q_k = _squared_ends(pell.ell, it.a, it.b)
+        p_k, q_k = _squared_ends(pell.ell, it)
         for lo, hi in ((p_prev, p_k), (q_k, q_prev)):
-            if _within(x, lo, hi, closed_left=positive):
+            if _within(xn, xd, lo, hi, closed_left=positive):
                 closed_end = lo if positive else hi
-                return {"m": it.m if positive else 1 - it.m, "starred": x != closed_end}
+                starred = closed_end is None or closed_end[0] * xd != xn * closed_end[1]
+                return {"m": it.m if positive else 1 - it.m, "starred": starred}
         p_prev, q_prev = p_k, q_k

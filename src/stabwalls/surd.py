@@ -82,6 +82,17 @@ class Surd:
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "rad", d)
 
+    @staticmethod
+    def reduced(coef: RatLike, rad: int) -> "Surd":
+        """coef * sqrt(rad) for a rad already squarefree: the canonical form
+        without factoring rad again."""
+        if type(coef) is not int and coef.denominator == 1:
+            coef = coef.numerator
+        out = object.__new__(Surd)
+        object.__setattr__(out, "coef", coef)
+        object.__setattr__(out, "rad", rad if coef else 1)
+        return out
+
     def is_zero(self) -> bool:
         return self.coef == 0
 
@@ -93,13 +104,13 @@ class Surd:
             raise ValueError(f"{self} is irrational")
         return Fraction(self.coef)
 
-    def square(self) -> Fraction:
-        return Fraction(self.coef * self.coef * self.rad)
-
     def __mul__(self, other):
         if isinstance(other, Surd):
-            return Surd(self.coef * other.coef, self.rad * other.rad)
-        return Surd(self.coef * frac(other), self.rad)
+            # squarefree r1*r2 = g^2 * (r1/g)*(r2/g), g = gcd: the cofactors
+            # are coprime and squarefree, so their product is too
+            g = math.gcd(self.rad, other.rad)
+            return Surd.reduced(self.coef * other.coef * g, (self.rad // g) * (other.rad // g))
+        return Surd.reduced(self.coef * (other if type(other) is int else frac(other)), self.rad)
 
     __rmul__ = __mul__
 
@@ -110,10 +121,10 @@ class Surd:
             return self
         if self.rad != other.rad:
             raise MixedRadicand(f"cannot add {self} and {other}")
-        return Surd(self.coef + other.coef, self.rad)
+        return Surd.reduced(self.coef + other.coef, self.rad)
 
     def __neg__(self) -> "Surd":
-        return Surd(-self.coef, self.rad)
+        return Surd.reduced(-self.coef, self.rad)
 
     def __str__(self):
         if self.rad == 1:

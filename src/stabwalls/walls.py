@@ -62,6 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Optional, Union
 
 from .errors import BadCrossSection, DegenerateV, InvariantViolation, NonIntegral, NoWalls
@@ -70,11 +71,10 @@ from .lattice import (
     MukaiVector,
     UNIT,
     beta_data,
-    pairing,
     self_pairing,
 )
 from .charge import StabilityPoint
-from .pell import PellContext, isotropic_pairs, orbit, solve_generator, u_vectors
+from .pell import PellContext, orbit, solve_generator
 from .surd import QnNumber, RatLike, is_perfect_square, sqrt_of_fraction
 
 
@@ -320,26 +320,34 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
 # codimension-0 family and wall sets
 
 
-def _codim0_wall(pell: PellContext, m: int, u: MukaiVector) -> Wall:
-    """C_m for m != 0: the wall of v = (1, 0, -l) that the m-th
-    isotropic vector u = u_m defines, witnessed by u or -u, whichever has
-    <w, v> > 0.  It meets the real axis at the slope abscissae d/r and
-    l*d/a of u = (r, d, a) (see `slope_endpoints`)."""
+def _codim0_shape(
+    pell: PellContext, m: int, u: tuple[int, int, int]
+) -> tuple[IntShape, tuple[int, int, int]]:
+    """The integer shape of C_m for m != 0 and its witness: the wall of
+    v = (1, 0, -l) that the m-th isotropic vector u = u_m defines,
+    witnessed by u or -u, whichever has <w, v> = r*l - a > 0 for
+    w = (r, d, a).  It meets the real axis at the slope abscissae d/r and
+    l*d/a of u (see `slope_endpoints`)."""
     ell = pell.ell
-    w = u if pairing(u, MukaiVector(1, 0, -ell), pell.lattice) > 0 else -u
-    shape = wall_between(pell.n, 1, 0, -ell, w.r, int(w.d), int(w.a))
+    r, d, a = u if u[0] * ell - u[2] > 0 else (-u[0], -u[1], -u[2])
+    shape = wall_between(pell.n, 1, 0, -ell, r, d, a)
     if shape is None:
         raise InvariantViolation(f"(n,l)=({pell.n},{ell}): u_{m} = {u} defines no wall")
-    return Wall(shape_of(shape), w, label=m)
+    return shape, (r, d, a)
 
 
 def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:
-    """The labeled codimension-0 walls C_m: the t-axis for m = 0, otherwise
-    the wall of the m-th isotropic vector u_m (see `_codim0_wall`)."""
-    return [
-        C0 if it.m == 0 else _codim0_wall(pell, it.m, u)
-        for it, u, _ in isotropic_pairs(pell, m_range)
-    ]
+    """The labeled codimension-0 walls C_m for m in m_range, in one orbit
+    walk: the t-axis for m = 0, otherwise the wall of the m-th isotropic
+    vector u_m (see `_codim0_shape`)."""
+    out = []
+    for it in islice(orbit(pell, m_range.start), len(m_range)):
+        if it.m == 0:
+            out.append(C0)
+            continue
+        shape, witness = _codim0_shape(pell, it.m, it.u())
+        out.append(Wall(shape_of(shape), MukaiVector(*witness), label=it.m))
+    return out
 
 
 def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
@@ -355,20 +363,23 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
     C_-k is C_k mirrored in s = 0.  The walk k = 1, 2, ... stops once
     |center(C_k)| < |center(w)|.  It ends: radius^2 > 0 puts |center(w)|
     above sqrt(l/n), the limit of the centers.  The one vertical wall is
-    C_0 (see C0)."""
+    C_0 (see C0).  The walk compares integer shapes, and centers
+    cross-multiplied."""
     if isinstance(w.shape, VLine):
         return 0 if w.shape.s0 == 0 else None
     center, r_sq = w.shape.center, w.shape.radius_sq
     if r_sq <= 0 or r_sq != center * center - Fraction(pell.ell, pell.n):
         return None
+    cn, cd = center.numerator, center.denominator
+    shape = (cn, cd, r_sq.numerator, r_sq.denominator)
+    mirror = (-cn, cd) + shape[2:]
     for it in orbit(pell, 1):
-        u, _ = u_vectors(pell, it)
-        c_k = _codim0_wall(pell, it.m, u)
-        if abs(c_k.shape.center) < abs(center):
+        c_k, _ = _codim0_shape(pell, it.m, it.u())
+        if abs(c_k[0]) * cd < abs(cn) * c_k[1]:
             return None
-        if w.shape == _mirror_wall(c_k).shape:
+        if c_k == mirror:
             return -it.m
-        if w.shape == c_k.shape:
+        if c_k == shape:
             return it.m
 
 
@@ -403,7 +414,15 @@ def wall_set(
     if pell is None:
         found += [_mirror_wall(w) for w in found] + [C0]
     else:
-        found += codim0_walls(pell, range(-1, 1)) + codim0_walls(pell, m_range)
+        # C_-1, C_0 and the C_m of m_range in one walk, or in two when other
+        # labels lie between them
+        walks = [range(-1, 1)]
+        if m_range.start > 1 or m_range.stop < -1:
+            walks.append(m_range)
+        elif m_range:
+            walks = [range(min(m_range.start, -1), max(m_range.stop, 1))]
+        for labels in walks:
+            found += codim0_walls(pell, labels)
     unique: dict[Shape, Wall] = {}
     for w in found:
         unique.setdefault(w.shape, w)

@@ -8,9 +8,10 @@ conjugation of the group into Gamma_0(n) and the dualizing factor
 diag(1, -1); a floating-point alignment scan
 that cross-checks the exact walls; the interval membership test and sheaf
 verdict of the slope intervals I_m and I_m*, the oracle for
-`pell.interval_index` and the `intervals` command; the exact order and
-float view of surds that the cross-checks compare with; and `wall_of`, the
-wall test on rational Mukai vectors.  The tests import
+`pell.interval_index` and the `intervals` command; the exact order,
+square and float view of surds that the cross-checks compare with; the
+difference, negation and scaling of Mukai vectors, which only the tests
+use; and `wall_of`, the wall test on rational Mukai vectors.  The tests import
 this module as they import reference_kernel.
 """
 
@@ -79,6 +80,11 @@ def equal_up_to_sign(x: GMatrix, y: GMatrix) -> bool:
     return x == y or x == GMatrix(-y.a, -y.b, -y.c, -y.d)
 
 
+def surd_square(x: Surd) -> Fraction:
+    """x^2, a rational."""
+    return Fraction(x.coef * x.coef * x.rad)
+
+
 def surd_compare(x: Surd, y: Surd) -> int:
     """Exact three-way comparison of the real values of two surds: by
     sign, then by the squares, whose order flips for negative values."""
@@ -86,8 +92,20 @@ def surd_compare(x: Surd, y: Surd) -> int:
     sy = (y.coef > 0) - (y.coef < 0)
     if sx != sy:
         return (sx > sy) - (sx < sy)
-    a, b = x.square(), y.square()
+    a, b = surd_square(x), surd_square(y)
     return sx * ((a > b) - (a < b))
+
+
+def vec_sub(v: MukaiVector, w: MukaiVector) -> MukaiVector:
+    return MukaiVector(v.r - w.r, v.d - w.d, v.a - w.a)
+
+
+def vec_neg(v: MukaiVector) -> MukaiVector:
+    return MukaiVector(-v.r, -v.d, -v.a)
+
+
+def vec_scale(k: int, v: MukaiVector) -> MukaiVector:
+    return MukaiVector(k * v.r, k * v.d, k * v.a)
 
 
 def surd_float(x: Surd) -> float:
@@ -346,14 +364,14 @@ def charge_compat_check(g: GMatrix, v: MukaiVector, z: QnComplex, ctx: Context) 
     n = ctx.n
     lhs = charge_at_z(v, z, ctx)
     z_img = mobius(g, z, ctx)
-    v_img = -act_on_vector(v, swap_diagonal(g), ctx)
+    v_img = vec_neg(act_on_vector(v, swap_diagonal(g), ctx))
     # (c*z+d)^2 = c^2 z^2 + 2cd z + d^2 with c^2, d^2 rational and cd a
     # rational multiple of sqrt(n): all coefficients live in the field
     cd_coeff = _sqrt_n_multiple(g.c * g.d, n)
     zeta = (
-        (z * z) * g.c.square()
+        (z * z) * surd_square(g.c)
         + z * QnComplex(QnNumber(0, 2 * cd_coeff, n), qn_rat(0, n))
-        + QnComplex(qn_rat(g.d.square(), n), qn_rat(0, n))
+        + QnComplex(qn_rat(surd_square(g.d), n), qn_rat(0, n))
     )
     rhs = zeta * charge_at_z(v_img, z_img, ctx) * -1
     return lhs == rhs
@@ -419,7 +437,7 @@ def _squared_ends(ell: int, a: Surd, b: Surd) -> tuple[Fraction, Optional[Fracti
     gives P_0 = 0 and Q_0 = +inf, returned as None."""
     if a.is_zero():
         return Fraction(0), None
-    big_a, big_b = a.square(), b.square()
+    big_a, big_b = surd_square(a), surd_square(b)
     ba, lab = big_b / big_a, ell * ell * big_a / big_b
     return (ba, lab) if ba < ell else (lab, ba)
 

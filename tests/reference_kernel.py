@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from paper_checks import wall_of
+from paper_checks import vec_sub, wall_of
 from stabwalls.errors import BadCrossSection, DegenerateV, NonIntegral
 from stabwalls.lattice import Context, MukaiVector, beta_data, pairing, self_pairing
 from stabwalls.surd import RatLike, divisors
@@ -55,7 +55,7 @@ def reference_wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Opt
     vv = self_pairing(v, ctx)
     if vv <= 0:
         raise DegenerateV(f"<v^2> = {vv} <= 0")
-    rest = v - v1
+    rest = vec_sub(v, v1)
     if self_pairing(v1, ctx) < 0 or self_pairing(rest, ctx) < 0:
         return None
     if pairing(v1, rest, ctx) <= 0:

@@ -10,7 +10,8 @@ makes it slow for l with a large fundamental unit (l = 61, 94, 109, ...),
 so tests feed it small cases.  It keeps its own copy of the Pell matrix
 class P(x, y) = (y, l*x; x, y) that the package has since folded into
 `pell.GMatrix`, so the reference shares no matrix product with the code
-it checks; its contexts carry a `PellMatrix` generator and torsion.
+it checks; its contexts carry a `PellMatrix` generator and torsion, and
+its iterates are its own `Iterate` record of two surds.
 
 The slope-interval block at the end (`_Endpoint` through `interval_index`)
 is the earlier interval code, also kept verbatim: surd endpoints with a
@@ -31,11 +32,20 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from stabwalls.errors import AccumulationPoint, IntegralityViolation, InvariantViolation, SquareCase
-from paper_checks import surd_compare, surd_float
-from stabwalls.pell import Iterate, PellContext
+from paper_checks import surd_compare, surd_float, surd_square
+from stabwalls.pell import PellContext
 from stabwalls.surd import Surd, divisors, is_perfect_square
 
 _MAX_BRUTE = 10**6
+
+
+@dataclass(frozen=True)
+class Iterate:
+    """(a_m, b_m) as surds."""
+
+    m: int
+    a: Surd
+    b: Surd
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,7 @@ class PellMatrix:
     ell: int
 
     def norm(self) -> Fraction:
-        return self.y.square() - self.ell * self.x.square()
+        return surd_square(self.y) - self.ell * surd_square(self.x)
 
     def __mul__(self, other: "PellMatrix") -> "PellMatrix":
         if self.ell != other.ell:
@@ -63,7 +73,7 @@ class PellMatrix:
 def _unit_value_squared(g: PellMatrix) -> tuple[Fraction, Fraction]:
     """(y + x*sqrt(l))^2 = (y^2 + l*x^2) + 2*x*y*sqrt(l*n)-ish;
     returns (rational part, coefficient of sqrt(x.rad*y.rad*l))."""
-    u = g.y.square() + g.ell * g.x.square()
+    u = surd_square(g.y) + g.ell * surd_square(g.x)
     w = 2 * g.x.coef * g.y.coef
     return u, w
 
@@ -323,7 +333,7 @@ def interval_index(pell: PellContext, lam: Fraction) -> dict:
     whether lam is interior (in both the interval and its right-closed twin)."""
     lam = Fraction(lam)
     lam_s = Surd(lam)
-    if lam_s.square() == pell.ell and lam_s.rad == 1:
+    if surd_square(lam_s) == pell.ell and lam_s.rad == 1:
         raise AccumulationPoint(f"lambda^2 = {pell.ell}")
     # probe m = 1, 0, 2, -1, 3, -2, ...; the intervals partition the line
     # minus +-sqrt(l), so some I_m holds lam and the probe ends

@@ -20,6 +20,10 @@ from paper_checks import (
     psi_apply_to_wall,
     psi_map,
     surd_float,
+    surd_square,
+    vec_neg,
+    vec_scale,
+    vec_sub,
     wall_of,
 )
 from stabwalls.fmgroup import (
@@ -71,7 +75,7 @@ def test_criterion_1_pell_goldens():
         for a in range(1, 11):
             for b in range(0, 11):
                 x, y = Surd(a, r), Surd(b, s)
-                if y.square() - x.square() in (1, -1):
+                if surd_square(y) - surd_square(x) in (1, -1):
                     phi = surd_float(y) + surd_float(x)
                     if phi > 1 and (best is None or phi < best[0]):
                         best = (phi, x, y)
@@ -148,7 +152,7 @@ def test_criterion_4_lattice_properties():
             u, u_prime = u_vectors(pc, iterate(pc, m))
             assert self_pairing(u, ctx) == 0 and self_pairing(u_prime, ctx) == 0
             assert pairing(u, u_prime, ctx) == -1
-            assert u.scale(ell) - u_prime in (target, -target)
+            assert vec_sub(vec_scale(ell, u), u_prime) in (target, vec_neg(target))
     _report(4, "10^3 isometry/twist/action cases and u_m identities for six (n,l) pairs")
 
 
@@ -297,7 +301,7 @@ def test_criterion_7_interval_machinery():
         prev = None
         for m in range(1, 11):
             it = iterate(pc, m)
-            dist = abs(it.b.square() / it.a.square() - ell)
+            dist = abs(surd_square(it.b) / surd_square(it.a) - ell)
             if prev is not None:
                 assert dist < prev
             prev = dist

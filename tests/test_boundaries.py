@@ -5,6 +5,8 @@ names the benchmark traces."""
 import ast
 import graphlib
 import importlib
+import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -195,22 +197,20 @@ def test_every_function_serves_a_command(tmp_path, capsys):
 
 
 def test_bench_traced_names_resolve():
-    """Every TRACED name and MODULES entry of bench/spans.py exists in the
-    package, so a traced benchmark run can wrap it."""
-    names = {}
-    for node in ast.parse(BENCH_SPANS.read_text()).body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id in ("TRACED", "MODULES"):
-                names[target.id] = ast.literal_eval(node.value)
-    assert set(names) == {"TRACED", "MODULES"}
-    for module in names["MODULES"]:
-        importlib.import_module(f"stabwalls.{module}")
+    """Every TRACED name of bench/spans.py is a function of the package,
+    defined in the MODULES entry it names, so a traced benchmark run can
+    wrap it: a refactor that drops or moves one fails here, not only in
+    the traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
     unresolved = []
-    for dotted in names["TRACED"]:
+    for dotted in spans.TRACED:
         module, attr = dotted.split(".")
-        if module not in names["MODULES"] or not callable(
-            getattr(importlib.import_module(f"stabwalls.{module}"), attr, None)
-        ):
+        fn = getattr(importlib.import_module(f"stabwalls.{module}"), attr, None)
+        defined_there = inspect.isfunction(fn) and fn.__module__ == f"stabwalls.{module}"
+        if module not in spans.MODULES or not defined_there:
             unresolved.append(dotted)
     assert unresolved == []
+    for module in spans.MODULES:
+        importlib.import_module(f"stabwalls.{module}")

@@ -10,6 +10,7 @@ from paper_checks import (
     charge,
     phase,
     phase_window,
+    vec_neg,
     wall_of,
 )
 from stabwalls.charge import StabilityPoint
@@ -60,7 +61,7 @@ def test_phase_range_and_negation():
         except ZeroCharge:
             continue
         assert -1 < p <= 1
-        q = phase(-v, pt, C1)
+        q = phase(vec_neg(v), pt, C1)
         diff = (p - q) % 2
         assert min(abs(diff - 1), abs(diff + 1), abs(diff)) < 1e-12 or abs(diff - 1) < 1e-12
 

@@ -17,7 +17,9 @@ from paper_checks import (
     psi_apply_to_wall,
     psi_map,
     qnc_rat,
+    surd_square,
     swap_diagonal,
+    vec_neg,
 )
 from stabwalls.errors import NotInGHat
 from stabwalls.fmgroup import (
@@ -208,12 +210,12 @@ def test_charge_compat_negative_control():
     v, z = MukaiVector(1, 2, -1), qnc_rat(F(1, 2), F(3, 2), 1)
     lhs = charge_at_z(v, z, C1)
     z_img = mobius(g, z, C1)
-    wrong = -act_on_vector(v, dual_flip(g), C1)
+    wrong = vec_neg(act_on_vector(v, dual_flip(g), C1))
     cd = (g.c * g.d).as_fraction()
     zeta = (
-        (z * z) * g.c.square()
+        (z * z) * surd_square(g.c)
         + z * QnComplex(QnNumber(2 * cd, 0, 1), QnNumber(0, 0, 1))
-        + qnc_rat(g.d.square(), 0, 1)
+        + qnc_rat(surd_square(g.d), 0, 1)
     )
     assert lhs != zeta * charge_at_z(wrong, z_img, C1) * -1
 

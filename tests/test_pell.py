@@ -7,7 +7,15 @@ from itertools import islice
 import pytest
 
 import reference_pell
-from paper_checks import in_interval, sheaf_verdict, surd_float
+from paper_checks import (
+    in_interval,
+    sheaf_verdict,
+    surd_float,
+    surd_square,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+)
 from stabwalls.errors import AccumulationPoint, SquareCase
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing, self_pairing
 from stabwalls.pell import (
@@ -52,7 +60,7 @@ def test_generator_2_1_against_small_brute_force():
         for a in range(1, 11):
             for b in range(0, 11):
                 x, y = Surd(a, r), Surd(b, s)
-                if y.square() - x.square() in (1, -1):
+                if surd_square(y) - surd_square(x) in (1, -1):
                     phi = surd_float(y) + surd_float(x)
                     if phi > 1 and (best is None or phi < best[0]):
                         best = (phi, x, y)
@@ -89,7 +97,8 @@ def test_generator_matches_reference():
         ref_torsion = None if ref.torsion is None else (ref.torsion.x, ref.torsion.y)
         assert (pc.epsilon, torsion) == (ref.epsilon, ref_torsion), (n, ell)
         for m in range(-6, 7):
-            assert iterate(pc, m) == reference_pell.iterate(ref, m), (n, ell, m)
+            it, ref_it = iterate(pc, m), reference_pell.iterate(ref, m)
+            assert (it.m, it.a, it.b) == (ref_it.m, ref_it.a, ref_it.b), (n, ell, m)
 
 
 def test_generator_matches_sympy_diop_dn():
@@ -155,6 +164,39 @@ def test_orbit_walks_the_powers():
     assert eps_seen == {1, -1}
 
 
+def test_integer_orbit_matches_the_surd_products():
+    """For every non-square (n <= 12, l < 40) and m in -12..12, walked from
+    m = -12: the integer iterate is the bottom row of generator.power(m) as
+    surds; u_vectors is the surd-product formula (a_m^2,
+    a_m*b_m*sqrt(n)/n, b_m^2) with u_m' = (b_m^2, l*d, l^2*a_m^2); and the
+    radicand pair repeats with the parity of m, the odd one being the
+    generator's (x, y) radicands and the even one (r*s, 1)."""
+    cases = [
+        (n, ell) for n in range(1, 13) for ell in range(1, 40) if not is_perfect_square(n * ell)
+    ]
+    assert len(cases) == 428 and {(2, 1), (3, 1), (6, 1)} <= set(cases)
+    eps_seen, ns_seen = set(), set()
+    for n, ell in cases:
+        pc = solve_generator(n, ell)
+        eps_seen.add(pc.epsilon)
+        ns_seen.add(n)
+        walked = list(islice(orbit(pc, -12), 25))
+        assert [it.m for it in walked] == list(range(-12, 13))
+        for it in walked:
+            power = pc.generator.power(it.m)
+            a, b = power.c, power.d
+            assert (it.a, it.b) == (a, b), (n, ell, it.m)
+            scaled = a * b * Surd(1, n)
+            assert scaled.is_rational(), (n, ell, it.m)
+            u = MukaiVector(surd_square(a), scaled.as_fraction() / n, surd_square(b))
+            u_prime = MukaiVector(u.a, ell * u.d, ell * ell * u.r)
+            assert u_vectors(pc, it) == (u, u_prime), (n, ell, it.m)
+        r, s = pc.generator.c.rad, pc.generator.d.rad
+        for it in walked:
+            assert (it.rho, it.sigma) == ((r, s) if it.m % 2 else (r * s, 1)), (n, ell, it.m)
+    assert eps_seen == {1, -1} and {4, 8, 9, 12} <= ns_seen
+
+
 # -- isotropic pairs ----------------------------------------------------------
 
 
@@ -178,8 +220,8 @@ def test_u_vector_invariants():
             assert self_pairing(u, ctx) == 0
             assert self_pairing(u_prime, ctx) == 0
             assert pairing(u, u_prime, ctx) == -1
-            combo = u.scale(ell) - u_prime
-            assert combo == v or combo == -v
+            combo = vec_sub(vec_scale(ell, u), u_prime)
+            assert combo == v or combo == vec_neg(v)
 
 
 def test_slope_endpoints_are_rational_and_match_circles():
@@ -201,11 +243,11 @@ def test_accumulation_monotonicity():
             # slope in the lambda coordinate: b_m/a_m, a surd; compare
             # (b_m/a_m)^2 vs l exactly through  (b^2 - l a^2) / a^2 = eps^m/a^2
             gap_num = abs(pc.epsilon**m)  # |b^2 s - l a^2 r| = 1
-            gap_den = it.a.square()
+            gap_den = surd_square(it.a)
             # |slope - sqrt(l)| = 1/(a_m^2 |slope + sqrt(l)|): strictly
             # decreasing iff a_m^2*(slope+sqrt(l)) increases; assert the
             # squared distance falls
-            slope_sq = it.b.square() / it.a.square()
+            slope_sq = surd_square(it.b) / surd_square(it.a)
             dist = abs(slope_sq - ell)  # = 1/a_m^2
             if prev is not None:
                 assert dist < prev
@@ -222,12 +264,12 @@ def test_numerical_solution_examples():
     assert u_m1 in sols
     s = sols[u_m1]
     assert (s.l1, s.l2) == (2, 1)
-    assert s.v1.scale(2) - s.v2 in (MukaiVector(1, 0, -2), -MukaiVector(1, 0, -2))
+    assert vec_sub(vec_scale(2, s.v1), s.v2) in (MukaiVector(1, 0, -2), MukaiVector(-1, 0, 2))
     pc5 = solve_generator(1, 5)
     s5 = {s.v1: s for s in numerical_solutions(pc5, isotropic_pairs(pc5, range(-1, 0)))}
     s5 = s5[MukaiVector(1, -2, 4)]
     assert s5.v2 == MukaiVector(4, -10, 25)
-    assert s5.v1.scale(5) - s5.v2 == MukaiVector(1, 0, -5)
+    assert vec_sub(vec_scale(5, s5.v1), s5.v2) == MukaiVector(1, 0, -5)
     m0 = [s for s in numerical_solutions(pc2, isotropic_pairs(pc2, range(0, 1)))][0]
     assert (m0.v1, m0.v2, m0.l1, m0.l2) == (UNIT, RHO, 1, 2)
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from paper_checks import delta_matrix, wall_of
+from paper_checks import delta_matrix, vec_neg, vec_sub, wall_of
 from reference_kernel import proportional, reference_wall_between
 from stabwalls import walls as walls_mod
 from stabwalls.charge import StabilityPoint
@@ -58,7 +58,7 @@ def test_wall_between_rank_zero_v():
 def test_empty_circle_returns_none():
     # numeric conditions hold but the locus is empty (radius^2 <= 0)
     v, v1 = MukaiVector(-3, -3, -2), MukaiVector(0, -1, -1)
-    rest = v - v1
+    rest = vec_sub(v, v1)
     assert self_pairing(v1, C1) >= 0
     assert self_pairing(rest, C1) >= 0
     assert pairing(v1, rest, C1) > 0
@@ -67,7 +67,7 @@ def test_empty_circle_returns_none():
 
 def test_proportional_witness_returns_none():
     v, v1 = MukaiVector(2, 2, 0), MukaiVector(1, 1, 0)
-    assert pairing(v1, v - v1, C1) > 0  # conditions hold, but v1 in Q*v
+    assert pairing(v1, vec_sub(v, v1), C1) > 0  # conditions hold, but v1 in Q*v
     assert wall_of(v, v1, C1) is None
 
 
@@ -79,7 +79,7 @@ def _wall_between_outcome(v, v1, ctx):
         w = reference_wall_between(v, v1, ctx)
     except DegenerateV as exc:
         return ("raise", type(exc), str(exc)), "<v^2> <= 0"
-    rest = v - v1
+    rest = vec_sub(v, v1)
     if self_pairing(v1, ctx) < 0:
         rule = "<v1^2> < 0"
     elif self_pairing(rest, ctx) < 0:
@@ -329,6 +329,32 @@ def test_fundamental_walls_square_case():
     assert cross_section(1, 4) == (F(-2), None)
 
 
+def test_wall_set_walks_its_labels_once(monkeypatch):
+    """wall_set builds C_-1, C_0 and the C_m of m_range in one orbit walk
+    when the labels are consecutive, in two when other labels lie between
+    them, and labels exactly {-1, 0} and m_range."""
+    starts = []
+    orbit = walls_mod.orbit
+
+    def counted(pell, m):
+        starts.append(m)
+        return orbit(pell, m)
+
+    monkeypatch.setattr(walls_mod, "orbit", counted)
+    for m_range, walks in [
+        (range(0), [-1]),
+        (range(-2, 3), [-2]),
+        (range(1, 3), [-1]),
+        (range(-5, -1), [-5]),
+        (range(2, 4), [-1, 2]),
+        (range(-5, -2), [-1, -5]),
+    ]:
+        starts.clear()
+        found, _, _ = wall_set(2, 3, m_range)
+        assert starts == walks, m_range
+        assert sorted(w.label for w in found if w.codim0) == sorted({-1, 0} | set(m_range))
+
+
 def test_codim0_walls_goldens():
     pc2 = solve_generator(1, 2)
     walls = {w.label: w.shape for w in codim0_walls(pc2, range(-1, 1))}
@@ -360,7 +386,7 @@ def test_codim0_walls_match_the_slope_endpoint_circles():
                 circle = Circle((lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2)
                 assert w.shape == circle, (n, ell, w)
                 u, _ = u_vectors(pc, it)
-                assert w.witness in (u, -u), (n, ell, w)
+                assert w.witness in (u, vec_neg(u)), (n, ell, w)
                 assert pairing(w.witness, v, ctx) == 1, (n, ell, w)
                 checked += 1
     assert checked == 1848
@@ -452,8 +478,8 @@ def test_isometry_transport_of_wall_conditions():
         # pairing conditions hold; compare the pairing conditions directly
         cond = lambda a, b: (
             self_pairing(b, C1) >= 0
-            and self_pairing(a - b, C1) >= 0
-            and pairing(b, a - b, C1) > 0
+            and self_pairing(vec_sub(a, b), C1) >= 0
+            and pairing(b, vec_sub(a, b), C1) > 0
         )
         assert cond(v, u) == cond(vi, ui)
         checked += 1
