@@ -7,9 +7,11 @@ for the same grammar read the CLI input flags.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
+from .errors import NotInGHat
 from .lattice import MukaiVector
 from .pell import GMatrix, NumericalSolution
 from .surd import QnComplex, QnNumber, RatLike, Surd
@@ -36,16 +38,36 @@ _SURD_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*(?:\*\s*sqrt\(\s*(\d+)\s*\))?\s*$
 _BARE_SQRT_RE = re.compile(r"^\s*(-?)sqrt\(\s*(\d+)\s*\)\s*$")
 
 
-def parse_surd(text: str) -> Surd:
+def parse_surd(text: str, n: int) -> Surd:
+    """A surd literal that can be an entry of a group matrix for n.
+
+    Such a radicand m has a squarefree part dividing n: exactly when the
+    part of m prime to n is a square.  The test strips the primes of n
+    from m by gcds and checks the rest with isqrt, so m itself is never
+    trial-divided, and a large m cannot stall the parse.  Other radicands
+    raise NotInGHat; a zero coefficient makes the entry 0 whatever m is."""
     m = _BARE_SQRT_RE.match(text)
     if m:
-        return Surd(-1 if m.group(1) else 1, int(m.group(2)))
-    m = _SURD_RE.match(text)
-    if not m:
-        raise ValueError(f"bad surd literal {text!r} (want INT, p/q, or q*sqrt(m))")
-    coef = Fraction(m.group(1))
-    rad = int(m.group(2)) if m.group(2) else 1
-    return Surd(coef, rad)
+        coef, rad = Fraction(-1 if m.group(1) else 1), int(m.group(2))
+    else:
+        m = _SURD_RE.match(text)
+        if not m:
+            raise ValueError(f"bad surd literal {text!r} (want INT, p/q, or q*sqrt(m))")
+        coef = Fraction(m.group(1))
+        rad = int(m.group(2)) if m.group(2) else 1
+    if rad < 1:
+        raise ValueError("radicand must be positive")
+    if coef == 0:
+        return Surd(0)
+    rest = rad
+    while (g := math.gcd(rest, n)) > 1:
+        rest //= g
+    root = math.isqrt(rest)
+    if root * root != rest:
+        raise NotInGHat(
+            f"sqrt({rad}) is in no group matrix for n = {n}: its squarefree part does not divide n"
+        )
+    return Surd(coef * root, rad // rest)
 
 
 def vector_str(v: MukaiVector) -> str:
@@ -159,8 +181,9 @@ def parse_qnc(text: str, n: int) -> QnComplex:
     return QnComplex(parse_qn(re_part, n), parse_qn(im_part, n))
 
 
-def parse_gmatrix_text(text: str) -> GMatrix:
-    """Matrix literal "a,b;c,d" with surd entries."""
+def parse_gmatrix_text(text: str, n: int) -> GMatrix:
+    """Matrix literal "a,b;c,d" with surd entries fit for the group of n
+    (see `parse_surd`)."""
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise ValueError("matrix literal needs two ';'-separated rows")
@@ -169,7 +192,7 @@ def parse_gmatrix_text(text: str) -> GMatrix:
         parts = row.split(",")
         if len(parts) != 2:
             raise ValueError("each matrix row needs two ','-separated entries")
-        entries.extend(parse_surd(p) for p in parts)
+        entries.extend(parse_surd(p, n) for p in parts)
     return GMatrix(*entries)
 
 

@@ -12,8 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .jsonio import frac_str
-from .surd import sqrt_of_fraction
-from .walls import VLine, Wall, sort_walls
+from .walls import VLine, Wall, rational_key, sort_walls
 
 _SCALE = 120  # pixels per unit
 _MARGIN = 40
@@ -22,16 +21,15 @@ _PREC = 3
 
 def _fmt(x: Fraction) -> str:
     """Fixed-precision decimal of an exact rational (round half away from
-    zero, deterministic)."""
-    scaled = x * 10**_PREC
-    num = scaled.numerator
-    den = scaled.denominator
+    zero, deterministic).  Computed on num * 10^_PREC and den as they are:
+    the quotient and the half test do not need lowest terms."""
+    num = x.numerator * 10**_PREC
+    den = x.denominator
     q, r = divmod(abs(num), den)
     if 2 * r >= den:
         q += 1
     text = f"{q:0{_PREC + 1}d}"
-    out = ("-" if num < 0 else "") + text[:-_PREC] + "." + text[-_PREC:]
-    return out
+    return ("-" if num < 0 else "") + text[:-_PREC] + "." + text[-_PREC:]
 
 
 class _Canvas:
@@ -48,9 +46,9 @@ class _Canvas:
 
 
 def _sqrt_approx(x: Fraction, digits: int = 9) -> Fraction:
-    """Rational lower approximation of sqrt(x) via integer isqrt."""
+    """Rational lower approximation of sqrt(x >= 0) via integer isqrt."""
     scale = 10**digits
-    return Fraction(math.isqrt(int(x * scale * scale)), scale)
+    return Fraction(math.isqrt(x.numerator * scale * scale // x.denominator), scale)
 
 
 def render(
@@ -112,13 +110,16 @@ def render(
             f'r="{_fmt(radius * _SCALE)}" fill="none" stroke="{_color(w)}" '
             f'stroke-width="1.5" clip-path="url(#win)"/>'
         )
-        rt = sqrt_of_fraction(w.shape.radius_sq)
-        if rt.is_rational():
-            ticks.extend([w.shape.center - rt.as_fraction(), w.shape.center + rt.as_fraction()])
+        # sqrt(p/q) in lowest terms is rational iff p and q are squares
+        p, q = w.shape.radius_sq.numerator, w.shape.radius_sq.denominator
+        rp, rq = math.isqrt(p), math.isqrt(q)
+        if rp * rp == p and rq * rq == q:
+            rt = Fraction(rp, rq)
+            ticks.extend([w.shape.center - rt, w.shape.center + rt])
         else:
             ticks.append(w.shape.center)
     parts.extend(body)
-    for tick in sorted(set(t for t in ticks if s_min <= t <= s_max)):
+    for tick in sorted({t for t in ticks if s_min <= t <= s_max}, key=rational_key):
         xt = cv.x(tick)
         parts.append(
             f'<line x1="{_fmt(xt)}" y1="{_fmt(y0 - 4)}" x2="{_fmt(xt)}" '

@@ -118,13 +118,28 @@ class Wall:
 C0 = Wall(VLine(Fraction(0)), UNIT, label=0)
 
 
-def _shape_sort_key(shape: Shape):
+def rational_key(x: Fraction) -> tuple[int, Fraction]:
+    """(floor(x * 2^64), x), which orders exactly as x: the floor is
+    monotone and x breaks its ties.  Two keys compare on ints alone unless
+    their values lie within 2^-64 of each other."""
+    return ((x.numerator << 64) // x.denominator, x)
+
+
+def _shape_sort_key(shape: Shape) -> tuple:
     if isinstance(shape, VLine):
-        return (0, shape.s0, Fraction(0))
-    return (1, shape.center, shape.radius_sq)
+        return (0, *rational_key(shape.s0), 0)
+    return (1, *rational_key(shape.center), shape.radius_sq)
 
 
 def sort_walls(walls: Iterable[Wall]) -> list[Wall]:
+    """Vertical lines by abscissa, then circles by center and radius^2.
+
+    The key (kind, floor(x * 2^64), x, y), x the abscissa or center and y
+    the radius^2 (0 for a line), orders exactly as (kind, x, y) does (see
+    `rational_key`), but most comparisons run on ints instead of Fractions.
+    The Fractions decide only between centers within 2^-64 of each other,
+    such as the equal centers of concentric rank-0 walls, where the
+    radius^2 decides."""
     return sorted(walls, key=lambda w: _shape_sort_key(w.shape))
 
 

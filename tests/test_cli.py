@@ -3,17 +3,22 @@ import io
 import json
 import math
 import random
+import signal
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from paper_checks import sheaf_verdict
 from stabwalls import walls as walls_mod
-from stabwalls.cli import build_parser, main
-from stabwalls.jsonio import frac_str
+from stabwalls.cli import _emit, build_parser, main
+from stabwalls.errors import NotInGHat
+from stabwalls.jsonio import frac_str, parse_surd
 from stabwalls.lattice import Context, MukaiVector
 from stabwalls.pell import iterate, slope_endpoints, solve_generator
+from stabwalls.surd import Surd, squarefree_decompose
 from stabwalls.walls import cross_section
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -131,6 +136,88 @@ def test_act_and_mobius(capsys):
         capsys, "mobius", "--n", "2", "--g", "1*sqrt(2),1;1,1*sqrt(2)", "--z", "1/2+1*i"
     )
     assert code == 0
+
+
+def test_huge_foreign_radicand_is_rejected_at_once(capsys):
+    """A --g radicand whose squarefree part does not divide n is in no
+    group matrix: exit 2 at once, without factoring the radicand (trial
+    division of this prime would run for hours)."""
+    g = "--g=sqrt(1000000000000000003),0;0,1"
+
+    def overdue(signum, frame):
+        raise TimeoutError("--g parse still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(5)
+    try:
+        for argv in (["act", "--n", "1", g, "--v=1,0,0"], ["mobius", "--n", "1", g, "--z=0+1*i"]):
+            t0 = time.perf_counter()
+            code, data = run(capsys, *argv)
+            assert time.perf_counter() - t0 < 1, argv
+            assert code == 2 and data["error"]["type"] == "NotInGHat", argv
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_parse_surd_is_the_surd_on_group_radicands():
+    """parse_surd gives the canonical Surd of coef*sqrt(m) when the
+    squarefree part of m divides n, and raises NotInGHat otherwise; a
+    zero coefficient is 0 whatever the radicand."""
+    for n in range(1, 13):
+        for rad in range(1, 121):
+            fits = n % squarefree_decompose(rad)[1] == 0
+            for text, coef in ((f"-3/2*sqrt({rad})", F(-3, 2)), (f"sqrt({rad})", 1)):
+                if fits:
+                    assert parse_surd(text, n) == Surd(coef, rad), (text, n)
+                else:
+                    with pytest.raises(NotInGHat):
+                        parse_surd(text, n)
+            assert parse_surd(f"0*sqrt({rad})", n) == Surd(0)
+    with pytest.raises(ValueError, match="radicand must be positive"):
+        parse_surd("sqrt(0)", 2)
+
+
+def emitted(payload) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(payload)
+    return buf.getvalue()
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64).flatmap(lambda k: st.sampled_from([k, -k]))
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(JSON_VALUES)
+@example({"b": [True, False, None, 0, 1, -1], "": [], "a": {}, "\u00e9": "\x00\x1f\n\"\U0001f600"})
+@example([2**64 + 1, -(2**64) - 1, -(2**100), 2**200, True, 1, False, 0])
+@example({"z": {"y": [{"x": []}], "\t": "\u2028"}, "a": [[], {}, [{}]]})
+def test_emit_matches_json_dumps(payload):
+    """_emit prints exactly json.dumps(indent=2, sort_keys=True) and a
+    newline: sorted keys, bools as true/false and not as ints, escaped
+    control and non-ASCII characters, empty containers, huge ints."""
+    assert emitted(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_rejects_values_outside_the_payload_types():
+    """Only dict (str keys), list, str, int, bool and None are written;
+    anything else raises TypeError, also an int key, a float or a tuple,
+    which json.dumps would convert."""
+    for payload in ({"x": F(1, 2)}, [F(3)], {1: "a"}, {"a": {2: "b"}}, 0.5, (1, 2)):
+        with pytest.raises(TypeError):
+            emitted(payload)
 
 
 def test_wmax(capsys):

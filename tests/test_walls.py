@@ -21,6 +21,8 @@ from stabwalls.walls import (
     cross_section,
     enumerate_walls_on_line,
     is_codim0,
+    rational_key,
+    sort_walls,
     w_max_report,
     wall_set,
 )
@@ -553,3 +555,34 @@ def test_w_max_errors():
 
     with pytest.raises(NoWalls):
         w_max_report([Wall(VLine(F(0)), UNIT)])
+
+
+def _plain_key(w: Wall) -> tuple:
+    if isinstance(w.shape, VLine):
+        return (0, w.shape.s0, F(0))
+    return (1, w.shape.center, w.shape.radius_sq)
+
+
+def test_sort_walls_is_the_exact_fraction_order():
+    """sort_walls orders as a plain (kind, Fraction, Fraction) sort, also
+    where the integer prefix floor(x * 2^64) ties: centers and abscissae
+    within 2^-64 of each other, the radius^2 ordered against the center,
+    and concentric rank-0 walls, whose equal centers leave the radius^2 to
+    decide."""
+    tiny = F(1, 2**70)
+    close = [F(1, 3) + k * tiny for k in (-2, -1, 0, 1, 2)] + [F(-5, 7) + k * tiny for k in (0, 1)]
+    assert len({rational_key(c)[0] for c in close[:5]}) == 1
+    walls = [Wall(VLine(c), UNIT) for c in close]
+    # the radius^2 falls as the center rises: no key without the exact
+    # center can order these
+    walls += [Wall(Circle(c, F(9) - k * tiny), UNIT) for k, c in enumerate(close)]
+    rank0 = enumerate_walls_on_line(MukaiVector(0, 4, 3), F(1, 3), C1)
+    assert len({w.shape.center for w in rank0}) == 1 < len(rank0)
+    walls += rank0 + wall_set(1, 100, range(-3, 4))[0] + wall_set(2, 50)[0]
+    expected = sorted(walls, key=_plain_key)
+    rng = random.Random(18)
+    for _ in range(5):
+        rng.shuffle(walls)
+        assert sort_walls(walls) == expected
+        rng.shuffle(close)
+        assert sorted(close, key=rational_key) == sorted(close)
