@@ -18,11 +18,6 @@ class InvariantViolation(StabwallsError):
     pass
 
 
-class MixedRadicand(InvariantViolation):
-    """Sum of two pure surds with different radicands: the group pattern
-    guarantees every entry stays a single term, so this is a bug upstream."""
-
-
 class UsageError(PreconditionError):
     """A command line that argparse rejects."""
 

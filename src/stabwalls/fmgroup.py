@@ -7,121 +7,120 @@ symmetric-matrix embedding (right action g: M -> gT M g) and on the
 half-plane by Moebius transformations, of z for determinant +1 and of
 conj(z) for the contravariant elements (determinant -1).
 
+Both actions run on integers, on the `Member` form of g: no surd is
+multiplied.
+
 The paper's statements about these actions (the charge compatibility of
 the transforms, the wall-swapping transforms and how they move the labeled
 walls, the transformed half-plane and the conjugation into Gamma_0(n)) are
-checked by the test suite, in tests/paper_checks.py.
+checked by the test suite, in tests/paper_checks.py, against the surd
+products the integer forms replace.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional
+import math
+from typing import NamedTuple, Optional
 
-from .errors import IntegralityViolation, LowerHalfPlane, NonIntegral, NotInGHat
+from .errors import LowerHalfPlane, NonIntegral, NotInGHat
 from .lattice import Context, MukaiVector
 from .pell import GMatrix
-from .surd import QnComplex, QnNumber, Surd, is_perfect_square, qn_rat
+from .surd import QnComplex, QnNumber, qn_rat
 
 
-def g_membership(m: GMatrix, ctx: Context) -> Optional[int]:
-    """Determinant (+-1) when m has the group pattern for n, else None."""
+class Member(NamedTuple):
+    """The group element (a*sqrt(r), b*sqrt(s); c*sqrt(s), d*sqrt(r)) on
+    integers, n = k^2*r*s, with its determinant.  A zero diagonal fits any
+    radicand; it takes the one that makes r*s = n, with k = 1."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    r: int
+    s: int
+    k: int
+    det: int
+
+
+def g_membership(g: GMatrix, ctx: Context) -> Optional[Member]:
+    """g as a `Member` when it is in the group for n, else None.
+
+    The canonical entries must be integral, each diagonal must have one
+    radicand, and the determinant must be +-1.  The group pattern also
+    asks for radicands r*t^2 and s*u^2 that multiply to n, so that the
+    canonical coefficients of each diagonal are multiples of t and u.
+    With both diagonals nonzero, that is n = k^2*r*s and k = t*u with
+    t | gcd(a, d) and u | gcd(b, c), which holds exactly when
+    k | gcd(a, d)*gcd(b, c) (take t = gcd(k, gcd(a, d)), prime by prime).
+    A zero diagonal leaves its radicand free: the other must divide n."""
     n = ctx.n
-
-    def shared_rad(*entries: Surd) -> Optional[int]:
-        rads = {e.rad for e in entries if not e.is_zero()}
-        if len(rads) > 1:
-            return -1
-        return rads.pop() if rads else None
-
-    r = shared_rad(m.a, m.d)
-    s = shared_rad(m.b, m.c)
-    if r == -1 or s == -1:
+    entries = (g.a, g.b, g.c, g.d)
+    if any(e.coef.denominator != 1 for e in entries):
         return None
-    if r is None and s is None:
-        return None
-    for e in (m.a, m.b, m.c, m.d):
-        if e.coef.denominator != 1:
+    rads = []
+    for diagonal in ((g.a, g.d), (g.b, g.c)):
+        found = {e.rad for e in diagonal if e.coef}
+        if len(found) > 1:
             return None
-    # canonical radicands satisfy r*s*(square) = n; a radicand left free by
-    # zero entries only needs to divide n
-    if r is not None and s is not None:
-        if n % (r * s) or not is_perfect_square(n // (r * s)):
+        rads.append(found.pop() if found else None)
+    r, s = rads
+    a, b, c, d = (e.coef for e in entries)
+    if r is None or s is None:
+        known = s if r is None else r
+        if known is None or n % known:
             return None
-    elif n % (r if r is not None else s):
-        return None
-    try:
-        det = m.det()
-    except NotInGHat:
-        return None
-    return int(det) if det in (1, -1) else None
+        r, s, k = (n // s, s, 1) if r is None else (r, n // r, 1)
+    else:
+        k = math.isqrt(n // (r * s))
+        if k * k * r * s != n or math.gcd(a, d) * math.gcd(b, c) % k:
+            return None
+    det = g.det()  # a*d*r - b*c*s
+    return Member(a, b, c, d, r, s, k, det) if det in (1, -1) else None
 
 
-def require_member(m: GMatrix, ctx: Context) -> int:
-    parity = g_membership(m, ctx)
-    if parity is None:
-        raise NotInGHat(f"{m} is not in the group for n = {ctx.n}")
-    return parity
+def require_member(g: GMatrix, ctx: Context) -> Member:
+    member = g_membership(g, ctx)
+    if member is None:
+        raise NotInGHat(f"{g} is not in the group for n = {ctx.n}")
+    return member
 
 
 def act_on_vector(v: MukaiVector, g: GMatrix, ctx: Context) -> MukaiVector:
-    """Right action v -> iota^{-1}(gT iota(v) g); preserves the pairing and
-    must return a lattice point (failure flags an invalid g)."""
+    """Right action v -> iota^{-1}(gT iota(v) g), with iota(r, d, a) =
+    (r, d*sqrt(n); d*sqrt(n), a); preserves the pairing.
+
+    The closed form of gT M g uses sqrt(n)*sqrt(r*s) = k*r*s and
+    sqrt(r*s) = sqrt(n)/k.  Its off-diagonal entry is d'*sqrt(n) with
+    d' = (v_r*a*b + v_a*c*d)/k + v_d*(a*d*r + b*c*s), and k divides both
+    a*b and c*d, since k = t*u with t | gcd(a, d) and u | gcd(b, c)."""
     if not v.is_integral:
         raise NonIntegral(f"{v} is not integral")
-    require_member(g, ctx)
-    m12 = Surd(v.d) * Surd(1, ctx.n)
-    out = GMatrix(g.a, g.c, g.b, g.d) * GMatrix(Surd(v.r), m12, m12, Surd(v.a)) * g
-    if out.b != out.c:
-        raise IntegralityViolation(f"asymmetric image under {g}")
-    if not (out.a.is_rational() and out.d.is_rational()):
-        raise IntegralityViolation(f"non-integral diagonal under {g}")
-    r_new, a_new = out.a.as_fraction(), out.d.as_fraction()
-    if out.b.is_zero():
-        d_new = Fraction(0)
-    else:
-        scaled = out.b * Surd(1, ctx.n)  # (d'*sqrt(n))*sqrt(n) = d'*n
-        if not scaled.is_rational():
-            raise IntegralityViolation(f"off-diagonal {out.b} not in Z*sqrt(n)")
-        d_new = scaled.as_fraction() / ctx.n
-    if r_new.denominator != 1 or a_new.denominator != 1 or d_new.denominator != 1:
-        raise IntegralityViolation(f"non-integral image of {v} under {g}")
-    return MukaiVector(int(r_new), d_new, a_new)
-
-
-# ---------------------------------------------------------------------------
-# half-plane action
-
-
-def _clear_entry(entry: Surd, rho: int, n: int) -> QnNumber:
-    """entry * sqrt(rho) as an element of Q(sqrt n); the group pattern
-    guarantees the product is either rational or a rational multiple of
-    sqrt(n)."""
-    cleared = entry * Surd(1, rho)
-    if cleared.is_rational():
-        return qn_rat(cleared.coef, n)
-    scaled = cleared * Surd(1, n)  # (c*sqrt(n))*sqrt(n) = c*n
-    if not scaled.is_rational():
-        raise NotInGHat(f"entry {entry} breaks the group pattern (rho={rho})")
-    return QnNumber(0, Fraction(scaled.coef, n), n)
+    a, b, c, d, r, s, k, _ = require_member(g, ctx)
+    vr, vd, va = v.r, int(v.d), int(v.a)
+    krs = k * r * s
+    return MukaiVector(
+        vr * a * a * r + 2 * vd * a * c * krs + va * c * c * s,
+        (vr * a * b + va * c * d) // k + vd * (a * d * r + b * c * s),
+        vr * b * b * s + 2 * vd * b * d * krs + va * d * d * r,
+    )
 
 
 def mobius(g: GMatrix, z: QnComplex, ctx: Context) -> QnComplex:
     """Action on the upper half-plane, exact in Q(sqrt n)(i): (aw+b)/(cw+d)
-    after clearing one surd from numerator and denominator, with w = z for
-    determinant +1 and w = conj(z) for determinant -1."""
-    parity = require_member(g, ctx)
+    with w = z for determinant +1 and w = conj(z) for determinant -1.
+    Numerator and denominator are multiplied by k*sqrt(r), which makes
+    every coefficient an integer or an integer times sqrt(n):
+    (a*r*k*w + b*sqrt(n)) / (c*sqrt(n)*w + d*r*k)."""
+    a, b, c, d, r, s, k, det = require_member(g, ctx)
     if z.im.sign() <= 0:
         raise ValueError(f"z = {z} not in the upper half-plane")
     n = ctx.n
-    w = z if parity == 1 else QnComplex(z.re, -z.im)
-    rho = next((e.rad for e in (g.a, g.d, g.b, g.c) if not e.is_zero()), None)
-    az = _clear_entry(g.a, rho, n)
-    b0 = _clear_entry(g.b, rho, n)
-    cz = _clear_entry(g.c, rho, n)
-    d0 = _clear_entry(g.d, rho, n)
-    as_c = lambda x: QnComplex(x, qn_rat(0, n))
-    out = (w * as_c(az) + as_c(b0)) / (w * as_c(cz) + as_c(d0))
+    w = z if det == 1 else QnComplex(z.re, -z.im)
+    zero = qn_rat(0, n)
+    num = w * (a * r * k) + QnComplex(QnNumber(0, b, n), zero)
+    den = w * QnNumber(0, c, n) + QnComplex(qn_rat(d * r * k, n), zero)
+    out = num / den
     if out.im.sign() <= 0:
         raise LowerHalfPlane(f"image {out} left the upper half-plane")
     return out

@@ -9,17 +9,19 @@ stable-sheaf criteria.
 
 P(x, y) is a `GMatrix`, the one 2x2 surd-matrix type: the Pell matrices
 are the subgroup of the surd-matrix group of `fmgroup` with a = d and
-b = l*c.  The iterates are the bottom rows of the powers of the generator,
-and every label family walks them in order through `orbit`: one
-`GMatrix.power` for the first label, then one step per label on integers.
-For the generator (y*sqrt(s), l*x*sqrt(r); x*sqrt(r), y*sqrt(s)) with r, s
-squarefree, a_m = alpha*sqrt(rho) and b_m = beta*sqrt(sigma) where the
-radicands depend only on the parity of m: (r, s) for odd m and (r*s, 1)
-for even m.  So the row-times-generator step is an integer map of
-(alpha, beta) with four constants per parity (see `_parities`), and
+b = l*c.  The iterates are the bottom rows of the powers of the
+generator, computed on integers.  For the generator
+(y*sqrt(s), l*x*sqrt(r); x*sqrt(r), y*sqrt(s)) with r, s squarefree,
+a_m = alpha*sqrt(rho) and b_m = beta*sqrt(sigma) where the radicands
+depend only on the parity of m: (r, s) for odd m and (r*s, 1) for even m.
+So the row-times-generator step is an integer map of (alpha, beta) with
+four constants per parity (see `_parities`), and
 u_m = (alpha^2*rho, alpha*beta/kappa, beta^2*sigma) with n = kappa^2*r*s.
-`Surd`s are built only where an iterate is printed; the wall-swapping
-transforms multiply `GMatrix`es.
+`iterate` reaches any label by binary powering of the two-label step from
+(a_0, b_0) = (0, 1), and every label family walks the labels in order
+through `orbit`: one `iterate` for the first label, then one step per
+label.  `Surd`s are built only where an iterate is printed, and no
+`GMatrix` is multiplied.
 
 The generator comes from one exact path.  The map phi(P) = y + x*sqrt(l)
 sends a member to b*sqrt(s) + a*sqrt(r*l), whose square
@@ -47,59 +49,32 @@ from .errors import (
     SquareCase,
 )
 from .lattice import MukaiVector
-from .surd import Surd, divisors, is_perfect_square
+from .surd import RatLike, Surd, divisors, is_perfect_square
 
 
 @dataclass(frozen=True)
 class GMatrix:
-    """The surd matrix (a, b; c, d); the group members have the pattern
-    (a*sqrt(r), b*sqrt(s); c*sqrt(s), d*sqrt(r)), see `fmgroup`."""
+    """The surd matrix (a, b; c, d) as parsed and printed; the group members
+    have the pattern (a*sqrt(r), b*sqrt(s); c*sqrt(s), d*sqrt(r)), and
+    `fmgroup` computes with them on integers."""
 
     a: Surd
     b: Surd
     c: Surd
     d: Surd
 
-    def det(self) -> Fraction:
-        ad = self.a * self.d
-        bc = self.b * self.c
-        if not (ad.is_rational() and bc.is_rational()):
-            raise NotInGHat(f"determinant of {self} is irrational")
-        return ad.as_fraction() - bc.as_fraction()
-
-    def __mul__(self, other: "GMatrix") -> "GMatrix":
-        return GMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "GMatrix":
-        inv = Fraction(1) / self.det()
-        return GMatrix(self.d * inv, -(self.b * inv), -(self.c * inv), self.a * inv)
-
-    def power(self, k: int) -> "GMatrix":
-        """self^k by binary powering, O(log |k|) products; k < 0 powers the
-        inverse."""
-        base = self if k >= 0 else self.inverse()
-        k, acc = abs(k), None
-        while k:
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return identity_matrix() if acc is None else acc
+    def det(self) -> RatLike:
+        """a*d - b*c, rational when each diagonal has one radicand (a zero
+        entry fits any); NotInGHat otherwise."""
+        for x, y in ((self.a, self.d), (self.b, self.c)):
+            if x.coef and y.coef and x.rad != y.rad:
+                raise NotInGHat(f"determinant of {self} is irrational")
+        return self.a.coef * self.d.coef * self.a.rad - self.b.coef * self.c.coef * self.b.rad
 
     def __str__(self):
         return f"({self.a},{self.b};{self.c},{self.d})"
 
     __repr__ = __str__
-
-
-def identity_matrix() -> GMatrix:
-    return GMatrix(Surd(1), Surd(0), Surd(0), Surd(1))
 
 
 class Iterate(NamedTuple):
@@ -223,10 +198,12 @@ def solve_generator(n: int, ell: int) -> PellContext:
     raise InvariantViolation(f"no generator found for (n,l)=({n},{ell})")
 
 
-# (rho, sigma, (c11, c21, c12, c22)) of one parity of m: the radicands of
-# its iterates, and the step to the next label,
+# (c11, c21, c12, c22): the integer step
 # (alpha, beta) -> (alpha*c11 + beta*c21, alpha*c12 + beta*c22)
-Parity = tuple[int, int, tuple[int, int, int, int]]
+Step = tuple[int, int, int, int]
+# (rho, sigma, step) of one parity of m: the radicands of its iterates, and
+# the step to the next label
+Parity = tuple[int, int, Step]
 
 
 def _parities(pell: PellContext) -> tuple[int, tuple[Parity, Parity]]:
@@ -248,25 +225,46 @@ def _parities(pell: PellContext) -> tuple[int, tuple[Parity, Parity]]:
     return kappa, (even, odd)
 
 
-def _coef(x: Surd, rad: int) -> int:
-    """The integer alpha with x = alpha*sqrt(rad)."""
-    if x.is_zero():
-        return 0
-    if x.rad != rad or type(x.coef) is not int:
-        raise InvariantViolation(f"{x} is not an integer times sqrt({rad})")
-    return x.coef
+def _step(c: Step, alpha: int, beta: int) -> tuple[int, int]:
+    """The step c applied to (alpha, beta)."""
+    return alpha * c[0] + beta * c[1], alpha * c[2] + beta * c[3]
+
+
+def _then(p: Step, q: Step) -> Step:
+    """The step p followed by the step q."""
+    (t11, t12), (t21, t22) = _step(q, p[0], p[2]), _step(q, p[1], p[3])
+    return t11, t21, t12, t22
 
 
 def iterate(pell: PellContext, m: int) -> Iterate:
-    """(a_m, b_m) with generator^m = (b_m, l*a_m; a_m, b_m)."""
-    kappa, steps = _parities(pell)
-    rho, sigma, _ = steps[m & 1]
-    g = pell.generator.power(m)
-    return Iterate(m, _coef(g.c, rho), _coef(g.d, sigma), rho, sigma, kappa)
+    """(a_m, b_m) with generator^m = (b_m, l*a_m; a_m, b_m), on integers.
+
+    From (a_0, b_0) = (0, 1), label 2j is j two-label steps (even to odd
+    to even), taken by binary powering of that step, and an odd label is
+    one even-to-odd step more.  A negative label reflects its positive
+    one: the generator g of norm eps has g^-1 = eps*D*g*D with
+    D = diag(1, -1), so g^-m = eps^m*D*g^m*D and
+    (a_-m, b_-m) = eps^m*(-a_m, b_m)."""
+    kappa, (even, odd) = _parities(pell)
+    j, odd_m = divmod(abs(m), 2)
+    two, alpha, beta = _then(even[2], odd[2]), 0, 1
+    while j:
+        if j & 1:
+            alpha, beta = _step(two, alpha, beta)
+        j >>= 1
+        if j:
+            two = _then(two, two)
+    if odd_m:
+        alpha, beta = _step(even[2], alpha, beta)
+    if m < 0:
+        sign = -1 if pell.epsilon < 0 and odd_m else 1  # eps^|m|
+        alpha, beta = -sign * alpha, sign * beta
+    rho, sigma, _ = odd if odd_m else even
+    return Iterate(m, alpha, beta, rho, sigma, kappa)
 
 
 def orbit(pell: PellContext, m: int) -> Iterator[Iterate]:
-    """The iterates m, m+1, m+2, ...: one power for the first, then one
+    """The iterates m, m+1, m+2, ...: `iterate` for the first, then one
     integer step of its parity (see `_parities`) for each next one, the
     bottom row (a_m, b_m) times the generator."""
     kappa, steps = _parities(pell)

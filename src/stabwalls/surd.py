@@ -1,9 +1,11 @@
-"""Exact scalar arithmetic: pure surds q*sqrt(m), the field Q(sqrt(n)),
-and complex numbers over it.
+"""Exact scalars: pure surds q*sqrt(m), the field Q(sqrt(n)), and complex
+numbers over it.
 
 Every comparison is exact (sign analysis and squaring), and nothing here
-converts to floating point.  A `Surd` needs no order of its own: the
-commands compare the rational squares of surds instead.
+converts to floating point.  A `Surd` is the canonical record of a matrix
+entry or an iterate, with no arithmetic of its own: the commands compute
+on its integer coefficient and radicand, and compare the rational squares
+of surds instead of the surds.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-from .errors import MixedRadicand
 
 RatLike = Union[int, Fraction]
 
@@ -63,8 +63,7 @@ class Surd:
     """The real number coef * sqrt(rad), rad a positive squarefree integer.
 
     Canonical form: rad squarefree, coef == 0 implies rad == 1, and an
-    integral coef is stored as an int (int products are far cheaper than
-    Fraction ones in the matrix powers of the Pell group).
+    integral coef is stored as an int.
     """
 
     coef: RatLike
@@ -92,39 +91,6 @@ class Surd:
         object.__setattr__(out, "coef", coef)
         object.__setattr__(out, "rad", rad if coef else 1)
         return out
-
-    def is_zero(self) -> bool:
-        return self.coef == 0
-
-    def is_rational(self) -> bool:
-        return self.rad == 1
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.coef)
-
-    def __mul__(self, other):
-        if isinstance(other, Surd):
-            # squarefree r1*r2 = g^2 * (r1/g)*(r2/g), g = gcd: the cofactors
-            # are coprime and squarefree, so their product is too
-            g = math.gcd(self.rad, other.rad)
-            return Surd.reduced(self.coef * other.coef * g, (self.rad // g) * (other.rad // g))
-        return Surd.reduced(self.coef * (other if type(other) is int else frac(other)), self.rad)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "Surd") -> "Surd":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.rad != other.rad:
-            raise MixedRadicand(f"cannot add {self} and {other}")
-        return Surd.reduced(self.coef + other.coef, self.rad)
-
-    def __neg__(self) -> "Surd":
-        return Surd.reduced(-self.coef, self.rad)
 
     def __str__(self):
         if self.rad == 1:

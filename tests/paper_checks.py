@@ -10,8 +10,11 @@ that cross-checks the exact walls; the interval membership test and sheaf
 verdict of the slope intervals I_m and I_m*, the oracle for
 `pell.interval_index` and the `intervals` command; the exact order,
 square and float view of surds that the cross-checks compare with; the
-difference, negation and scaling of Mukai vectors, which only the tests
-use; and `wall_of`, the wall test on rational Mukai vectors.  The tests import
+products of surds and of surd matrices, with the surd-product forms of
+`pell.iterate`, `fmgroup.act_on_vector` and `fmgroup.mobius`, the
+reference for the integer forms the commands run; the difference,
+negation and scaling of Mukai vectors, which only the tests use; and
+`wall_of`, the wall test on rational Mukai vectors.  The tests import
 this module as they import reference_kernel.
 """
 
@@ -24,7 +27,13 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from stabwalls.charge import StabilityPoint
-from stabwalls.errors import DegenerateV, IntegralityViolation, NotInGHat, PreconditionError
+from stabwalls.errors import (
+    DegenerateV,
+    IntegralityViolation,
+    InvariantViolation,
+    NotInGHat,
+    PreconditionError,
+)
 from stabwalls.fmgroup import (
     act_on_vector,
     g_membership,
@@ -77,7 +86,7 @@ def qnc_rat(u: RatLike, v: RatLike, n: int) -> QnComplex:
 
 def equal_up_to_sign(x: GMatrix, y: GMatrix) -> bool:
     """x == +-y: equality in G/{+-1}."""
-    return x == y or x == GMatrix(-y.a, -y.b, -y.c, -y.d)
+    return x == y or x == g_neg(y)
 
 
 def surd_square(x: Surd) -> Fraction:
@@ -111,6 +120,148 @@ def vec_scale(k: int, v: MukaiVector) -> MukaiVector:
 def surd_float(x: Surd) -> float:
     """The float nearest a surd, for floating-point cross-checks."""
     return float(x.coef) * math.sqrt(x.rad)
+
+
+# ---------------------------------------------------------------------------
+# surd and surd-matrix products
+#
+# The commands compute the group and the Pell iterates on integers
+# (`fmgroup.Member`, `pell.iterate`); the products of canonical surds and
+# of `GMatrix`es below are the reference those integer forms are checked
+# against.  `reference_act`, `reference_mobius` and `reference_iterate`
+# are the surd-product forms of `act_on_vector`, `mobius` and `iterate`.
+
+
+class MixedRadicand(InvariantViolation):
+    """Sum of two pure surds with different radicands: the group pattern
+    keeps every entry a single term, so this flags a broken product."""
+
+
+def surd_mul(x: Surd, y) -> Surd:
+    """x*y for a surd or a rational y.  Squarefree r1*r2 = g^2*(r1/g)*(r2/g)
+    with g = gcd: the cofactors are coprime and squarefree, so their
+    product is too."""
+    if isinstance(y, Surd):
+        g = math.gcd(x.rad, y.rad)
+        return Surd.reduced(x.coef * y.coef * g, (x.rad // g) * (y.rad // g))
+    return Surd.reduced(x.coef * (y if type(y) is int else Fraction(y)), x.rad)
+
+
+def surd_add(x: Surd, y: Surd) -> Surd:
+    if x.coef == 0:
+        return y
+    if y.coef == 0:
+        return x
+    if x.rad != y.rad:
+        raise MixedRadicand(f"cannot add {x} and {y}")
+    return Surd.reduced(x.coef + y.coef, x.rad)
+
+
+def surd_neg(x: Surd) -> Surd:
+    return Surd.reduced(-x.coef, x.rad)
+
+
+def surd_as_fraction(x: Surd) -> Fraction:
+    if x.rad != 1:
+        raise ValueError(f"{x} is irrational")
+    return Fraction(x.coef)
+
+
+def identity_matrix() -> GMatrix:
+    return GMatrix(Surd(1), Surd(0), Surd(0), Surd(1))
+
+
+def g_mul(x: GMatrix, y: GMatrix) -> GMatrix:
+    def dot(p: Surd, q: Surd, r: Surd, s: Surd) -> Surd:
+        return surd_add(surd_mul(p, q), surd_mul(r, s))
+
+    return GMatrix(
+        dot(x.a, y.a, x.b, y.c),
+        dot(x.a, y.b, x.b, y.d),
+        dot(x.c, y.a, x.d, y.c),
+        dot(x.c, y.b, x.d, y.d),
+    )
+
+
+def g_neg(x: GMatrix) -> GMatrix:
+    return GMatrix(surd_neg(x.a), surd_neg(x.b), surd_neg(x.c), surd_neg(x.d))
+
+
+def g_det(x: GMatrix) -> Fraction:
+    """a*d - b*c by surd products; NotInGHat when it is irrational."""
+    ad, bc = surd_mul(x.a, x.d), surd_mul(x.b, x.c)
+    if ad.rad != 1 or bc.rad != 1:
+        raise NotInGHat(f"determinant of {x} is irrational")
+    return Fraction(ad.coef) - Fraction(bc.coef)
+
+
+def g_inverse(x: GMatrix) -> GMatrix:
+    inv = Fraction(1) / g_det(x)
+    return GMatrix(
+        surd_mul(x.d, inv),
+        surd_neg(surd_mul(x.b, inv)),
+        surd_neg(surd_mul(x.c, inv)),
+        surd_mul(x.a, inv),
+    )
+
+
+def g_power(x: GMatrix, k: int) -> GMatrix:
+    """x^k by binary powering, O(log |k|) products; k < 0 powers the
+    inverse."""
+    base = x if k >= 0 else g_inverse(x)
+    k, acc = abs(k), None
+    while k:
+        if k & 1:
+            acc = base if acc is None else g_mul(acc, base)
+        k >>= 1
+        if k:
+            base = g_mul(base, base)
+    return identity_matrix() if acc is None else acc
+
+
+def reference_iterate(pell: PellContext, m: int) -> tuple[Surd, Surd]:
+    """(a_m, b_m), the bottom row of generator^m, by surd products."""
+    g = g_power(pell.generator, m)
+    return g.c, g.d
+
+
+def reference_act(v: MukaiVector, g: GMatrix, ctx: Context) -> MukaiVector:
+    """v -> iota^{-1}(gT iota(v) g) as a product of surd matrices, with
+    every entry checked to be of the lattice's shape."""
+    sqrt_n = Surd(1, ctx.n)
+    m12 = surd_mul(Surd(v.d), sqrt_n)
+    out = g_mul(g_mul(GMatrix(g.a, g.c, g.b, g.d), GMatrix(Surd(v.r), m12, m12, Surd(v.a))), g)
+    if out.b != out.c:
+        raise IntegralityViolation(f"asymmetric image under {g}")
+    r_new, a_new = surd_as_fraction(out.a), surd_as_fraction(out.d)
+    d_new = surd_as_fraction(surd_mul(out.b, sqrt_n)) / ctx.n  # (d'*sqrt(n))*sqrt(n) = d'*n
+    if r_new.denominator != 1 or a_new.denominator != 1 or d_new.denominator != 1:
+        raise IntegralityViolation(f"non-integral image of {v} under {g}")
+    return MukaiVector(int(r_new), d_new, a_new)
+
+
+def clear_entry(entry: Surd, rho: int, n: int) -> QnNumber:
+    """entry * sqrt(rho) as an element of Q(sqrt n); the group pattern
+    makes the product rational or a rational multiple of sqrt(n)."""
+    cleared = surd_mul(entry, Surd(1, rho))
+    if cleared.rad == 1:
+        return qn_rat(cleared.coef, n)
+    scaled = surd_mul(cleared, Surd(1, n))  # (c*sqrt(n))*sqrt(n) = c*n
+    if scaled.rad != 1:
+        raise NotInGHat(f"entry {entry} breaks the group pattern (rho={rho})")
+    return QnNumber(0, Fraction(scaled.coef, n), n)
+
+
+def reference_mobius(g: GMatrix, z: QnComplex, ctx: Context) -> QnComplex:
+    """(aw+b)/(cw+d), w = z or conj(z) by the sign of the determinant,
+    after clearing the radicand of the first nonzero entry among a, d, b, c
+    from every entry."""
+    n = ctx.n
+    w = z if g_det(g) == 1 else QnComplex(z.re, -z.im)
+    rho = next(e.rad for e in (g.a, g.d, g.b, g.c) if e.coef)
+    az, b0, cz, d0 = (clear_entry(e, rho, n) for e in (g.a, g.b, g.c, g.d))
+    as_c = lambda x: QnComplex(x, qn_rat(0, n))
+    return (w * as_c(az) + as_c(b0)) / (w * as_c(cz) + as_c(d0))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +453,7 @@ def swap_diagonal(g: GMatrix) -> GMatrix:
 
 def dual_flip(g: GMatrix) -> GMatrix:
     """(a,b;c,d) -> (a,-b;-c,d): the shifted-dual kernel, same direction."""
-    return GMatrix(g.a, -g.b, -g.c, g.d)
+    return GMatrix(g.a, surd_neg(g.b), surd_neg(g.c), g.d)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +464,7 @@ def psi_map(pell: PellContext, m: int) -> GMatrix:
     """The matrix A^{-m} diag(1,-1) A^{m} of the contravariant transform
     that swaps the labeled walls around index m (m+k -> m-k)."""
     a = pell.generator
-    return a.power(-m) * delta_matrix() * a.power(m)
+    return g_mul(g_mul(g_power(a, -m), delta_matrix()), g_power(a, m))
 
 
 def psi_apply_to_wall(pell: PellContext, m: int, wall: Wall, ctx: Context) -> Wall:
@@ -343,12 +494,12 @@ def charge_at_z(v: MukaiVector, z: QnComplex, ctx: Context) -> QnComplex:
 
 def _sqrt_n_multiple(x: Surd, n: int) -> Fraction:
     """Coefficient w with x = w*sqrt(n); raises NotInGHat otherwise."""
-    if x.is_zero():
+    if x.coef == 0:
         return Fraction(0)
-    scaled = x * Surd(1, n)
-    if not scaled.is_rational():
+    scaled = surd_mul(x, Surd(1, n))
+    if scaled.rad != 1:
         raise NotInGHat(f"{x} is not a rational multiple of sqrt({n})")
-    return scaled.as_fraction() / n
+    return Fraction(scaled.coef, n)
 
 
 def charge_compat_check(g: GMatrix, v: MukaiVector, z: QnComplex, ctx: Context) -> bool:
@@ -359,7 +510,7 @@ def charge_compat_check(g: GMatrix, v: MukaiVector, z: QnComplex, ctx: Context) 
     the diagonal swap of g: the odd kernel shift that pairs with the
     -(c*z+d)^2 factor (the quadratic right action alone cannot see the
     sign; the translation matrix (1,1;0,1) pins it)."""
-    if require_member(g, ctx) != 1:
+    if require_member(g, ctx).det != 1:
         raise NotInGHat("compatibility check needs determinant +1")
     n = ctx.n
     lhs = charge_at_z(v, z, ctx)
@@ -367,7 +518,7 @@ def charge_compat_check(g: GMatrix, v: MukaiVector, z: QnComplex, ctx: Context) 
     v_img = vec_neg(act_on_vector(v, swap_diagonal(g), ctx))
     # (c*z+d)^2 = c^2 z^2 + 2cd z + d^2 with c^2, d^2 rational and cd a
     # rational multiple of sqrt(n): all coefficients live in the field
-    cd_coeff = _sqrt_n_multiple(g.c * g.d, n)
+    cd_coeff = _sqrt_n_multiple(surd_mul(g.c, g.d), n)
     zeta = (
         (z * z) * surd_square(g.c)
         + z * QnComplex(QnNumber(0, 2 * cd_coeff, n), qn_rat(0, n))
@@ -413,14 +564,15 @@ def gamma0_check(g: GMatrix, ctx: Context) -> bool:
     """True iff diag(sqrt n, 1)^{-1} g diag(sqrt n, 1) is an integer matrix
     with lower-left divisible by n and determinant 1."""
     n = ctx.n
-    if g_membership(g, ctx) != 1:
+    member = g_membership(g, ctx)
+    if member is None or member.det != 1:
         return False
     top_right = Surd(Fraction(g.b.coef, n), g.b.rad * n)  # b*sqrt(s)/sqrt(n)
     bottom_left = Surd(g.c.coef, g.c.rad * n)  # c*sqrt(s)*sqrt(n)
     for entry in (g.a, g.d, top_right, bottom_left):
-        if not entry.is_rational() or entry.coef.denominator != 1:
+        if entry.rad != 1 or entry.coef.denominator != 1:
             return False
-    return int(bottom_left.as_fraction()) % n == 0
+    return bottom_left.coef % n == 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +587,7 @@ def gamma0_check(g: GMatrix, ctx: Context) -> bool:
 def _squared_ends(ell: int, a: Surd, b: Surd) -> tuple[Fraction, Optional[Fraction]]:
     """(P_k^2, Q_k^2) from the iterate (a_k, b_k); (a_0, b_0) = (0, 1)
     gives P_0 = 0 and Q_0 = +inf, returned as None."""
-    if a.is_zero():
+    if a.coef == 0:
         return Fraction(0), None
     big_a, big_b = surd_square(a), surd_square(b)
     ba, lab = big_b / big_a, ell * ell * big_a / big_b

@@ -9,8 +9,9 @@ and `pell.iterate` must match generator for generator.  The brute force
 makes it slow for l with a large fundamental unit (l = 61, 94, 109, ...),
 so tests feed it small cases.  It keeps its own copy of the Pell matrix
 class P(x, y) = (y, l*x; x, y) that the package has since folded into
-`pell.GMatrix`, so the reference shares no matrix product with the code
-it checks; its contexts carry a `PellMatrix` generator and torsion, and
+`pell.GMatrix`, with its product written on the surd products of
+`paper_checks`, so the reference shares no product with the code it
+checks; its contexts carry a `PellMatrix` generator and torsion, and
 its iterates are its own `Iterate` record of two surds.
 
 The slope-interval block at the end (`_Endpoint` through `interval_index`)
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from stabwalls.errors import AccumulationPoint, IntegralityViolation, InvariantViolation, SquareCase
-from paper_checks import surd_compare, surd_float, surd_square
+from paper_checks import surd_add, surd_compare, surd_float, surd_mul, surd_neg, surd_square
 from stabwalls.pell import PellContext
 from stabwalls.surd import Surd, divisors, is_perfect_square
 
@@ -62,8 +63,8 @@ class PellMatrix:
     def __mul__(self, other: "PellMatrix") -> "PellMatrix":
         if self.ell != other.ell:
             raise ValueError("mixed Pell groups")
-        x = self.x * other.y + self.y * other.x
-        y = self.y * other.y + self.ell * (self.x * other.x)
+        x = surd_add(surd_mul(self.x, other.y), surd_mul(self.y, other.x))
+        y = surd_add(surd_mul(self.y, other.y), surd_mul(surd_mul(self.x, other.x), self.ell))
         return PellMatrix(x, y, self.ell)
 
     def __str__(self):
@@ -87,7 +88,7 @@ def _phi_less_than(g: PellMatrix, other: PellMatrix) -> bool:
     # x.rad*y.rad times a square equals n, so the canonical radicands agree
     s1 = Surd(w1, g.x.rad * g.y.rad * g.ell)
     s2 = Surd(w2, other.x.rad * other.y.rad * other.ell)
-    return surd_compare(Surd(u1 - u2), s2 + -s1) < 0
+    return surd_compare(Surd(u1 - u2), surd_add(s2, surd_neg(s1))) < 0
 
 
 def _divisor_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -207,7 +208,7 @@ def solve_generator(n: int, ell: int, brute_limit: int = _MAX_BRUTE) -> PellCont
                 best = cand
     # cross-check (Dirichlet-unit argument): the square lands in Z[sqrt(l*n)]
     sq = best * best
-    if not (sq.y.is_rational() and sq.y.coef.denominator == 1 and sq.x.coef.denominator == 1):
+    if not (sq.y.rad == 1 and sq.y.coef.denominator == 1 and sq.x.coef.denominator == 1):
         raise IntegralityViolation(f"square of the generator {best} leaves Z[sqrt({ell * n})]")
     eps = best.norm()
     if eps not in (1, -1):
@@ -254,7 +255,7 @@ class _Endpoint:
 
 def _b_over_a(pell: PellContext, m: int, sign: int = 1) -> _Endpoint:
     it = iterate(pell, m)
-    if it.a.is_zero():
+    if it.a.coef == 0:
         return _Endpoint(None, sign)
     val = Surd(Fraction(sign) * it.b.coef / (it.a.coef * it.a.rad), it.a.rad * it.b.rad)
     return _Endpoint(val)
@@ -262,7 +263,7 @@ def _b_over_a(pell: PellContext, m: int, sign: int = 1) -> _Endpoint:
 
 def _la_over_b(pell: PellContext, m: int, sign: int = 1) -> _Endpoint:
     it = iterate(pell, m)
-    if it.b.is_zero():  # pragma: no cover - b_m never vanishes
+    if it.b.coef == 0:  # pragma: no cover - b_m never vanishes
         return _Endpoint(None, sign)
     val = Surd(
         Fraction(sign * pell.ell) * it.a.coef / (it.b.coef * it.b.rad),

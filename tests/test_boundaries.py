@@ -150,9 +150,12 @@ def _command_argvs(svg_path: str) -> list[list[str]]:
         ["act", "--n", "1", "--g", "2,0;0,1", "--v", "1,0,0"],
         ["act", "--n", "1", "--g", "1,2;1,1", "--v", "1,1/2,0"],
         ["act", "--n", "1", "--g", "-1,0;0,1", "--v", "1,0,0"],
+        ["act", "--n", "4", "--g", "1,sqrt(4);0,1", "--v", "2,-3,5"],
+        ["act", "--n", "4", "--g", "1,1;0,1", "--v", "1,0,0"],
         ["mobius", "--n", "2", "--g", "sqrt(2),1;1,1*sqrt(2)", "--z", "1/2+1*i"],
         ["mobius", "--n", "1", "--g", "0,1;1,0", "--z", "1+1*sqrt(1)*i"],
         ["mobius", "--n", "1", "--g", "1,0;0,1", "--z", "1-1*i"],
+        ["mobius", "--n", "8", "--g", "sqrt(8),7;1,sqrt(8)", "--z", "1+1*i"],
         ["wmax", "--n", "1", "--ell", "4"],
         ["verify", "--n", "0", "--ell", "3"],
     ]

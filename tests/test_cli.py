@@ -160,6 +160,38 @@ def test_huge_foreign_radicand_is_rejected_at_once(capsys):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_huge_n_identity_acts_at_once(capsys):
+    """The identity acts for a huge prime n without factoring n: the group
+    arithmetic never builds sqrt(n) as a surd (trial division of this prime
+    would run for hours)."""
+
+    def overdue(signum, frame):
+        raise TimeoutError("act still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(5)
+    try:
+        t0 = time.perf_counter()
+        code, data = run(capsys, "act", "--n", "1000000000000000003", "--g=1,0;0,1", "--v=1,0,0")
+        assert time.perf_counter() - t0 < 1
+        assert code == 0 and data["image"] == "1,0,0" and data["g"]["det"] == "1"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_non_member_of_square_factor_n_is_rejected(capsys):
+    """For n = 4, (1, 1; 0, 1) has determinant 1 and n/(1*1) = 4 is a
+    square, but no radicands r*s = 4 make a = 1 an integer times sqrt(r)
+    and b = 1 one times sqrt(s): both actions reject it with exit 2, while
+    the member (1, sqrt(4); 0, 1) acts."""
+    for argv in (["act", "--v=1,0,0"], ["mobius", "--z=0+1*i"]):
+        code, data = run(capsys, argv[0], "--n", "4", "--g=1,1;0,1", argv[1])
+        assert code == 2 and data["error"]["type"] == "NotInGHat", argv
+    code, data = run(capsys, "act", "--n", "4", "--g=1,sqrt(4);0,1", "--v=1,0,0")
+    assert code == 0 and data["image"] == "1,1,4"
+
+
 def test_parse_surd_is_the_surd_on_group_radicands():
     """parse_surd gives the canonical Surd of coef*sqrt(m) when the
     squarefree part of m divides n, and raises NotInGHat otherwise; a

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,12 +13,21 @@ from paper_checks import (
     delta_matrix,
     dual_flip,
     equal_up_to_sign,
+    g_inverse,
+    g_mul,
+    g_power,
     gamma0_check,
     half_plane_image_check,
+    identity_matrix,
     param_transform,
     psi_apply_to_wall,
     psi_map,
     qnc_rat,
+    reference_act,
+    reference_iterate,
+    reference_mobius,
+    surd_as_fraction,
+    surd_mul,
     surd_square,
     swap_diagonal,
     vec_neg,
@@ -29,8 +40,15 @@ from stabwalls.fmgroup import (
     require_member,
 )
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing
-from stabwalls.pell import GMatrix, identity_matrix, solve_generator
-from stabwalls.surd import QnComplex, QnNumber, Surd
+from stabwalls.pell import GMatrix, iterate, solve_generator
+from stabwalls.surd import (
+    QnComplex,
+    QnNumber,
+    Surd,
+    divisors,
+    is_perfect_square,
+    squarefree_decompose,
+)
 from stabwalls.walls import codim0_walls
 
 C1 = Context(1)
@@ -50,7 +68,7 @@ def _rng_ghat(rng, n):
         gens.append(GMatrix(Surd(1), Surd(1), Surd(0), Surd(1)))
     out = identity_matrix()
     for _ in range(rng.randint(1, 4)):
-        out = out * rng.choice(gens)
+        out = g_mul(out, rng.choice(gens))
     return out
 
 
@@ -59,7 +77,7 @@ def _rng_ghat(rng, n):
 
 def _member_product(x, y, ctx):
     """x * y, which must lie in the group again."""
-    out = x * y
+    out = g_mul(x, y)
     require_member(out, ctx)
     return out
 
@@ -73,7 +91,7 @@ def test_g_mul_examples():
     conj = _member_product(_member_product(delta_matrix(), a3, C1), delta_matrix(), C1)
     assert conj == GMatrix(Surd(2), Surd(-3), Surd(-1), Surd(2))
     g = GMatrix(Surd(1, 2), Surd(1), Surd(1), Surd(1, 2))
-    assert g_membership(g, C2) == 1
+    assert g_membership(g, C2).det == 1
 
 
 def test_membership_rejects():
@@ -86,11 +104,105 @@ def test_membership_rejects():
         _member_product(GMatrix(Surd(2), Surd(0), Surd(0), Surd(1)), identity_matrix(), C1)
 
 
+def _brute_membership(g, n):
+    """The determinant of g when some radicands r*s = n make every entry an
+    integer times its sqrt(r) or sqrt(s) and the determinant is +-1, else
+    None: the definition of the group, tried divisor by divisor."""
+    for r in divisors(n):
+        coefs = []
+        for e, q in ((g.a, r), (g.b, n // r), (g.c, n // r), (g.d, r)):
+            square = F(e.coef) ** 2 * e.rad / q  # (e/sqrt(q))^2
+            root = math.isqrt(square.numerator)
+            if square.denominator != 1 or root * root != square.numerator:
+                break
+            coefs.append(root if e.coef >= 0 else -root)
+        else:
+            a, b, c, d = coefs
+            det = a * d * r - b * c * (n // r)
+            return det if det in (1, -1) else None
+    return None
+
+
+def _sweep(n, coefs):
+    """Every matrix of determinant +-1 whose diagonals have coefficients in
+    coefs over one radicand each, taken from the squarefree divisors of n
+    and the least squarefree non-divisor."""
+    squarefree = [m for m in range(1, 2 * n + 3) if squarefree_decompose(m)[0] == 1]
+    rads = [m for m in squarefree if n % m == 0] + [next(m for m in squarefree if n % m)]
+    for ra, rb in itertools.product(rads, repeat=2):
+        for a, b, c, d in itertools.product(coefs, repeat=4):
+            if a * d * ra - b * c * rb in (1, -1):
+                yield GMatrix(Surd(a, ra), Surd(b, rb), Surd(c, rb), Surd(d, ra))
+
+
+def test_membership_is_the_definition():
+    """g_membership agrees with the definition of the group for every n <= 18
+    on the `_sweep` with coefficients -3..3.  Where n has a square factor
+    the canonical radicands do not decide alone: for n = 4, (1, 1; 0, 1)
+    has determinant 1 and n/(r*s) = 4 a square, yet no radicands r*s = 4
+    make a = 1 an integer times sqrt(r) and b = 1 one times sqrt(s)."""
+    counts = {True: 0, False: 0}
+    for n in range(1, 19):
+        ctx = Context(n)
+        for g in _sweep(n, range(-3, 4)):
+            member = g_membership(g, ctx)
+            assert (member and member.det) == _brute_membership(g, n), (n, g)
+            if member:
+                assert member.k ** 2 * member.r * member.s == n, (n, g)
+            counts[member is not None] += 1
+    assert g_membership(GMatrix(Surd(1), Surd(1), Surd(0), Surd(1)), Context(4)) is None
+    assert g_membership(GMatrix(Surd(1), Surd(2), Surd(0), Surd(1)), Context(4)).k == 2
+    assert min(counts.values()) > 1000, counts
+
+
+def _group_elements(pc):
+    """The generator powers -4..4, each also times diag(1, -1) on the left,
+    and the torsion (0, 1; 1, 0) of l = 1 with its diag(1, -1) product."""
+    powers = [g_power(pc.generator, k) for k in range(-4, 5)]
+    if pc.torsion is not None:
+        powers.append(pc.torsion)
+    return powers + [g_mul(delta_matrix(), g) for g in powers]
+
+
+def test_integer_forms_are_the_surd_products():
+    """iterate, act_on_vector and mobius, computed on integers, equal their
+    surd-product forms in paper_checks: for every non-square (n <= 12,
+    l < 15) on the generator powers -4..4 and their diag(1, -1) products
+    (both signs of epsilon, the torsion of l = 1, and n = 4, 8, 9, 12
+    among them), and on every member of the `_sweep` with coefficients
+    -2..2 for the non-squarefree n <= 18.  Each matrix acts on four
+    vectors and on one of three points."""
+    vectors = [MukaiVector(*v) for v in ((1, 0, 0), (0, 0, 1), (2, -3, 5), (-1, 4, 7))]
+    points = [(0, 1), (F(1, 2), 3), (F(-3, 2), F(1, 3))]
+    cases = [
+        (n, ell) for n in range(1, 13) for ell in range(1, 15) if not is_perfect_square(n * ell)
+    ]
+    eps_seen, mats = set(), []
+    for n, ell in cases:
+        pc = solve_generator(n, ell)
+        eps_seen.add(pc.epsilon)
+        for m in range(-4, 5):
+            it = iterate(pc, m)
+            assert type(it.alpha) is int and type(it.beta) is int, (n, ell, m)
+            assert (it.a, it.b) == reference_iterate(pc, m), (n, ell, m)
+        mats += [(Context(n), g) for g in _group_elements(pc)]
+    assert eps_seen == {1, -1} and len(cases) == 146
+    for n in (4, 8, 9, 12, 16, 18):
+        ctx = Context(n)
+        mats += [(ctx, g) for g in _sweep(n, range(-2, 3)) if g_membership(g, ctx)]
+    for i, (ctx, g) in enumerate(mats):
+        for v in vectors:
+            assert act_on_vector(v, g, ctx) == reference_act(v, g, ctx), (ctx.n, g, v)
+        z = qnc_rat(*points[i % len(points)], ctx.n)
+        assert mobius(g, z, ctx) == reference_mobius(g, z, ctx), (ctx.n, g, z)
+    assert len(mats) == 2934, len(mats)
+
+
 def test_g_inv():
     rng = random.Random(8)
     for _ in range(50):
         g = _rng_ghat(rng, 1)
-        inv = g.inverse()
+        inv = g_inverse(g)
         require_member(inv, C1)
         assert equal_up_to_sign(_member_product(g, inv, C1), identity_matrix())
 
@@ -102,12 +214,12 @@ def test_power_matches_naive_product():
         ctx = Context(n)
         for _ in range(12):
             g = _rng_ghat(rng, n)
-            parities.add(g_membership(g, ctx))
+            parities.add(g_membership(g, ctx).det)
             for k in range(-7, 8):
                 naive = identity_matrix()
                 for _ in range(abs(k)):
-                    naive = naive * (g if k >= 0 else g.inverse())
-                assert g.power(k) == naive, (n, g, k)
+                    naive = g_mul(naive, g if k >= 0 else g_inverse(g))
+                assert g_power(g, k) == naive, (n, g, k)
     assert parities == {1, -1}
 
 
@@ -147,7 +259,7 @@ def test_theta_phi_convert():
 
 
 def test_mobius_examples():
-    a3sq = solve_generator(1, 3).generator.power(2)
+    a3sq = g_power(solve_generator(1, 3).generator, 2)
     assert a3sq == GMatrix(Surd(7), Surd(12), Surd(4), Surd(7))
     img = mobius(a3sq, qnc_rat(0, 1, 1), C1)
     assert img == qnc_rat(F(112, 65), F(1, 65), 1)
@@ -178,7 +290,7 @@ def test_mobius_preserves_upper_half_plane_and_composes():
 
 
 def test_charge_compat_golden_and_random():
-    a3sq = solve_generator(1, 3).generator.power(2)
+    a3sq = g_power(solve_generator(1, 3).generator, 2)
     assert charge_compat_check(a3sq, MukaiVector(1, 0, -3), qnc_rat(0, 1, 1), C1)
     assert charge_compat_check(
         identity_matrix(), MukaiVector(2, -1, 3), qnc_rat(F(1, 3), F(7, 2), 1), C1
@@ -211,7 +323,7 @@ def test_charge_compat_negative_control():
     lhs = charge_at_z(v, z, C1)
     z_img = mobius(g, z, C1)
     wrong = vec_neg(act_on_vector(v, dual_flip(g), C1))
-    cd = (g.c * g.d).as_fraction()
+    cd = surd_as_fraction(surd_mul(g.c, g.d))
     zeta = (
         (z * z) * surd_square(g.c)
         + z * QnComplex(QnNumber(2 * cd, 0, 1), QnNumber(0, 0, 1))
@@ -230,10 +342,10 @@ def test_theta_psi_matrix_identity():
         a = pc.generator
         for m in range(-5, 6):
             psi = psi_map(pc, m)
-            assert g_membership(psi, ctx) == -1  # contravariant
+            assert g_membership(psi, ctx).det == -1  # contravariant
             for k in range(-5, 6):
-                lhs = _member_product(a.power(m + k), psi, ctx)
-                rhs = _member_product(delta_matrix(), a.power(m - k), ctx)
+                lhs = _member_product(g_power(a, m + k), psi, ctx)
+                rhs = _member_product(delta_matrix(), g_power(a, m - k), ctx)
                 assert equal_up_to_sign(lhs, rhs)
 
 
@@ -255,11 +367,11 @@ def test_remark_2m_composite():
         pc = solve_generator(n, ell)
         a = pc.generator
         for m in range(-3, 4):
-            theta_back = a.power(m)
+            theta_back = g_power(a, m)
             if pc.epsilon**m == -1:
                 theta_back = _member_product(delta_matrix(), theta_back, ctx)
             composite = _member_product(swap_diagonal(theta_back), theta_back, ctx)
-            assert equal_up_to_sign(composite, a.power(2 * m))
+            assert equal_up_to_sign(composite, g_power(a, 2 * m))
 
 
 # -- parameter transform ------------------------------------------------------

@@ -8,9 +8,14 @@ import pytest
 
 import reference_pell
 from paper_checks import (
+    g_mul,
+    g_power,
     in_interval,
+    reference_iterate,
     sheaf_verdict,
+    surd_as_fraction,
     surd_float,
+    surd_mul,
     surd_square,
     vec_neg,
     vec_scale,
@@ -92,7 +97,8 @@ def test_generator_matches_reference():
     for n, ell in cases:
         pc, ref = solve_generator(n, ell), reference_pell.solve_generator(n, ell)
         assert (pc.generator.c, pc.generator.d) == (ref.generator.x, ref.generator.y), (n, ell)
-        assert (pc.generator.a, pc.generator.b) == (ref.generator.y, ell * ref.generator.x), (n, ell)
+        ref_b = surd_mul(ref.generator.x, ell)
+        assert (pc.generator.a, pc.generator.b) == (ref.generator.y, ref_b), (n, ell)
         torsion = None if pc.torsion is None else (pc.torsion.c, pc.torsion.d)
         ref_torsion = None if ref.torsion is None else (ref.torsion.x, ref.torsion.y)
         assert (pc.epsilon, torsion) == (ref.epsilon, ref_torsion), (n, ell)
@@ -112,7 +118,7 @@ def test_generator_matches_sympy_diop_dn():
         pc = solve_generator(1, ell)
         minus = diophantine.diop_DN(ell, -1)
         expected = minus[0] if minus else diophantine.diop_DN(ell, 1)[0]
-        seen[ell] = (pc.generator.d.as_fraction(), pc.generator.c.as_fraction())
+        seen[ell] = (surd_as_fraction(pc.generator.d), surd_as_fraction(pc.generator.c))
         assert seen[ell] == expected, ell
         assert pc.epsilon == (-1 if minus else 1), ell
     assert seen[109] == (8890182, 851525)
@@ -133,7 +139,7 @@ def test_iterate_examples():
 
 def _pell_matrix(it, ell):
     """(b_m, l*a_m; a_m, b_m)."""
-    return GMatrix(it.b, ell * it.a, it.a, it.b)
+    return GMatrix(it.b, surd_mul(it.a, ell), it.a, it.b)
 
 
 def test_iterate_group_law_and_det():
@@ -142,7 +148,7 @@ def test_iterate_group_law_and_det():
         for m1 in range(-4, 5):
             for m2 in range(-3, 4):
                 i1, i2 = iterate(pc, m1), iterate(pc, m2)
-                prod = _pell_matrix(i1, ell) * _pell_matrix(i2, ell)
+                prod = g_mul(_pell_matrix(i1, ell), _pell_matrix(i2, ell))
                 tot = iterate(pc, m1 + m2)
                 assert prod == _pell_matrix(tot, ell)
                 assert prod.det() == pc.epsilon ** (m1 + m2)
@@ -183,18 +189,33 @@ def test_integer_orbit_matches_the_surd_products():
         walked = list(islice(orbit(pc, -12), 25))
         assert [it.m for it in walked] == list(range(-12, 13))
         for it in walked:
-            power = pc.generator.power(it.m)
+            power = g_power(pc.generator, it.m)
             a, b = power.c, power.d
             assert (it.a, it.b) == (a, b), (n, ell, it.m)
-            scaled = a * b * Surd(1, n)
-            assert scaled.is_rational(), (n, ell, it.m)
-            u = MukaiVector(surd_square(a), scaled.as_fraction() / n, surd_square(b))
+            scaled = surd_mul(surd_mul(a, b), Surd(1, n))
+            assert scaled.rad == 1, (n, ell, it.m)
+            u = MukaiVector(surd_square(a), surd_as_fraction(scaled) / n, surd_square(b))
             u_prime = MukaiVector(u.a, ell * u.d, ell * ell * u.r)
             assert u_vectors(pc, it) == (u, u_prime), (n, ell, it.m)
         r, s = pc.generator.c.rad, pc.generator.d.rad
         for it in walked:
             assert (it.rho, it.sigma) == ((r, s) if it.m % 2 else (r * s, 1)), (n, ell, it.m)
     assert eps_seen == {1, -1} and {4, 8, 9, 12} <= ns_seen
+
+
+def test_far_iterates_are_integer_surd_products():
+    """At labels +-10^4 the iterate is the bottom row of generator^m by surd
+    products, with int coefficients: both signs of epsilon, the torsion
+    case l = 1 and the non-squarefree n = 4 and 12."""
+    eps_seen = set()
+    for n, ell in [(1, 2), (1, 3), (2, 1), (2, 3), (4, 3), (12, 5)]:
+        pc = solve_generator(n, ell)
+        eps_seen.add(pc.epsilon)
+        for m in (10**4, -(10**4), 10**4 + 1, -(10**4) - 1):
+            it = iterate(pc, m)
+            assert type(it.alpha) is int and type(it.beta) is int, (n, ell, m)
+            assert (it.a, it.b) == reference_iterate(pc, m), (n, ell, m)
+    assert eps_seen == {1, -1}
 
 
 # -- isotropic pairs ----------------------------------------------------------

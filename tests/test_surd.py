@@ -3,8 +3,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from paper_checks import qnc_rat, surd_compare, surd_float, surd_square
-from stabwalls.errors import MixedRadicand
+from paper_checks import (
+    MixedRadicand,
+    qnc_rat,
+    surd_add,
+    surd_as_fraction,
+    surd_compare,
+    surd_float,
+    surd_mul,
+    surd_square,
+)
 from stabwalls.surd import QnComplex, QnNumber, Surd, squarefree_decompose, sqrt_of_fraction
 
 
@@ -16,16 +24,16 @@ def test_squarefree_decompose():
 
 
 def test_mul_examples():
-    assert Surd(1, 2) * Surd(1, 2) == Surd(2, 1)
-    assert Surd(2, 3) * Surd(5, 1) == Surd(10, 3)
-    assert Surd(1, 2) * Surd(1, 3) == Surd(1, 6)
+    assert surd_mul(Surd(1, 2), Surd(1, 2)) == Surd(2, 1)
+    assert surd_mul(Surd(2, 3), Surd(5, 1)) == Surd(10, 3)
+    assert surd_mul(Surd(1, 2), Surd(1, 3)) == Surd(1, 6)
 
 
 def test_add_examples():
-    assert Surd(1, 2) + Surd(3, 2) == Surd(4, 2)
-    assert Surd(0) + Surd(5, 3) == Surd(5, 3)
+    assert surd_add(Surd(1, 2), Surd(3, 2)) == Surd(4, 2)
+    assert surd_add(Surd(0), Surd(5, 3)) == Surd(5, 3)
     with pytest.raises(MixedRadicand):
-        Surd(1, 2) + Surd(1, 3)
+        surd_add(Surd(1, 2), Surd(1, 3))
 
 
 def test_cmp_examples():
@@ -45,9 +53,9 @@ surds = st.builds(
 
 @given(surds, surds, surds)
 def test_mul_associative_commutative(a, b, c):
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
-    k, d = squarefree_decompose((a * b).rad)
+    assert surd_mul(surd_mul(a, b), c) == surd_mul(a, surd_mul(b, c))
+    assert surd_mul(a, b) == surd_mul(b, a)
+    k, d = squarefree_decompose(surd_mul(a, b).rad)
     assert k == 1  # always canonical
 
 
@@ -59,7 +67,7 @@ def test_cmp_matches_float(a, b):
 
 def test_canonical_zero():
     assert Surd(0, 7).rad == 1
-    assert Surd(F(0), 5).is_zero()
+    assert Surd(F(0), 5).coef == 0
 
 
 def test_integral_coefficient_is_int():
@@ -68,11 +76,11 @@ def test_integral_coefficient_is_int():
             for x in (Surd(k, rad), Surd(F(k), rad), Surd(F(2 * k, 2), rad)):
                 assert type(x.coef) is int and x == Surd(k, rad) and hash(x) == hash(Surd(k, rad))
                 assert type(surd_square(x)) is F and surd_square(x) == k * k * rad
-                if x.is_rational():
-                    assert type(x.as_fraction()) is F and x.as_fraction() == x.coef
+                if x.rad == 1:
+                    assert type(surd_as_fraction(x)) is F and surd_as_fraction(x) == x.coef
             half = Surd(F(k, 2), rad)
             assert type(half.coef) is (int if k % 2 == 0 else F)
-            assert type((half * Surd(2, rad)).coef) is int
+            assert type(surd_mul(half, Surd(2, rad)).coef) is int
 
 
 def test_qn_fold_square_n():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from paper_checks import delta_matrix, vec_neg, vec_sub, wall_of
+from paper_checks import delta_matrix, g_mul, g_power, vec_neg, vec_sub, wall_of
 from reference_kernel import proportional, reference_wall_between
 from stabwalls import walls as walls_mod
 from stabwalls.charge import StabilityPoint
@@ -191,8 +191,8 @@ def test_cor_square_endpoint_containment():
                         continue
                     checked += 1
                     c, r2 = w.shape.center, w.shape.radius_sq
-                    if root.is_rational():
-                        pts = [p - root.as_fraction(), p + root.as_fraction()]
+                    if root.rad == 1:
+                        pts = [p - root.coef, p + root.coef]
                         assert any((pt - c) ** 2 < r2 for pt in pts)
                     else:
                         # inside test via radius/center inequality:
@@ -463,7 +463,7 @@ def test_isometry_transport_of_wall_conditions():
 
     rng = random.Random(31)
     a2 = solve_generator(1, 2).generator
-    mats = [a2, delta_matrix() * a2, a2.power(2)]
+    mats = [a2, g_mul(delta_matrix(), a2), g_power(a2, 2)]
     checked = 0
     for _ in range(300):
         v = MukaiVector(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
