@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 from .errors import LowerHalfPlane, NonIntegral, NotInGHat
 from .lattice import Context, MukaiVector
 from .pell import GMatrix
-from .surd import QnComplex, QnNumber, qn_rat
+from .surd import QnComplex, QnNumber, exact_root, qn_rat
 
 
 class Member(NamedTuple):
@@ -72,8 +72,8 @@ def g_membership(g: GMatrix, ctx: Context) -> Optional[Member]:
             return None
         r, s, k = (n // s, s, 1) if r is None else (r, n // r, 1)
     else:
-        k = math.isqrt(n // (r * s))
-        if k * k * r * s != n or math.gcd(a, d) * math.gcd(b, c) % k:
+        k = exact_root(n, r * s)
+        if k is None or math.gcd(a, d) * math.gcd(b, c) % k:
             return None
     det = g.det()  # a*d*r - b*c*s
     return Member(a, b, c, d, r, s, k, det) if det in (1, -1) else None

@@ -28,9 +28,11 @@ sends a member to b*sqrt(s) + a*sqrt(r*l), whose square
 (b^2*s + a^2*r*l) + 2ab*sqrt(l*n) is a unit of Z[sqrt(l*n)].  The
 fundamental unit eps of that ring (continued fraction of sqrt(l*n)) is a
 member itself, with (r, s) = (n, 1), so the generator g has phi(g) <= eps
-and phi(g)^2 is eps or eps^2; see `solve_generator`.  Units of
-Z[sqrt(d)] are the standard subject of Lenstra, "Solving the Pell
-equation", Notices AMS 49 (2002).
+and phi(g)^2 is eps or eps^2.  The halves b^2*s and a^2*r*l of the
+rational part differ by the norm +-1, so they are coprime and b is prime
+to r: one gcd of a half with n gives s, and no divisor of n is sought;
+see `solve_generator`.  Units of Z[sqrt(d)] are the standard subject of
+Lenstra, "Solving the Pell equation", Notices AMS 49 (2002).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
     SquareCase,
 )
 from .lattice import MukaiVector
-from .surd import RatLike, Surd, divisors, is_perfect_square
+from .surd import RatLike, Surd, exact_root, is_perfect_square
 
 
 @dataclass(frozen=True)
@@ -147,13 +149,6 @@ def _fundamental_unit(d: int) -> tuple[int, int]:
     return h, k
 
 
-def _exact_root(num: int, den: int) -> Optional[int]:
-    """sqrt(num/den) when it is an integer, else None (num >= 0, den >= 1)."""
-    q, rem = divmod(num, den)
-    root = math.isqrt(q)
-    return root if rem == 0 and root * root == q else None
-
-
 def solve_generator(n: int, ell: int) -> PellContext:
     """Generator of the Pell group with minimal y + x*sqrt(l) > 1.
 
@@ -163,14 +158,18 @@ def solve_generator(n: int, ell: int) -> PellContext:
     > 1 of norm +1, hence a power of eps, hence eps or eps^2; only these
     two unit powers are checked, eps first.
 
-    For each divisor pair r*s = n in ascending r and each delta = +-1, a
-    unit Y + X*sqrt(l*n) is phi(g)^2 exactly when b^2*s = (Y + delta)/2,
-    a^2*r*l = (Y - delta)/2 and 2ab = X; then delta is the norm
-    y^2 - l*x^2 of g.  The test 2ab = X is needed: without it the torsion
-    (x, y) = (1, 0) would pass for l = 1.  All candidates for one unit have
-    the same phi, and distinct ones occur only for l = 1 (g and
-    g*(0, 1; 1, 0)); the first in ascending r is taken.  eps^2 always has
-    the candidate (a, b) = (X1, Y1) at (r, s) = (n, 1).
+    A unit Y + X*sqrt(l*n) is phi(g)^2 for a member g = P(a*sqrt(r),
+    b*sqrt(s)) of norm delta = b^2*s - l*a^2*r exactly when
+    b^2*s = (Y + delta)/2, a^2*r*l = (Y - delta)/2 and 2ab = X.  The two
+    halves differ by delta, so they are coprime and gcd(b, r) = 1, and
+    gcd(b^2*s, n) = gcd(b^2*s, r*s) = s*gcd(b^2, r) = s: each unit and sign
+    leave the one candidate s = gcd((Y + delta)/2, n), r = n/s, and the
+    two roots and 2ab = X decide it.  The test 2ab = X is needed: without
+    it the torsion (x, y) = (1, 0) would pass for l = 1.  All candidates
+    for one unit have the same phi, and two occur only for l = 1 (g and
+    g*(0, 1; 1, 0), of opposite norms and swapped r and s); the one with
+    the smaller r is taken, delta = +1 on a tie.  eps^2 always has the
+    candidate (a, b) = (X1, Y1) at (r, s) = (n, 1).
 
     For l = 1 the extra torsion element (0, 1; 1, 0) is reported alongside.
     """
@@ -187,14 +186,18 @@ def solve_generator(n: int, ell: int) -> PellContext:
     for big_y, big_x in ((y1, x1), (y1 * y1 + d * x1 * x1, 2 * y1 * x1)):
         if big_y % 2 == 0:  # Y = b^2*s + a^2*r*l is odd: b^2*s - a^2*r*l = +-1
             continue
-        for r in divisors(n):
-            s = n // r
-            for delta in (1, -1):
-                b = _exact_root((big_y + delta) // 2, s)
-                a = _exact_root((big_y - delta) // 2, r * ell)
-                if a is not None and b is not None and 2 * a * b == big_x:
-                    generator = GMatrix(Surd(b, s), Surd(ell * a, r), Surd(a, r), Surd(b, s))
-                    return PellContext(n, ell, generator, delta, torsion)
+        hits = []  # (r, delta, a, b)
+        for delta in (1, -1):
+            s = math.gcd((big_y + delta) // 2, n)
+            b = exact_root((big_y + delta) // 2, s)
+            a = exact_root((big_y - delta) // 2, n // s * ell)
+            if a is not None and b is not None and 2 * a * b == big_x:
+                hits.append((n // s, delta, a, b))
+        if hits:
+            r, delta, a, b = min(hits, key=lambda hit: hit[0])  # delta = +1 on a tie
+            x, y = Surd(a, r), Surd(b, n // r)
+            generator = GMatrix(y, Surd.reduced(ell * x.coef, x.rad), x, y)
+            return PellContext(n, ell, generator, delta, torsion)
     raise InvariantViolation(f"no generator found for (n,l)=({n},{ell})")
 
 
@@ -217,8 +220,8 @@ def _parities(pell: PellContext) -> tuple[int, tuple[Parity, Parity]]:
       odd to even: (alpha, beta) -> (alpha*y + beta*x, alpha*l*x*r + beta*y*s)."""
     g, ell = pell.generator, pell.ell
     x, r, y, s = g.c.coef, g.c.rad, g.d.coef, g.d.rad
-    kappa = math.isqrt(pell.n // (r * s))
-    if kappa * kappa * r * s != pell.n:
+    kappa = exact_root(pell.n, r * s)
+    if kappa is None:
         raise InvariantViolation(f"n = {pell.n} is not a square times {r}*{s}")
     even = (r * s, 1, (y * s, x, ell * x * r, y))
     odd = (r, s, (y, x, ell * x * r, y * s))

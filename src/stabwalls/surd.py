@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 RatLike = Union[int, Fraction]
 
@@ -43,15 +43,18 @@ def is_perfect_square(m: int) -> bool:
     return m >= 0 and math.isqrt(m) ** 2 == m
 
 
-def divisors(k: int) -> list[int]:
-    """The positive divisors of k >= 1, ascending."""
-    out = []
-    for i in range(1, math.isqrt(k) + 1):
-        if k % i == 0:
-            out.append(i)
-            if i != k // i:
-                out.append(k // i)
-    return sorted(out)
+def exact_root(num: int, den: int = 1) -> Optional[int]:
+    """sqrt(num/den) when it is an integer, else None (num >= 0, den >= 1)."""
+    q, rem = divmod(num, den)
+    root = math.isqrt(q)
+    return root if rem == 0 and root * root == q else None
+
+
+def rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    """sqrt(x) for x >= 0 when it is rational (the lowest terms of x are
+    squares), else None."""
+    p, q = exact_root(x.numerator), exact_root(x.denominator)
+    return None if p is None or q is None else Fraction(p, q)
 
 
 def frac(x: RatLike) -> Fraction:
@@ -111,12 +114,10 @@ def sqrt_of_fraction(x: Fraction) -> Surd:
     division would stall on the huge squares of far codimension-0 radii."""
     if x < 0:
         raise ValueError("negative radicand")
-    if x == 0:
-        return Surd(0)
-    num, den = x.numerator, x.denominator
-    if is_perfect_square(num) and is_perfect_square(den):
-        return Surd(Fraction(math.isqrt(num), math.isqrt(den)))
-    return Surd(Fraction(1, den), num * den)
+    root = rational_sqrt(x)
+    if root is not None:
+        return Surd(root)
+    return Surd(Fraction(1, x.denominator), x.numerator * x.denominator)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .jsonio import frac_str
+from .surd import rational_sqrt
 from .walls import VLine, Wall, rational_key, sort_walls
 
 _SCALE = 120  # pixels per unit
@@ -110,11 +111,8 @@ def render(
             f'r="{_fmt(radius * _SCALE)}" fill="none" stroke="{_color(w)}" '
             f'stroke-width="1.5" clip-path="url(#win)"/>'
         )
-        # sqrt(p/q) in lowest terms is rational iff p and q are squares
-        p, q = w.shape.radius_sq.numerator, w.shape.radius_sq.denominator
-        rp, rq = math.isqrt(p), math.isqrt(q)
-        if rp * rp == p and rq * rq == q:
-            rt = Fraction(rp, rq)
+        rt = rational_sqrt(w.shape.radius_sq)
+        if rt is not None:
             ticks.extend([w.shape.center - rt, w.shape.center + rt])
         else:
             ticks.append(w.shape.center)

@@ -241,13 +241,9 @@ def integral_triple(v: MukaiVector, ctx: Context) -> tuple[int, int, int]:
 
 
 def _mirror_wall(w: Wall) -> Wall:
-    """w reflected in s = 0, witnessed by (r, -d, a)."""
-    if isinstance(w.shape, VLine):
-        shape: Shape = VLine(-w.shape.s0)
-    else:
-        shape = Circle(-w.shape.center, w.shape.radius_sq)
+    """The circle w reflected in s = 0, witnessed by (r, -d, a)."""
     v = w.witness
-    return Wall(shape, MukaiVector(v.r, -v.d, v.a), w.label)
+    return Wall(Circle(-w.shape.center, w.shape.radius_sq), MukaiVector(v.r, -v.d, v.a), w.label)
 
 
 def _multiples(lo: int, hi: int, step: int) -> range:
@@ -283,9 +279,7 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
     found: dict[IntShape, tuple] = {}  # shape -> witness_key of its best witness yet
 
     def consider(r1: int, a1q: int, j: int):
-        d1, rest = divmod(j + r1 * p, q)
-        if rest:
-            return
+        d1 = (j + r1 * p) // q  # exact: every caller's r1 is c1 mod q
         a1, rest = divmod(a1q + n * (2 * d1 * p * q - r1 * p * p), qq)
         if rest:
             return
@@ -418,11 +412,15 @@ def cross_section(n: int, ell: int) -> tuple[Fraction, Optional[PellContext]]:
 def wall_set(
     n: int, ell: int, m_range: range = range(0)
 ) -> tuple[list[Wall], Fraction, Optional[PellContext]]:
-    """The wall set of (1, 0, -l), deduplicated by shape and sorted, with
-    the cross-section s0 it enumerated at and the Pell group when there is
-    one: the walls crossing s0 plus, in the square case, their mirrors in
-    s > 0 and the t-axis C_0, a finite and complete set; in the Pell case,
-    C_0, C_-1 and the labeled C_m for m in m_range."""
+    """The wall set of (1, 0, -l), sorted, with the cross-section s0 it
+    enumerated at and the Pell group when there is one: the walls crossing
+    s0 plus, in the square case, their mirrors in s > 0 and the t-axis
+    C_0, a finite and complete set; in the Pell case, C_0, C_-1 and the
+    labeled C_m for m in m_range.  No shape occurs twice: the enumeration
+    keys its walls by shape, and they are pencil circles
+    (radius^2 = center^2 - l/n) on the side of s = 0 of their center, so in
+    the square case their mirrors lie in s > 0, and in the Pell case they
+    lie strictly between C_0 and C_-1, apart from the disjoint label walks."""
     ctx = Context(n)  # rejects n < 1 before the square route divides by n
     s0, pell = cross_section(n, ell)
     found = enumerate_walls_on_line(MukaiVector(1, 0, -ell), s0, ctx)
@@ -438,10 +436,7 @@ def wall_set(
             walks = [range(min(m_range.start, -1), max(m_range.stop, 1))]
         for labels in walks:
             found += codim0_walls(pell, labels)
-    unique: dict[Shape, Wall] = {}
-    for w in found:
-        unique.setdefault(w.shape, w)
-    return sort_walls(unique.values()), s0, pell
+    return sort_walls(found), s0, pell
 
 
 # ---------------------------------------------------------------------------

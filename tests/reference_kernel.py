@@ -26,9 +26,10 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from paper_checks import vec_sub, wall_of
+from reference_pell import divisors
 from stabwalls.errors import BadCrossSection, DegenerateV, NonIntegral
 from stabwalls.lattice import Context, MukaiVector, beta_data, pairing, self_pairing
-from stabwalls.surd import RatLike, divisors
+from stabwalls.surd import RatLike
 from stabwalls.walls import Circle, Shape, VLine, Wall, sort_walls, witness_key
 
 

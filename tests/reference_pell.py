@@ -22,6 +22,12 @@ the reference for `paper_checks.in_interval` and `pell.interval_index`; its
 `in_interval` takes the slope as a `Surd`, and its `iterate` calls resolve
 to the reference `iterate` above, so it takes the contexts of the
 reference `solve_generator`.
+
+`divisor_generator` is the continued-fraction solver as it stood before
+the divisor loop gave way to one gcd per unit: for eps and eps^2 it tries
+every divisor pair r*s = n in ascending r, with `divisors` found by trial
+division.  Kept with its own unit and root helpers, as the
+reference that `pell.solve_generator` must match entry for entry.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ from typing import Iterator, Optional
 
 from stabwalls.errors import AccumulationPoint, IntegralityViolation, InvariantViolation, SquareCase
 from paper_checks import surd_add, surd_compare, surd_float, surd_mul, surd_neg, surd_square
-from stabwalls.pell import PellContext
-from stabwalls.surd import Surd, divisors, is_perfect_square
+from stabwalls.pell import GMatrix, PellContext
+from stabwalls.surd import Surd, is_perfect_square
 
 _MAX_BRUTE = 10**6
 
@@ -89,6 +95,17 @@ def _phi_less_than(g: PellMatrix, other: PellMatrix) -> bool:
     s1 = Surd(w1, g.x.rad * g.y.rad * g.ell)
     s2 = Surd(w2, other.x.rad * other.y.rad * other.ell)
     return surd_compare(Surd(u1 - u2), surd_add(s2, surd_neg(s1))) < 0
+
+
+def divisors(k: int) -> list[int]:
+    """The positive divisors of k >= 1, ascending."""
+    out = []
+    for i in range(1, math.isqrt(k) + 1):
+        if k % i == 0:
+            out.append(i)
+            if i != k // i:
+                out.append(k // i)
+    return sorted(out)
 
 
 def _divisor_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -231,6 +248,41 @@ def iterate(pell: PellContext, m: int) -> Iterate:
         sign = pell.epsilon**k
         a, b = Surd(-sign * a.coef, a.rad), Surd(sign * b.coef, b.rad)
     return Iterate(m, a, b)
+
+
+def _exact_root(num: int, den: int) -> Optional[int]:
+    """sqrt(num/den) when it is an integer, else None (num >= 0, den >= 1)."""
+    q, rem = divmod(num, den)
+    root = math.isqrt(q)
+    return root if rem == 0 and root * root == q else None
+
+
+def divisor_generator(n: int, ell: int) -> PellContext:
+    """Generator of the Pell group with minimal y + x*sqrt(l) > 1, as a
+    `GMatrix`: phi(g)^2 is the fundamental unit eps of Z[sqrt(l*n)] or
+    eps^2, eps first.  For each divisor pair r*s = n in ascending r and
+    each delta = +-1, a unit Y + X*sqrt(l*n) is phi(g)^2 exactly when
+    b^2*s = (Y + delta)/2, a^2*r*l = (Y - delta)/2 and 2ab = X; the first
+    hit is taken.  For l = 1 the torsion (0, 1; 1, 0) is reported."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    d = ell * n
+    if is_perfect_square(d):
+        raise SquareCase(f"sqrt({ell}*{n}) is an integer; the group is finite")
+    torsion = GMatrix(Surd(0), Surd(1), Surd(1), Surd(0)) if ell == 1 else None
+    y1, x1 = next(_cf_sqrt_units(d))
+    for big_y, big_x in ((y1, x1), (y1 * y1 + d * x1 * x1, 2 * y1 * x1)):
+        if big_y % 2 == 0:
+            continue
+        for r in divisors(n):
+            s = n // r
+            for delta in (1, -1):
+                b = _exact_root((big_y + delta) // 2, s)
+                a = _exact_root((big_y - delta) // 2, r * ell)
+                if a is not None and b is not None and 2 * a * b == big_x:
+                    generator = GMatrix(Surd(b, s), Surd(ell * a, r), Surd(a, r), Surd(b, s))
+                    return PellContext(n, ell, generator, delta, torsion)
+    raise InvariantViolation(f"no generator found for (n,l)=({n},{ell})")
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,33 @@ def test_huge_n_identity_acts_at_once(capsys):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_huge_n_pell_group_answers_at_once(capsys):
+    """For n = 10^30 + 1 and l = 1 the generator comes from one gcd per
+    unit and sign, not from a loop over the divisors of n (trial division
+    up to sqrt(n) = 10^15 would run for days): pell, intervals and walls
+    each answer within 1 s."""
+    n = str(10**30 + 1)
+
+    def overdue(signum, frame):
+        raise TimeoutError("command still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(5)
+    try:
+        for argv in (["pell"], ["intervals", "--lambda=1/2"], ["walls"]):
+            t0 = time.perf_counter()
+            code, data = run(capsys, *argv, "--n", n, "--ell", "1")
+            assert time.perf_counter() - t0 < 1, argv
+            assert code == 0, argv
+            if argv == ["pell"]:
+                assert data["generator"]["p"] == str(10**15) and data["epsilon"] == 1
+            if argv == ["walls"]:
+                assert sorted(w["m"] for w in data["walls"] if w["codim0"]) == [-2, -1, 0, 1, 2]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_non_member_of_square_factor_n_is_rejected(capsys):
     """For n = 4, (1, 1; 0, 1) has determinant 1 and n/(1*1) = 4 is a
     square, but no radicands r*s = 4 make a = 1 an integer times sqrt(r)

@@ -32,6 +32,7 @@ from paper_checks import (
     swap_diagonal,
     vec_neg,
 )
+from reference_pell import divisors
 from stabwalls.errors import NotInGHat
 from stabwalls.fmgroup import (
     act_on_vector,
@@ -45,7 +46,6 @@ from stabwalls.surd import (
     QnComplex,
     QnNumber,
     Surd,
-    divisors,
     is_perfect_square,
     squarefree_decompose,
 )

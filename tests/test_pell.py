@@ -107,6 +107,19 @@ def test_generator_matches_reference():
             assert (it.m, it.a, it.b) == (ref_it.m, ref_it.a, ref_it.b), (n, ell, m)
 
 
+def test_generator_matches_divisor_loop():
+    """One gcd per unit and sign finds the generator that the divisor loop
+    over r*s = n found, entry for entry, with its norm and torsion.  The
+    grid holds the l = 1 ties, where the smaller r wins, such as (3, 1),
+    and a non-squarefree s = 4 at (4, 3)."""
+    cases = [(n, ell) for n in range(1, 61) for ell in range(1, 120) if not is_perfect_square(n * ell)]
+    assert len(cases) == 6920
+    for n, ell in cases:
+        pc, ref = solve_generator(n, ell), reference_pell.divisor_generator(n, ell)
+        assert pc.generator == ref.generator, (n, ell)
+        assert (pc.epsilon, pc.torsion) == (ref.epsilon, ref.torsion), (n, ell)
+
+
 def test_generator_matches_sympy_diop_dn():
     # independent oracle for n = 1: the least solution of y^2 - l*x^2 = -1
     # when there is one, else of y^2 - l*x^2 = +1

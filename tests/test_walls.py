@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 
@@ -455,6 +456,46 @@ def test_wall_set_labels_are_the_codim0_labels():
                 walls, _, pc = wall_set(n, ell)
                 assert pc is None
                 assert [w for w in walls if isinstance(w.shape, VLine)] == [c0], (n, ell)
+
+
+def test_wall_set_shapes_are_distinct(monkeypatch):
+    """wall_set lists no shape twice, with no dedup pass: the enumerated
+    walls are keyed by shape, the label walks cover disjoint labels, and
+    only circles, all in s < 0, are mirrored.  Over every non-square
+    (n <= 6, l < 40) with m_range empty, overlapping, adjacent to or apart
+    from -1..0, and the square (n <= 6, n*l <= 144)."""
+    mirrored = []
+    mirror = walls_mod._mirror_wall
+
+    def record(w):
+        mirrored.append(w)
+        return mirror(w)
+
+    monkeypatch.setattr(walls_mod, "_mirror_wall", record)
+    # one enumeration per (n, l), shared by its m_ranges; wall_set extends
+    # the list it gets, so each call gets a copy
+    enumerate_once = functools.lru_cache(enumerate_walls_on_line)
+    monkeypatch.setattr(walls_mod, "enumerate_walls_on_line", lambda *args: list(enumerate_once(*args)))
+    m_ranges = [range(0), range(-2, 3), range(2, 5), range(-6, -3), range(-3, -1), range(1, 3),
+                range(-40, 41)]
+    checked = 0
+    for n in range(1, 7):
+        for ell in range(1, 40):
+            if is_perfect_square(n * ell):
+                continue
+            for m_range in m_ranges:
+                walls, _, _ = wall_set(n, ell, m_range)
+                shapes = [w.shape for w in walls]
+                assert len(set(shapes)) == len(shapes), (n, ell, m_range)
+                checked += 1
+        for ell in range(1, 144 // n + 1):
+            if is_perfect_square(n * ell):
+                walls, _, _ = wall_set(n, ell)
+                shapes = [w.shape for w in walls]
+                assert len(set(shapes)) == len(shapes), (n, ell)
+                checked += 1
+    assert mirrored and all(isinstance(w.shape, Circle) and w.shape.center < 0 for w in mirrored)
+    assert checked == 1509
 
 
 def test_isometry_transport_of_wall_conditions():
