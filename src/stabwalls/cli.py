@@ -22,6 +22,7 @@ from .jsonio import (
     chamber_record,
     frac_str,
     gmatrix_record,
+    int_str,
     parse_frac,
     parse_gmatrix_text,
     parse_qnc,
@@ -71,9 +72,11 @@ def _parse_m_range(text: str) -> range:
 
 def _write_json(x, out: list, pad: str) -> None:
     """Append the JSON text of x to out, indented below pad.  Handles
-    dict (str keys), list, str, int, bool and None; anything else, or a
-    non-str key, raises TypeError."""
-    if isinstance(x, str):
+    dict (str keys), list, str, int, bool, None and Wall, written by
+    `wall_record`; anything else, or a non-str key, raises TypeError."""
+    if isinstance(x, walls_mod.Wall):
+        out.append(wall_record(x, pad))
+    elif isinstance(x, str):
         out.append(_quote(x))
     elif isinstance(x, dict):
         if not x:
@@ -106,16 +109,17 @@ def _write_json(x, out: list, pad: str) -> None:
     elif x is False:
         out.append("false")
     elif isinstance(x, int):
-        out.append(int.__repr__(x))
+        out.append(int_str(x))
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _emit(payload) -> None:
     """Print payload as `json.dumps(payload, indent=2, sort_keys=True)`
-    does, plus a newline, byte for byte.  With `indent` set, `json` always
-    runs its pure-Python encoder; `_write_json` appends the same pieces to
-    one list and quotes strings with the C `encode_basestring_ascii` that
+    does, plus a newline, byte for byte, with each Wall in it printed as
+    its record (see `wall_record`).  With `indent` set, `json` always runs
+    its pure-Python encoder; `_write_json` appends the same pieces to one
+    list and quotes strings with the C `encode_basestring_ascii` that
     `json` uses, at about twice the speed."""
     out: list[str] = []
     _write_json(payload, out, "")
@@ -145,7 +149,7 @@ def cmd_walls(args) -> dict:
             "n": args.n,
             "v": vector_str(v),
             "s0": frac_str(s0),
-            "walls": [wall_record(w) for w in wall_list],
+            "walls": wall_list,
         }
         if args.verify:
             payload["verify"] = _verify_report(v, s0, wall_list, ctx)
@@ -156,7 +160,7 @@ def cmd_walls(args) -> dict:
             "n": args.n,
             "ell": args.ell,
             "v": vector_str(MukaiVector(1, 0, -args.ell)),
-            "walls": [wall_record(w) for w in wall_list],
+            "walls": wall_list,
         }
         if args.verify:
             payload["verify"] = _verify_wall_set(args.ell, s0, wall_list, ctx)
@@ -283,7 +287,8 @@ def _verify_wall_set(ell: int, s0: Fraction, wall_list: list, ctx: Context) -> d
     """_verify_report for a wall set of (1, 0, -l) from `wall_set` and its
     cross-section s0: its walls that cross s0 are the enumeration there, as
     no mirrored wall, C_0 or C_-1 crosses it."""
-    crossing = [w for w in wall_list if not w.codim0 and w.shape.t_sq_at(s0) > 0]
+    p, q = s0.numerator, s0.denominator
+    crossing = [w for w in wall_list if not w.codim0 and walls_mod.crosses(w.shape, p, q)]
     return _verify_report(MukaiVector(1, 0, -ell), s0, crossing, ctx)
 
 

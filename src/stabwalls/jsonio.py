@@ -1,8 +1,11 @@
 """JSON encoding of the record types.
 
 All rationals serialize as strings "p/q" (plain "p" for integers), never as
-floats; vectors as "r,d,a"; surds as "a*sqrt(r)" or plain integers.  Parsers
-for the same grammar read the CLI input flags.
+floats; vectors as "r,d,a"; surds as "a*sqrt(r)" or plain integers.  Every
+integer becomes text through `int_str`, which prints ints of any size.  A
+wall is written from the integers of its shape and witness by
+`wall_record`, straight to its JSON text.  Parsers for the same grammar
+read the CLI input flags.
 """
 
 from __future__ import annotations
@@ -15,13 +18,40 @@ from .errors import NotInGHat
 from .lattice import MukaiVector
 from .pell import GMatrix, NumericalSolution
 from .surd import QnComplex, QnNumber, RatLike, Surd
-from .walls import ChamberReport, VLine, Wall, WMaxReport
+from .walls import ChamberReport, Circle, Wall, WMaxReport
+
+# 10^_CHUNK_DIGITS stays below every limit sys.set_int_max_str_digits accepts (640 and up)
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def int_str(x: int) -> str:
+    """The decimal text of an int of any size.  str(x) raises ValueError
+    past the interpreter's limit on int-to-str conversion
+    (sys.get_int_max_str_digits); such an int is converted in chunks of
+    _CHUNK_DIGITS digits, each below the limit, and the limit is left
+    alone."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    chunks = []
+    rest = abs(x)
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(rest))
+    return ("-" if x < 0 else "") + "".join(reversed(chunks))
+
+
+def ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms (den > 0) as "p/q", or "p" when den is 1."""
+    return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
 
 
 def frac_str(x: RatLike) -> str:
     """An int or a Fraction as "p/q", or "p" when it is an integer."""
-    num, den = x.numerator, x.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
+    return ratio_str(x.numerator, x.denominator)
 
 
 def parse_frac(text: str) -> Fraction:
@@ -31,7 +61,7 @@ def parse_frac(text: str) -> Fraction:
 def surd_str(x: Surd) -> str:
     if x.rad == 1:
         return frac_str(x.coef)
-    return f"{frac_str(x.coef)}*sqrt({x.rad})"
+    return f"{frac_str(x.coef)}*sqrt({int_str(x.rad)})"
 
 
 _SURD_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*(?:\*\s*sqrt\(\s*(\d+)\s*\))?\s*$")
@@ -71,23 +101,34 @@ def parse_surd(text: str, n: int) -> Surd:
 
 
 def vector_str(v: MukaiVector) -> str:
-    return f"{v.r},{frac_str(v.d)},{frac_str(v.a)}"
+    return f"{int_str(v.r)},{frac_str(v.d)},{frac_str(v.a)}"
 
 
-def wall_record(w: Wall) -> dict:
-    if isinstance(w.shape, VLine):
-        shape = {"vline": {"s": frac_str(w.shape.s0)}}
+def wall_record(w: Wall, pad: str) -> str:
+    """The JSON text of one wall, as `json.dumps(indent=2, sort_keys=True)`
+    writes the record {"codim0", "m" (labelled walls only), "shape",
+    "witness"} at indent pad, from the integers of the shape and witness.
+    Every entry is a string of digits, "-" and "/", or an int, so nothing
+    needs escaping."""
+    shape = w.shape
+    r, d, a = w.witness
+    if w.label is None:
+        head = f'{{\n{pad}  "codim0": false,\n{pad}  "shape": {{\n{pad}    '
     else:
-        shape = {
-            "circle": {
-                "center": frac_str(w.shape.center),
-                "radius_sq": frac_str(w.shape.radius_sq),
-            }
-        }
-    rec = {"shape": shape, "witness": vector_str(w.witness), "codim0": w.codim0}
-    if w.label is not None:
-        rec["m"] = w.label
-    return rec
+        head = (
+            f'{{\n{pad}  "codim0": true,\n{pad}  "m": {int_str(w.label)},'
+            f'\n{pad}  "shape": {{\n{pad}    '
+        )
+    tail = (
+        f'\n{pad}    }}\n{pad}  }},'
+        f'\n{pad}  "witness": "{int_str(r)},{int_str(d)},{int_str(a)}"\n{pad}}}'
+    )
+    if isinstance(shape, Circle):
+        return (
+            f'{head}"circle": {{\n{pad}      "center": "{ratio_str(shape.cn, shape.cd)}",'
+            f'\n{pad}      "radius_sq": "{ratio_str(shape.rn, shape.rd)}"{tail}'
+        )
+    return f'{head}"vline": {{\n{pad}      "s": "{ratio_str(shape.sn, shape.sd)}"{tail}'
 
 
 def solution_record(sol: NumericalSolution) -> dict:
@@ -95,18 +136,20 @@ def solution_record(sol: NumericalSolution) -> dict:
 
 
 def chamber_record(rep: ChamberReport) -> dict:
+    """The payload of a chamber report; its Walls are written by
+    `wall_record`."""
     out: dict = {"kind": rep.kind}
     if rep.wall is not None:
-        out["wall"] = wall_record(rep.wall)
+        out["wall"] = rep.wall
     if rep.kind == "Bounded":
-        out["outer"] = wall_record(rep.outer) if rep.outer else None
-        out["inner"] = wall_record(rep.inner) if rep.inner else None
+        out["outer"] = rep.outer
+        out["inner"] = rep.inner
     return out
 
 
 def wmax_record(rep: WMaxReport) -> dict:
     return {
-        "wall": wall_record(rep.wall),
+        "wall": rep.wall,
         "lambda1": qn_str(rep.lambda1),
         "lambda2": qn_str(rep.lambda2),
         "note": "Gieseker semistability is preserved for transform slopes "
@@ -118,9 +161,9 @@ def qn_str(x: QnNumber) -> str:
     if x.v == 0:
         return frac_str(x.u)
     if x.u == 0:
-        return f"{frac_str(x.v)}*sqrt({x.n})"
+        return f"{frac_str(x.v)}*sqrt({int_str(x.n)})"
     sign = "+" if x.v > 0 else ""
-    return f"{frac_str(x.u)}{sign}{frac_str(x.v)}*sqrt({x.n})"
+    return f"{frac_str(x.u)}{sign}{frac_str(x.v)}*sqrt({int_str(x.n)})"
 
 
 def qnc_str(z: QnComplex) -> str:

@@ -3,7 +3,13 @@ codimension-0 detection, wall sets and chamber classification.
 
 All geometry is exact: a wall is a circle (rational center, rational
 radius^2) or a vertical line in the (s, t) half-plane, and every predicate
-is decided in Q.
+is decided in Q.  A shape holds the lowest-terms integers that the wall
+test `wall_between` computes, (cn, cd, rn, rd) for a circle and (sn, sd)
+for a line, and a wall's witness is an integer triple (r, d, a).  Sorting
+(`sort_walls`, by an exact integer key), mirroring and the chamber
+predicates cross-multiply those integers; Fractions appear only at the
+edges: the cross-section, a classified point, and the Fraction views
+`Circle.center` and `Circle.radius_sq` that `w_max_report` reads once.
 
 Completeness of `enumerate_walls_on_line` (why the search space is finite):
 write D(w), A(w) for the twisted d- and a-components of w at base s0*H,
@@ -63,49 +69,53 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import BadCrossSection, DegenerateV, InvariantViolation, NonIntegral, NoWalls
-from .lattice import (
-    Context,
-    MukaiVector,
-    UNIT,
-    beta_data,
-    self_pairing,
-)
+from .lattice import Context, MukaiVector, beta_data, self_pairing
 from .charge import StabilityPoint
 from .pell import PellContext, orbit, solve_generator
-from .surd import QnNumber, RatLike, is_perfect_square, sqrt_of_fraction
+from .surd import QnNumber, RatLike, frac, is_perfect_square, sqrt_of_fraction
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: Fraction
-    radius_sq: Fraction
+class Circle(NamedTuple):
+    """The circle (s - cn/cd)^2 + t^2 = rn/rd: center and radius^2 in
+    lowest terms with positive denominators, as `wall_between` returns
+    them.  A Circle equals that integer tuple."""
 
-    def t_sq_at(self, s: Fraction) -> Fraction:
-        return self.radius_sq - (s - self.center) ** 2
+    cn: int
+    cd: int
+    rn: int
+    rd: int
+
+    @property
+    def center(self) -> Fraction:
+        return Fraction(self.cn, self.cd)
+
+    @property
+    def radius_sq(self) -> Fraction:
+        return Fraction(self.rn, self.rd)
 
     def endpoints(self) -> tuple[QnNumber, QnNumber]:
         """Exact real-axis abscissae center -+ sqrt(radius_sq)."""
         rad = sqrt_of_fraction(self.radius_sq)
-        lo = QnNumber(self.center, -rad.coef, rad.rad)
-        hi = QnNumber(self.center, rad.coef, rad.rad)
-        return lo, hi
+        center = self.center
+        return QnNumber(center, -rad.coef, rad.rad), QnNumber(center, rad.coef, rad.rad)
 
 
-@dataclass(frozen=True)
-class VLine:
-    s0: Fraction
+class VLine(NamedTuple):
+    """The vertical line s = sn/sd, in lowest terms with sd > 0."""
+
+    sn: int
+    sd: int
 
 
 Shape = Union[Circle, VLine]
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     shape: Shape
-    witness: MukaiVector
+    witness: tuple[int, int, int]  # (r, d, a) of the witness v1
     label: Optional[int] = None  # m when the wall is the codimension-0 C_m
 
     @property
@@ -115,32 +125,36 @@ class Wall:
 
 # C_0, the t-axis s = 0, witnessed by 1 = (1, 0, 0).  A vertical wall of v
 # lies at s = d/r, so C_0 is the one vertical wall of (1, 0, -l).
-C0 = Wall(VLine(Fraction(0)), UNIT, label=0)
+C0 = Wall(VLine(0, 1), (1, 0, 0), label=0)
 
 
-def rational_key(x: Fraction) -> tuple[int, Fraction]:
-    """(floor(x * 2^64), x), which orders exactly as x: the floor is
-    monotone and x breaks its ties.  Two keys compare on ints alone unless
-    their values lie within 2^-64 of each other."""
-    return ((x.numerator << 64) // x.denominator, x)
-
-
-def _shape_sort_key(shape: Shape) -> tuple:
-    if isinstance(shape, VLine):
-        return (0, *rational_key(shape.s0), 0)
-    return (1, *rational_key(shape.center), shape.radius_sq)
+def exact_bits(max_den: int) -> int:
+    """The least K with 2^K > 2*max_den^2.  Two distinct rationals with
+    denominators at most max_den differ by at least 1/max_den^2, so
+    floor(x * 2^K) = (num << K) // den orders them exactly, ties included:
+    equal keys mean equal values."""
+    return (2 * max_den * max_den).bit_length()
 
 
 def sort_walls(walls: Iterable[Wall]) -> list[Wall]:
     """Vertical lines by abscissa, then circles by center and radius^2.
 
-    The key (kind, floor(x * 2^64), x, y), x the abscissa or center and y
-    the radius^2 (0 for a line), orders exactly as (kind, x, y) does (see
-    `rational_key`), but most comparisons run on ints instead of Fractions.
-    The Fractions decide only between centers within 2^-64 of each other,
-    such as the equal centers of concentric rank-0 walls, where the
-    radius^2 decides."""
-    return sorted(walls, key=lambda w: _shape_sort_key(w.shape))
+    The key (kind, floor(x * 2^K), floor(y * 2^K)), x the abscissa or
+    center and y the radius^2 (0 for a line), with K = exact_bits of the
+    largest denominator in the list, orders exactly as (kind, x, y) does,
+    on ints alone: concentric rank-0 walls tie on x, and y decides."""
+    walls = list(walls)
+    # shape[1] is cd or sd, shape[-1] is rd or sd
+    k = exact_bits(max((max(w.shape[1], w.shape[-1]) for w in walls), default=1))
+
+    def key(w: Wall) -> tuple[int, int, int]:
+        shape = w.shape
+        if len(shape) == 2:
+            return (0, (shape[0] << k) // shape[1], 0)
+        cn, cd, rn, rd = shape
+        return (1, (cn << k) // cd, (rn << k) // rd)
+
+    return sorted(walls, key=key)
 
 
 def witness_key(r: int, d: RatLike, a: RatLike) -> tuple:
@@ -164,8 +178,8 @@ def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> O
     integers; radius^2 > 0 is cross-multiplied by the square of its
     denominator.  A circle comes back as (cn, cd, rn, rd): center cn/cd and
     radius^2 rn/rd in lowest terms with positive denominators; the line
-    s = sn/sd as (sn, sd).  Equal walls give equal tuples, and `shape_of`
-    builds the Fraction shape.  The conditions are symmetric in v1 and
+    s = sn/sd as (sn, sd).  Equal walls give equal tuples, which equal the
+    Circle or VLine of the wall.  The conditions are symmetric in v1 and
     v - v1, which give the same wall.
     """
     n2 = 2 * n
@@ -180,7 +194,7 @@ def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> O
     if r:
         denom = r * d1 - r1 * d
         if not denom:
-            return _lowest(d, r)
+            return lowest_terms(d, r)
         # center = y/(2n*denom); radius^2 = (d/r - center)^2 - <v^2>/(2n*r^2)
         # = (x^2 - 2n*<v^2>*denom^2) / (2n*r*denom)^2
         y = a1 * r - a * r1
@@ -188,7 +202,7 @@ def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> O
         rad = x * x - n2 * vv * denom * denom
         if rad <= 0:
             return None
-        return _lowest(y, n2 * denom) + _lowest(rad, (n2 * r * denom) ** 2)
+        return lowest_terms(y, n2 * denom) + lowest_terms(rad, (n2 * r * denom) ** 2)
     # rank 0: <v^2> = 2n*d^2 > 0 forces d != 0, and every wall is a circle
     # around a/(2n*d) with radius^2 = (a/(2n*d) - d1/r1)^2 - <v1^2>/(2n*r1^2)
     if not r1:
@@ -197,10 +211,10 @@ def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> O
     rad = x * x - n2 * d * d * v1v1
     if rad <= 0:
         return None
-    return _lowest(a, n2 * d) + _lowest(rad, (n2 * d * r1) ** 2)
+    return lowest_terms(a, n2 * d) + lowest_terms(rad, (n2 * d * r1) ** 2)
 
 
-def _lowest(num: int, den: int) -> tuple[int, int]:
+def lowest_terms(num: int, den: int) -> tuple[int, int]:
     """num/den (den != 0) in lowest terms with a positive denominator."""
     g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
     return num // g, den // g
@@ -216,18 +230,13 @@ def crosses(shape: IntShape, p: int, q: int) -> bool:
     return (p * cd - q * cn) ** 2 * rd < rn * (q * cd) ** 2
 
 
-def shape_of(shape: IntShape) -> Shape:
-    """The Fraction shape of an integer shape from wall_between."""
-    if len(shape) == 2:
-        return VLine(Fraction(*shape))
-    cn, cd, rn, rd = shape
-    return Circle(Fraction(cn, cd), Fraction(rn, rd))
-
-
 def build_walls(found: dict[IntShape, tuple]) -> list[Wall]:
     """The sorted Walls of a map from integer shapes to the witness_key of
-    each one's witness: one Fraction shape and one MukaiVector per wall."""
-    return sort_walls(Wall(shape_of(shape), MukaiVector(*key[3:])) for shape, key in found.items())
+    each one's witness; the witness is the key's last three entries."""
+    return sort_walls(
+        Wall(Circle(*shape) if len(shape) == 4 else VLine(*shape), key[3:])
+        for shape, key in found.items()
+    )
 
 
 def integral_triple(v: MukaiVector, ctx: Context) -> tuple[int, int, int]:
@@ -242,8 +251,9 @@ def integral_triple(v: MukaiVector, ctx: Context) -> tuple[int, int, int]:
 
 def _mirror_wall(w: Wall) -> Wall:
     """The circle w reflected in s = 0, witnessed by (r, -d, a)."""
-    v = w.witness
-    return Wall(Circle(-w.shape.center, w.shape.radius_sq), MukaiVector(v.r, -v.d, v.a), w.label)
+    cn, cd, rn, rd = w.shape
+    r, d, a = w.witness
+    return Wall(Circle(-cn, cd, rn, rd), (r, -d, a), w.label)
 
 
 def _multiples(lo: int, hi: int, step: int) -> range:
@@ -262,11 +272,11 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
     `crosses`, so extra candidates are harmless.  The loops run on
     integers scaled by q^2, q = den(s0): j = q*D(v1), N = q^2*P and
     X = q^2*(r - r1)(A - A1).  The walls are keyed by wall_between's
-    integer shape, and their Fraction shapes, witnesses and Walls are
-    built once per wall, after the loops.
+    integer shape, and their Walls are built once per wall, after the
+    loops, from those integers.
     """
     r, d, a = integral_triple(v, ctx)
-    s0 = Fraction(s0)
+    s0 = frac(s0)
     n = ctx.n
     p, q = s0.numerator, s0.denominator
     qq = q * q
@@ -355,7 +365,7 @@ def codim0_walls(pell: PellContext, m_range: range) -> list[Wall]:
             out.append(C0)
             continue
         shape, witness = _codim0_shape(pell, it.m, it.u())
-        out.append(Wall(shape_of(shape), MukaiVector(*witness), label=it.m))
+        out.append(Wall(Circle(*shape), witness, label=it.m))
     return out
 
 
@@ -374,14 +384,14 @@ def is_codim0(w: Wall, pell: PellContext) -> Optional[int]:
     above sqrt(l/n), the limit of the centers.  The one vertical wall is
     C_0 (see C0).  The walk compares integer shapes, and centers
     cross-multiplied."""
-    if isinstance(w.shape, VLine):
-        return 0 if w.shape.s0 == 0 else None
-    center, r_sq = w.shape.center, w.shape.radius_sq
-    if r_sq <= 0 or r_sq != center * center - Fraction(pell.ell, pell.n):
+    shape = w.shape
+    if isinstance(shape, VLine):
+        return 0 if shape.sn == 0 else None
+    cn, cd, rn, rd = shape
+    # radius^2 = center^2 - l/n, times n*cd^2*rd
+    if rn <= 0 or rn * pell.n * cd * cd != (cn * cn * pell.n - pell.ell * cd * cd) * rd:
         return None
-    cn, cd = center.numerator, center.denominator
-    shape = (cn, cd, r_sq.numerator, r_sq.denominator)
-    mirror = (-cn, cd) + shape[2:]
+    mirror = (-cn, cd, rn, rd)
     for it in orbit(pell, 1):
         c_k, _ = _codim0_shape(pell, it.m, it.u())
         if abs(c_k[0]) * cd < abs(cn) * c_k[1]:
@@ -425,17 +435,18 @@ def wall_set(
     s0, pell = cross_section(n, ell)
     found = enumerate_walls_on_line(MukaiVector(1, 0, -ell), s0, ctx)
     if pell is None:
-        found += [_mirror_wall(w) for w in found] + [C0]
-    else:
-        # C_-1, C_0 and the C_m of m_range in one walk, or in two when other
-        # labels lie between them
-        walks = [range(-1, 1)]
-        if m_range.start > 1 or m_range.stop < -1:
-            walks.append(m_range)
-        elif m_range:
-            walks = [range(min(m_range.start, -1), max(m_range.stop, 1))]
-        for labels in walks:
-            found += codim0_walls(pell, labels)
+        # found is sorted and its pencil circles have distinct centers, all
+        # in s < 0: C_0, found, then the mirrors in reverse is the sorted set
+        return [C0] + found + [_mirror_wall(w) for w in reversed(found)], s0, pell
+    # C_-1, C_0 and the C_m of m_range in one walk, or in two when other
+    # labels lie between them
+    walks = [range(-1, 1)]
+    if m_range.start > 1 or m_range.stop < -1:
+        walks.append(m_range)
+    elif m_range:
+        walks = [range(min(m_range.start, -1), max(m_range.stop, 1))]
+    for labels in walks:
+        found += codim0_walls(pell, labels)
     return sort_walls(found), s0, pell
 
 
@@ -451,22 +462,45 @@ class ChamberReport:
     inner: Optional[Wall] = None
 
 
-def _on_wall(shape: Shape, pt: StabilityPoint) -> bool:
-    if isinstance(shape, VLine):
-        return pt.s == shape.s0
-    return (pt.s - shape.center) ** 2 + pt.t_sq == shape.radius_sq
+Point = tuple[int, int, int, int]  # (sp, sq, tp, tq): s = sp/sq, t^2 = tp/tq, sq, tq > 0
 
 
-def _strictly_inside(shape: Shape, pt: StabilityPoint) -> bool:
-    if isinstance(shape, VLine):
+def _power_terms(shape: Circle, pt: Point) -> tuple[int, int]:
+    """(s - center)^2 + t^2 and radius^2 at pt, both multiplied by
+    tq*rd*(sq*cd)^2 > 0, so they compare as the rationals do."""
+    sp, sq, tp, tq = pt
+    cn, cd, rn, rd = shape
+    x, y = sp * cd - cn * sq, sq * cd
+    return (x * x * tq + tp * y * y) * rd, rn * y * y * tq
+
+
+def _on_wall(shape: Shape, pt: Point) -> bool:
+    if len(shape) == 2:
+        return pt[0] * shape[1] == shape[0] * pt[1]
+    lhs, rhs = _power_terms(shape, pt)
+    return lhs == rhs
+
+
+def _strictly_inside(shape: Shape, pt: Point) -> bool:
+    if len(shape) == 2:
         return False
-    return (pt.s - shape.center) ** 2 + pt.t_sq < shape.radius_sq
+    lhs, rhs = _power_terms(shape, pt)
+    return lhs < rhs
+
+
+def _by_radius(walls: list[Wall]):
+    """A key ordering these circle walls exactly by radius^2 (see
+    `exact_bits`), for min() and max()."""
+    k = exact_bits(max(w.shape.rd for w in walls))
+    return lambda w: (w.shape.rn << k) // w.shape.rd
 
 
 def _circle_inside_circle(inner: Circle, outer: Circle) -> bool:
     """For disjoint pencil circles: containment iff the center point lies
-    strictly inside the outer disk."""
-    return (inner.center - outer.center) ** 2 < outer.radius_sq
+    strictly inside the outer disk, cross-multiplied by rd*(cd*cd')^2."""
+    x = inner.cn * outer.cd - outer.cn * inner.cd
+    y = inner.cd * outer.cd
+    return x * x * outer.rd < outer.rn * y * y
 
 
 def classify_point(
@@ -477,27 +511,29 @@ def classify_point(
     Unbounded chambers split by the sign of d_{beta+sH}(v): positive gives
     the Gieseker side, otherwise the dual side.  Points strictly inside some
     circle get the nearest enclosing wall and, when present in the set, the
-    largest wall nested immediately inside.
+    largest wall nested immediately inside.  Every test runs on the
+    integers of the shapes and of pt, cross-multiplied.
     """
     walls = sort_walls(walls)
+    point = (pt.s.numerator, pt.s.denominator, pt.t_sq.numerator, pt.t_sq.denominator)
     for w in walls:
-        if _on_wall(w.shape, pt):
+        if _on_wall(w.shape, point):
             return ChamberReport("OnWall", wall=w)
-    enclosing = [w for w in walls if _strictly_inside(w.shape, pt)]
+    enclosing = [w for w in walls if _strictly_inside(w.shape, point)]
     if not enclosing:
         _, d_b, _ = beta_data(v, pt.s, ctx)
         kind = "Gieseker" if d_b > 0 else "DualGieseker"
         return ChamberReport(kind)
-    outer = min(enclosing, key=lambda w: w.shape.radius_sq)
+    outer = min(enclosing, key=_by_radius(enclosing))
     nested = [
         w
         for w in walls
         if isinstance(w.shape, Circle)
         and w.shape != outer.shape
         and _circle_inside_circle(w.shape, outer.shape)
-        and not _strictly_inside(w.shape, pt)
+        and not _strictly_inside(w.shape, point)
     ]
-    inner = max(nested, key=lambda w: w.shape.radius_sq) if nested else None
+    inner = max(nested, key=_by_radius(nested)) if nested else None
     return ChamberReport("Bounded", outer=outer, inner=inner)
 
 
@@ -512,9 +548,9 @@ def w_max_report(walls: Iterable[Wall]) -> WMaxReport:
     """The outermost wall of (1, 0, -l) in the region r*s < d_beta, which is
     s < 0, and its real-axis abscissae; Fourier-Mukai transforms based
     outside [lambda1, lambda2] preserve Gieseker semistability."""
-    left = [w for w in walls if isinstance(w.shape, Circle) and w.shape.center < 0]
+    left = [w for w in walls if isinstance(w.shape, Circle) and w.shape.cn < 0]
     if not left:
         raise NoWalls("no walls on the r*s < d_beta side")
-    top = max(left, key=lambda w: w.shape.radius_sq)
+    top = max(left, key=_by_radius(left))
     lam1, lam2 = top.shape.endpoints()
     return WMaxReport(top, lam1, lam2)

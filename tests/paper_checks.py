@@ -43,7 +43,8 @@ from stabwalls.fmgroup import (
 from stabwalls.lattice import Context, MukaiVector, beta_data
 from stabwalls.pell import GMatrix, PellContext, iterate
 from stabwalls.surd import QnComplex, QnNumber, RatLike, Surd, qn_rat
-from stabwalls.walls import VLine, Wall, shape_of, wall_between
+from reference_output import s0_of, shape_of
+from stabwalls.walls import VLine, Wall, wall_between
 
 
 class ZeroCharge(PreconditionError):
@@ -76,7 +77,7 @@ def wall_of(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall]:
     if vv <= 0:
         raise DegenerateV(f"<v^2> = {Fraction(vv, L * L)} <= 0")
     shape = wall_between(ctx.n, r, d, a, r1, d1, a1)
-    return None if shape is None else Wall(shape_of(shape), v1)
+    return None if shape is None else Wall(shape_of(shape), (v1.r, v1.d, v1.a))
 
 
 def qnc_rat(u: RatLike, v: RatLike, n: int) -> QnComplex:
@@ -413,9 +414,10 @@ def float_align_scan(
         for j in range(1, steps_t + 1):
             t = j * cfg.grid
             for idx, w in enumerate(walls):
-                dist = _wall_distance_estimate(v, w.witness, s, t, ctx.n, half_step)
+                witness = MukaiVector(*w.witness)
+                dist = _wall_distance_estimate(v, witness, s, t, ctx.n, half_step)
                 if dist < cfg.grid * 0.6 or abs(
-                    _alignment_defect(v, w.witness, s, t, ctx.n)
+                    _alignment_defect(v, witness, s, t, ctx.n)
                 ) < cfg.tol:
                     clouds[idx].append((s, t))
     return clouds
@@ -425,7 +427,7 @@ def cloud_max_distance(wall: Wall, cloud: list[tuple[float, float]]) -> float:
     """Largest distance from a cloud point to the exact wall locus."""
     worst = 0.0
     if isinstance(wall.shape, VLine):
-        x = float(wall.shape.s0)
+        x = float(s0_of(wall.shape))
         for s, _ in cloud:
             worst = max(worst, abs(s - x))
         return worst
@@ -471,7 +473,7 @@ def psi_apply_to_wall(pell: PellContext, m: int, wall: Wall, ctx: Context) -> Wa
     """Transport a wall for (1, 0, -l) by psi_map(pell, m), acting on its
     witness and rebuilding; labels move by m+k -> m-k."""
     v = MukaiVector(1, 0, -pell.ell)
-    w_img = act_on_vector(wall.witness, psi_map(pell, m), ctx)
+    w_img = act_on_vector(MukaiVector(*wall.witness), psi_map(pell, m), ctx)
     new = wall_of(v, w_img, ctx) or wall_of(v, -w_img, ctx)
     if new is None:
         raise IntegralityViolation(f"transport of {wall} lost the wall conditions")

@@ -30,7 +30,8 @@ from reference_pell import divisors
 from stabwalls.errors import BadCrossSection, DegenerateV, NonIntegral
 from stabwalls.lattice import Context, MukaiVector, beta_data, pairing, self_pairing
 from stabwalls.surd import RatLike
-from stabwalls.walls import Circle, Shape, VLine, Wall, sort_walls, witness_key
+from reference_output import circle, t_sq_at, vline
+from stabwalls.walls import Circle, VLine, Wall, sort_walls, witness_key
 
 
 def proportional(v: MukaiVector, w: MukaiVector) -> bool:
@@ -71,8 +72,8 @@ def reference_wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Opt
             radius_sq = (v.d / v.r - center) ** 2 - vv / (2 * n * v.r**2)
             if radius_sq <= 0:
                 return None
-            return Wall(Circle(center, radius_sq), v1)
-        return Wall(VLine(Fraction(v.d, v.r)), v1)
+            return Wall(circle(center, radius_sq), (v1.r, v1.d, v1.a))
+        return Wall(vline(Fraction(v.d, v.r)), (v1.r, v1.d, v1.a))
     # rank 0: <v^2> = 2n*d^2 > 0 forces d != 0, and every wall is a circle
     # around a/(2n*d)
     if v1.r == 0:
@@ -83,13 +84,13 @@ def reference_wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Opt
     )
     if radius_sq <= 0:
         return None
-    return Wall(Circle(center, radius_sq), v1)
+    return Wall(circle(center, radius_sq), (v1.r, v1.d, v1.a))
 
 
 def _crossing_t_sq(wall: Wall, s0: Fraction) -> Optional[Fraction]:
     if isinstance(wall.shape, VLine):
         return None
-    t_sq = wall.shape.t_sq_at(s0)
+    t_sq = t_sq_at(wall.shape, s0)
     return t_sq if t_sq > 0 else None
 
 
@@ -107,10 +108,12 @@ def _mirror_vector(v: MukaiVector) -> MukaiVector:
 
 def _mirror_wall(w: Wall) -> Wall:
     if isinstance(w.shape, VLine):
-        shape: Shape = VLine(-w.shape.s0)
+        shape = VLine(-w.shape.sn, w.shape.sd)
     else:
-        shape = Circle(-w.shape.center, w.shape.radius_sq)
-    return Wall(shape, _mirror_vector(w.witness), w.label)
+        cn, cd, rn, rd = w.shape
+        shape = Circle(-cn, cd, rn, rd)
+    r, d, a = w.witness
+    return Wall(shape, (r, -d, a), w.label)
 
 
 def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:
@@ -154,7 +157,7 @@ def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]
         if _crossing_t_sq(w, s0) is None:
             return
         prev = found.get(w.shape)
-        if prev is None or _witness_key(v1) < _witness_key(prev.witness):
+        if prev is None or _witness_key(v1) < witness_key(*prev.witness):
             found[w.shape] = w
 
     for j in range(0, int(D * q) + 1):
@@ -259,7 +262,7 @@ def divisor_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:
         if _crossing_t_sq(w, s0) is None:
             return
         prev = found.get(w.shape)
-        if prev is None or _witness_key(v1) < _witness_key(prev.witness):
+        if prev is None or _witness_key(v1) < witness_key(*prev.witness):
             found[w.shape] = w
 
     for j in range(1, Dq):

@@ -29,6 +29,7 @@ from paper_checks import (
     vec_sub,
     wall_of,
 )
+from reference_output import circle, s0_of, t_sq_at, vline
 from stabwalls.fmgroup import (
     act_on_vector,
     mobius,
@@ -89,26 +90,26 @@ def test_criterion_1_pell_goldens():
 
 def test_criterion_2_wall_goldens():
     c1 = {
-        2: Circle(F(-3, 2), F(1, 4)),
-        3: Circle(F(-7, 4), F(1, 16)),
-        5: Circle(F(-9, 4), F(1, 16)),
-        6: Circle(F(-49, 20), F(1, 400)),
+        2: circle(F(-3, 2), F(1, 4)),
+        3: circle(F(-7, 4), F(1, 16)),
+        5: circle(F(-9, 4), F(1, 16)),
+        6: circle(F(-49, 20), F(1, 400)),
     }
     for ell, shape in c1.items():
         fam = wall_set(1, ell)[0]
         labelled = {w.label: w.shape for w in fam if w.codim0}
         assert labelled[-1] == shape, ell
-        assert labelled[0] == VLine(F(0))
+        assert labelled[0] == vline(0)
     # l=3: unique intermediate wall
     fam3 = wall_set(1, 3)[0]
     between = [w.shape for w in fam3 if not w.codim0]
-    assert between == [Circle(F(-2), F(1))]
+    assert between == [circle(F(-2), F(1))]
     # l=4: unique wall in s < 0 at the square abscissa
     walls4 = enumerate_walls_on_line(MukaiVector(1, 0, -4), -2, Context(1))
-    assert [w.shape for w in walls4] == [Circle(F(-5, 2), F(9, 4))]
+    assert [w.shape for w in walls4] == [circle(F(-5, 2), F(9, 4))]
     # l=1: s = 0 is the only wall (nothing crosses the square abscissa)
     assert enumerate_walls_on_line(MukaiVector(1, 0, -1), -1, Context(1)) == []
-    assert wall_of(MukaiVector(1, 0, -1), MukaiVector(1, 0, 0), Context(1)).shape == VLine(F(0))
+    assert wall_of(MukaiVector(1, 0, -1), MukaiVector(1, 0, 0), Context(1)).shape == vline(0)
     _report(2, "C_-1 circles for l = 2,3,5,6, the l=3 and l=4 walls, l=1 axis only")
 
 
@@ -192,12 +193,12 @@ def test_criterion_5_geometry_properties():
                 if dc == 0:
                     assert rhs != 0
                 else:
-                    assert s1.t_sq_at(rhs / dc) < 0
+                    assert t_sq_at(s1, rhs / dc) < 0
         # no circle meets the vertical walls
         for w in walls:
             if isinstance(w.shape, VLine):
                 for sh in circles:
-                    assert sh.t_sq_at(w.shape.s0) < 0
+                    assert t_sq_at(sh, s0_of(w.shape)) < 0
     _report(5, "disjointness, pencil membership, endpoint containment per instance")
 
 

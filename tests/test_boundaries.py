@@ -7,6 +7,7 @@ import graphlib
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -217,3 +218,24 @@ def test_bench_traced_names_resolve():
     assert unresolved == []
     for module in spans.MODULES:
         importlib.import_module(f"stabwalls.{module}")
+
+
+def test_fraction_builds_do_not_grow_with_the_walls(tmp_path, capsys):
+    """walls --n 1 --ell 144 and --ell 64 list 1,255 and 331 walls, and
+    build the same number of Fractions, with and without --svg: a wall
+    stays integers from the kernel to the printed and drawn bytes, and
+    Fractions are built only at the edges (the parsed flags, the
+    cross-section, the window)."""
+    from reference_output import fraction_builds
+    from stabwalls import cli
+
+    counts = {}
+    for ell, size in ((144, 1255), (64, 331)):
+        for svg in ((), ("--svg", str(tmp_path / "walls.svg"))):
+            code, counts[ell, bool(svg)] = fraction_builds(
+                cli.main, ["walls", "--n", "1", "--ell", str(ell), *svg]
+            )
+            assert code == 0
+            assert len(json.loads(capsys.readouterr().out)["walls"]) == size
+    assert counts[144, False] == counts[64, False]
+    assert counts[144, True] == counts[64, True]

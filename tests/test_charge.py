@@ -13,6 +13,7 @@ from paper_checks import (
     vec_neg,
     wall_of,
 )
+from reference_output import t_sq_at
 from stabwalls.charge import StabilityPoint
 from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, twist
 from stabwalls.walls import Circle
@@ -90,7 +91,7 @@ def test_aligned_iff_on_wall():
         hits += 1
         c, r2 = wall.shape.center, wall.shape.radius_sq
         # a point on the wall, a point inside, a point outside
-        t_on = wall.shape.t_sq_at(c)
+        t_on = t_sq_at(wall.shape, c)
         assert alignment_sign(v, w, StabilityPoint(c, t_on), ctx) == 0
         if t_on > F(1, 100):
             assert alignment_sign(v, w, StabilityPoint(c, t_on - F(1, 100)), ctx) != 0

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import signal
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -17,9 +18,9 @@ from stabwalls.cli import _emit, build_parser, main
 from stabwalls.errors import NotInGHat
 from stabwalls.jsonio import frac_str, parse_surd
 from stabwalls.lattice import Context, MukaiVector
-from stabwalls.pell import iterate, slope_endpoints, solve_generator
+from stabwalls.pell import iterate, slope_endpoints, solve_generator, u_vectors
 from stabwalls.surd import Surd, squarefree_decompose
-from stabwalls.walls import cross_section
+from stabwalls.walls import codim0_walls, cross_section
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -372,6 +373,52 @@ def test_unwritable_svg_path_is_an_input_error(tmp_path, capsys):
     code, data = run(capsys, "walls", "--n", "1", "--ell", "2", "--svg", str(path))
     assert code == 2 and data["error"]["type"] == "FileNotFoundError"
     assert str(path) in data["error"]["message"] and not path.exists()
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's limit on int-to-str conversion inside the
+    block, where it has one, and put it back after."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_integers_of_any_size_print(capsys):
+    """C_-2810 of (1,2) and the isotropic vectors of label 5618 hold
+    integers of more than 4,300 digits, the default limit of int-to-str
+    conversion.  walls and pell print them and exit 0, the printed strings
+    are the values themselves, and main leaves the limit as it found it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    pc = solve_generator(1, 2)
+    code, data = run(capsys, "walls", "--n", "1", "--ell", "2", "--m-range=-2810..-2810")
+    assert code == 0
+    (far,) = [w for w in data["walls"] if w.get("m") == -2810]
+    (wall,) = codim0_walls(pc, range(-2810, -2809))
+    code = main(["pell", "--n", "1", "--ell", "2", "--m-range=5618..5618"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    it = iterate(pc, 5618)
+    with _no_digit_limit():
+        cn, cd, rn, rd = wall.shape
+        assert far["shape"]["circle"] == {"center": f"{cn}/{cd}", "radius_sq": f"{rn}/{rd}"}
+        assert far["witness"] == ",".join(map(str, wall.witness))
+        assert len(str(rd)) > 4300
+        answer = json.loads(out)
+        (entry,) = answer["iterates"]
+        assert (entry["a"], entry["b"]) == (str(it.a.coef), str(it.b.coef))
+        u, u_prime = u_vectors(pc, it)
+        (entry,) = answer["u_vectors"]
+        assert (entry["u"], entry["u_prime"]) == (str(u), str(u_prime))
+        assert len(str(u.a)) > 4300
 
 
 def test_svg_matches_golden(tmp_path, capsys):

@@ -1,16 +1,17 @@
 from fractions import Fraction as F
 
 from paper_checks import ScanConfig, cloud_max_distance, float_align_scan
+from reference_output import circle
 from stabwalls.lattice import Context, MukaiVector
 from stabwalls.oracle import brute_walls
-from stabwalls.walls import Circle, VLine, wall_set
+from stabwalls.walls import VLine, wall_set
 
 C1 = Context(1)
 
 
 def test_brute_walls_goldens():
     walls = brute_walls(MukaiVector(1, 0, -3), -2, 6, C1)
-    assert [w.shape for w in walls] == [Circle(F(-2), F(1))]
+    assert [w.shape for w in walls] == [circle(F(-2), F(1))]
     assert brute_walls(MukaiVector(1, 0, -2), -1, 8, C1) == []
 
 

@@ -6,10 +6,11 @@ import pytest
 
 from paper_checks import delta_matrix, g_mul, g_power, vec_neg, vec_sub, wall_of
 from reference_kernel import proportional, reference_wall_between
+from reference_output import circle, fraction_builds, plain_key, s0_of, t_sq_at, vline
 from stabwalls import walls as walls_mod
 from stabwalls.charge import StabilityPoint
 from stabwalls.errors import BadCrossSection, DegenerateV, SquareCase
-from stabwalls.lattice import Context, MukaiVector, UNIT, pairing, self_pairing
+from stabwalls.lattice import Context, MukaiVector, pairing, self_pairing
 from stabwalls.pell import iterate, slope_endpoints, solve_generator, u_vectors
 from stabwalls.surd import QnNumber, is_perfect_square, sqrt_of_fraction
 from stabwalls.walls import (
@@ -21,8 +22,9 @@ from stabwalls.walls import (
     codim0_walls,
     cross_section,
     enumerate_walls_on_line,
+    exact_bits,
+    integral_triple,
     is_codim0,
-    rational_key,
     sort_walls,
     w_max_report,
     wall_set,
@@ -37,11 +39,11 @@ C1 = Context(1)
 
 def test_wall_between_examples():
     w = wall_of(MukaiVector(1, 0, -3), MukaiVector(1, -1, 1), C1)
-    assert w.shape == Circle(F(-2), F(1))
+    assert w.shape == circle(F(-2), F(1))
     w = wall_of(MukaiVector(1, 0, -2), MukaiVector(1, -1, 1), C1)
-    assert w.shape == Circle(F(-3, 2), F(1, 4))
+    assert w.shape == circle(F(-3, 2), F(1, 4))
     w = wall_of(MukaiVector(1, 0, -4), MukaiVector(1, 0, -1), C1)
-    assert w.shape == VLine(F(0))
+    assert w.shape == vline(0)
     assert wall_of(MukaiVector(1, 0, -2), MukaiVector(1, 0, 1), C1) is None
 
 
@@ -54,7 +56,7 @@ def test_wall_between_rank_zero_v():
     # v = (0,2,1), n=1: concentric circles around a/(2nd) = 1/4
     v = MukaiVector(0, 2, 1)
     w = wall_of(v, MukaiVector(-2, 0, 0), C1)
-    assert w.shape == Circle(F(1, 4), F(1, 16))
+    assert w.shape == circle(F(1, 4), F(1, 16))
     assert wall_of(v, MukaiVector(0, 1, 1), C1) is None  # rank-0 pair
 
 
@@ -169,7 +171,7 @@ def test_pencil_membership_and_disjointness():
                     assert rhs != 0  # concentric distinct: never meet
                 else:
                     s_meet = rhs / dc
-                    assert s1.t_sq_at(s_meet) < 0
+                    assert t_sq_at(s1, s_meet) < 0
 
 
 def test_cor_square_endpoint_containment():
@@ -209,7 +211,7 @@ def test_cor_square_endpoint_containment():
 
 def test_enumerate_golden_l3():
     walls = enumerate_walls_on_line(MukaiVector(1, 0, -3), -2, C1)
-    assert [w.shape for w in walls] == [Circle(F(-2), F(1))]
+    assert [w.shape for w in walls] == [circle(F(-2), F(1))]
     # the textbook witness (1,-1,1) defines the same wall
     alt = wall_of(MukaiVector(1, 0, -3), MukaiVector(1, -1, 1), C1)
     assert alt.shape == walls[0].shape
@@ -221,7 +223,7 @@ def test_enumerate_golden_l2_empty():
 
 def test_enumerate_golden_l4_square_abscissa():
     walls = enumerate_walls_on_line(MukaiVector(1, 0, -4), -2, C1)
-    assert [w.shape for w in walls] == [Circle(F(-5, 2), F(9, 4))]
+    assert [w.shape for w in walls] == [circle(F(-5, 2), F(9, 4))]
 
 
 def test_enumerate_bad_cross_section():
@@ -232,7 +234,7 @@ def test_enumerate_bad_cross_section():
 def test_enumerate_positive_side_mirror():
     left = enumerate_walls_on_line(MukaiVector(1, 0, -3), -2, C1)
     right = enumerate_walls_on_line(MukaiVector(1, 0, -3), 2, C1)
-    assert [w.shape for w in right] == [Circle(F(2), F(1))]
+    assert [w.shape for w in right] == [circle(F(2), F(1))]
     assert len(left) == len(right)
 
 
@@ -241,34 +243,32 @@ def test_enumerate_half_grid_and_one_shape_build_per_wall(monkeypatch):
     cross-section of (1,13) and for a class with D(v) < 0: every candidate
     it validates has its grid index j = q*D(v1) in the half of the range
     nearer 0, up to and including the middle j of an even q*D(v) (v - v1
-    stands for the other half), and it builds one Fraction shape per wall
-    it returns, not one per accepted candidate."""
+    stands for the other half), and it builds no Fraction per candidate or
+    per wall it returns, only the few of `integral_triple`'s <v^2>: its
+    Walls hold the integers of the kernel."""
     signs = set()
     for triple, s0 in (((1, 0, -13), cross_section(1, 13)[0]), ((3, -1, -4), F(5, 3))):
         r, d, a = triple
         p, q = s0.numerator, s0.denominator
-        grid, builds = [], []
-        wall_between, shape_of = walls_mod.wall_between, walls_mod.shape_of
+        grid = []
+        wall_between = walls_mod.wall_between
 
         def counted_wall_between(n, r, d, a, r1, d1, a1):
             grid.append(d1 * q - r1 * p)
             return wall_between(n, r, d, a, r1, d1, a1)
 
-        def counted_shape_of(shape):
-            builds.append(shape)
-            return shape_of(shape)
-
         monkeypatch.setattr(walls_mod, "wall_between", counted_wall_between)
-        monkeypatch.setattr(walls_mod, "shape_of", counted_shape_of)
-        got = enumerate_walls_on_line(MukaiVector(*triple), s0, C1)
+        v = MukaiVector(*triple)
+        got, built = fraction_builds(enumerate_walls_on_line, v, s0, C1)
+        _, base = fraction_builds(integral_triple, v, C1)
         monkeypatch.undo()
         Dq = d * q - r * p  # q*D(v): 18 and -18
         signs.add(Dq > 0)
         half = range(1, Dq // 2 + 1) if Dq > 0 else range(Dq // 2, 0)
         assert grid and set(grid) <= set(half), triple
         assert Dq // 2 in grid, triple  # the self-complementary middle j
-        assert len(builds) == len(got) > 0, triple
-        assert {shape_of(s) for s in builds} == {w.shape for w in got}, triple
+        assert len(got) > 0 and built == base, triple
+        assert all(type(x) is int for w in got for x in w.shape + w.witness), triple
     assert signs == {True, False}
 
 
@@ -307,22 +307,22 @@ def test_enumerate_matches_oracle_exactly_on_goldens():
 
 def test_fundamental_walls_goldens():
     fw2 = wall_set(1, 2)[0]
-    assert [w.shape for w in fw2] == [VLine(F(0)), Circle(F(-3, 2), F(1, 4))]
+    assert [w.shape for w in fw2] == [vline(0), circle(F(-3, 2), F(1, 4))]
     assert all(w.codim0 for w in fw2)
 
     fw3 = wall_set(1, 3)[0]
     shapes = [w.shape for w in fw3]
-    assert Circle(F(-2), F(1)) in shapes
-    assert Circle(F(-7, 4), F(1, 16)) in shapes
-    assert VLine(F(0)) in shapes
+    assert circle(F(-2), F(1)) in shapes
+    assert circle(F(-7, 4), F(1, 16)) in shapes
+    assert vline(0) in shapes
     between = [w for w in fw3 if not w.codim0]
-    assert [w.shape for w in between] == [Circle(F(-2), F(1))]
+    assert [w.shape for w in between] == [circle(F(-2), F(1))]
 
     fw5 = wall_set(1, 5)[0]
-    assert Circle(F(-9, 4), F(1, 16)) in [w.shape for w in fw5]
+    assert circle(F(-9, 4), F(1, 16)) in [w.shape for w in fw5]
 
     fw6 = wall_set(1, 6)[0]
-    assert Circle(F(-49, 20), F(1, 400)) in [w.shape for w in fw6]
+    assert circle(F(-49, 20), F(1, 400)) in [w.shape for w in fw6]
 
 
 def test_fundamental_walls_square_case():
@@ -361,11 +361,11 @@ def test_wall_set_walks_its_labels_once(monkeypatch):
 def test_codim0_walls_goldens():
     pc2 = solve_generator(1, 2)
     walls = {w.label: w.shape for w in codim0_walls(pc2, range(-1, 1))}
-    assert walls[-1] == Circle(F(-3, 2), F(1, 4))
-    assert walls[0] == VLine(F(0))
+    assert walls[-1] == circle(F(-3, 2), F(1, 4))
+    assert walls[0] == vline(0)
     pc6 = solve_generator(1, 6)
     walls = {w.label: w.shape for w in codim0_walls(pc6, range(-1, 0))}
-    assert walls[-1] == Circle(F(-49, 20), F(1, 400))
+    assert walls[-1] == circle(F(-49, 20), F(1, 400))
 
 
 def test_codim0_walls_match_the_slope_endpoint_circles():
@@ -386,11 +386,12 @@ def test_codim0_walls_match_the_slope_endpoint_circles():
                     continue
                 it = iterate(pc, w.label)
                 lam1, lam2 = slope_endpoints(pc, it)
-                circle = Circle((lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2)
-                assert w.shape == circle, (n, ell, w)
+                expected = circle((lam1 + lam2) / 2, ((lam1 - lam2) / 2) ** 2)
+                assert w.shape == expected, (n, ell, w)
                 u, _ = u_vectors(pc, it)
-                assert w.witness in (u, vec_neg(u)), (n, ell, w)
-                assert pairing(w.witness, v, ctx) == 1, (n, ell, w)
+                witness = MukaiVector(*w.witness)
+                assert witness in (u, vec_neg(u)), (n, ell, w)
+                assert pairing(witness, v, ctx) == 1, (n, ell, w)
                 checked += 1
     assert checked == 1848
 
@@ -409,7 +410,7 @@ def test_classify_codim0_answer_is_the_wall_label():
             walls, _, pc = wall_set(n, ell, range(-3, 4))
             for w in walls:
                 if isinstance(w.shape, VLine):
-                    pt = StabilityPoint(w.shape.s0, F(1))
+                    pt = StabilityPoint(s0_of(w.shape), F(1))
                 else:
                     pt = StabilityPoint(w.shape.center, w.shape.radius_sq)
                 rep = classify_point(v, pt, walls, ctx)
@@ -421,18 +422,18 @@ def test_classify_codim0_answer_is_the_wall_label():
 
 def test_is_codim0_examples():
     pc3 = solve_generator(1, 3)
-    w1 = Wall(Circle(F(-7, 4), F(1, 16)), MukaiVector(1, -2, 4))
-    w2 = Wall(Circle(F(-2), F(1)), MukaiVector(1, -1, 1))
+    w1 = Wall(circle(F(-7, 4), F(1, 16)), (1, -2, 4))
+    w2 = Wall(circle(F(-2), F(1)), (1, -1, 1))
     assert is_codim0(w1, pc3) == -1
     assert is_codim0(w2, pc3) is None
     pc2 = solve_generator(1, 2)
-    assert is_codim0(Wall(VLine(F(0)), UNIT), pc2) == 0
+    assert is_codim0(Wall(vline(0), (1, 0, 0)), pc2) == 0
     # off the pencil radius^2 = center^2 - l/n: no C_m, and the walk never starts
-    assert is_codim0(Wall(Circle(F(-1, 10), F(1, 100)), UNIT), pc2) is None
+    assert is_codim0(Wall(circle(F(-1, 10), F(1, 100)), (1, 0, 0)), pc2) is None
     # on the pencil, centred midway between C_-5 and C_-6: the walk stops there
     c6, c5 = (w.shape.center for w in codim0_walls(pc2, range(-6, -4)))
     mid = (c5 + c6) / 2
-    assert is_codim0(Wall(Circle(mid, mid * mid - 2), UNIT), pc2) is None
+    assert is_codim0(Wall(circle(mid, mid * mid - 2), (1, 0, 0)), pc2) is None
 
 
 def test_wall_set_labels_are_the_codim0_labels():
@@ -449,7 +450,7 @@ def test_wall_set_labels_are_the_codim0_labels():
                 assert is_codim0(w, pc) == w.label, (n, ell, w)
                 assert w.codim0 == (w.label is not None), (n, ell, w)
             assert sorted(w.label for w in walls if w.codim0) == list(range(-3, 4)), (n, ell)
-    c0 = Wall(VLine(F(0)), UNIT, label=0)
+    c0 = Wall(vline(0), (1, 0, 0), label=0)
     for n in range(1, 7):
         for ell in range(1, 144 // n + 1):
             if is_perfect_square(n * ell):
@@ -461,7 +462,8 @@ def test_wall_set_labels_are_the_codim0_labels():
 def test_wall_set_shapes_are_distinct(monkeypatch):
     """wall_set lists no shape twice, with no dedup pass: the enumerated
     walls are keyed by shape, the label walks cover disjoint labels, and
-    only circles, all in s < 0, are mirrored.  Over every non-square
+    only circles, all in s < 0, are mirrored.  The square route is sorted
+    without a sort pass over the mirrors.  Over every non-square
     (n <= 6, l < 40) with m_range empty, overlapping, adjacent to or apart
     from -1..0, and the square (n <= 6, n*l <= 144)."""
     mirrored = []
@@ -493,6 +495,7 @@ def test_wall_set_shapes_are_distinct(monkeypatch):
                 walls, _, _ = wall_set(n, ell)
                 shapes = [w.shape for w in walls]
                 assert len(set(shapes)) == len(shapes), (n, ell)
+                assert walls == sort_walls(walls), (n, ell)  # sorted with no sort pass
                 checked += 1
     assert mirrored and all(isinstance(w.shape, Circle) and w.shape.center < 0 for w in mirrored)
     assert checked == 1509
@@ -567,10 +570,10 @@ def test_classify_on_axis():
 
 def test_w_max_goldens():
     rep = w_max_report(wall_set(1, 2)[0])
-    assert rep.wall.shape == Circle(F(-3, 2), F(1, 4))
+    assert rep.wall.shape == circle(F(-3, 2), F(1, 4))
     assert (rep.lambda1, rep.lambda2) == (QnNumber(-2, 0, 1), QnNumber(-1, 0, 1))
     rep = w_max_report(wall_set(1, 3)[0])
-    assert rep.wall.shape == Circle(F(-2), F(1))
+    assert rep.wall.shape == circle(F(-2), F(1))
     assert (rep.lambda1, rep.lambda2) == (QnNumber(-3, 0, 1), QnNumber(-1, 0, 1))
 
 
@@ -595,35 +598,54 @@ def test_w_max_errors():
     from stabwalls.errors import NoWalls
 
     with pytest.raises(NoWalls):
-        w_max_report([Wall(VLine(F(0)), UNIT)])
+        w_max_report([Wall(vline(0), (1, 0, 0))])
 
 
-def _plain_key(w: Wall) -> tuple:
-    if isinstance(w.shape, VLine):
-        return (0, w.shape.s0, F(0))
-    return (1, w.shape.center, w.shape.radius_sq)
+def _exact_key(x: F, k: int) -> int:
+    return (x.numerator << k) // x.denominator
 
 
 def test_sort_walls_is_the_exact_fraction_order():
     """sort_walls orders as a plain (kind, Fraction, Fraction) sort, also
-    where the integer prefix floor(x * 2^64) ties: centers and abscissae
-    within 2^-64 of each other, the radius^2 ordered against the center,
-    and concentric rank-0 walls, whose equal centers leave the radius^2 to
-    decide."""
+    where floor(x * 2^64) ties: centers and abscissae within 2^-64 of each
+    other, Farey neighbours with 40-bit denominators, the radius^2 ordered
+    against the center, and concentric rank-0 walls, whose equal centers
+    leave the radius^2 to decide.  The key floor(x * 2^K), K = exact_bits
+    of the largest denominator, separates every pair of distinct values."""
     tiny = F(1, 2**70)
     close = [F(1, 3) + k * tiny for k in (-2, -1, 0, 1, 2)] + [F(-5, 7) + k * tiny for k in (0, 1)]
-    assert len({rational_key(c)[0] for c in close[:5]}) == 1
-    walls = [Wall(VLine(c), UNIT) for c in close]
+    # Farey neighbours a/b < c/d (b*c - a*d = 1) near 1/3, with b and d near 2^40:
+    # they differ by 1/(b*d), about the square of the largest denominator
+    a, b = 2**38 + 3, 3 * 2**38 + 22
+    d = -pow(a, -1, b) % b
+    c = (1 + a * d) // b
+    assert b * c - a * d == 1 and d > 2**39
+    close += [F(a, b), F(c, d), F(a + c, b + d)]
+    assert len({_exact_key(c, 64) for c in close[:5]}) == 1
+    k = exact_bits(max(c.denominator for c in close))
+    assert len({_exact_key(c, k) for c in close}) == len(close)
+    walls = [Wall(vline(c), (1, 0, 0)) for c in close]
     # the radius^2 falls as the center rises: no key without the exact
     # center can order these
-    walls += [Wall(Circle(c, F(9) - k * tiny), UNIT) for k, c in enumerate(close)]
+    walls += [Wall(circle(c, F(9) - j * tiny), (1, 0, 0)) for j, c in enumerate(close)]
     rank0 = enumerate_walls_on_line(MukaiVector(0, 4, 3), F(1, 3), C1)
     assert len({w.shape.center for w in rank0}) == 1 < len(rank0)
     walls += rank0 + wall_set(1, 100, range(-3, 4))[0] + wall_set(2, 50)[0]
-    expected = sorted(walls, key=_plain_key)
+    expected = sorted(walls, key=plain_key)
     rng = random.Random(18)
     for _ in range(5):
         rng.shuffle(walls)
         assert sort_walls(walls) == expected
         rng.shuffle(close)
-        assert sorted(close, key=rational_key) == sorted(close)
+        assert sorted(close, key=lambda c: _exact_key(c, k)) == sorted(close)
+
+
+def test_exact_bits_is_the_least_bound():
+    """exact_bits(D) is the least K with 2^K > 2*D^2, so one bit less
+    breaks the bound that the separation argument of sort_walls uses."""
+    rng = random.Random(22)
+    dens = list(range(1, 300)) + [2**j + e for j in range(9, 200, 7) for e in (-1, 0, 1)]
+    dens += [rng.randrange(1, 2**rng.randint(10, 300)) for _ in range(200)]
+    for den in dens:
+        k = exact_bits(den)
+        assert 2 ** (k - 1) <= 2 * den * den < 2**k, den
