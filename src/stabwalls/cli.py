@@ -225,7 +225,8 @@ def cmd_classify(args) -> dict:
     rep = walls_mod.classify_point(v, pt, wall_list, ctx)
     out = chamber_record(rep)
     if rep.kind == "OnWall" and pc is not None:
-        label = walls_mod.is_codim0(rep.wall, pc)
+        # wall_set labels every C_m it holds
+        label = rep.wall.label
         out["codim0"] = label is not None
         if label is not None:
             out["m"] = label

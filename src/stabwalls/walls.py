@@ -47,7 +47,16 @@ Two cases exhaust the candidates:
     t exactly when n*t^2*(r1*D - r*D1) = A1*D - A*D1, and with
     A = A1 = 0 that forces r1*D = r*D1: v1 proportional to v.
 The two-sided bracket 0 <= m2 = n*(D - D1)^2 - (r - r1)*(A - A1) <=
-<v^2>/2 - 1 - m1 then filters every candidate exactly.  A(v) = 0 at a
+<v^2>/2 - 1 - m1 then filters every candidate exactly, and with it
+<v1^2> >= 0, <(v-v1)^2> >= 0 and <v1, v-v1> >= 1 hold.  Whether the wall
+of such a candidate crosses {s0} x R_{>0} is the sign of t^2 in the
+identity above: with j = q*D1, a1q = q^2*A1, Dq = q*D and Aq = q^2*A,
+q^4*n*t^2*(r1*D - r*D1)^2 = (a1q*Dq - Aq*j)*(r1*Dq - r*j), so the wall
+crosses exactly when that product of integers is positive.  It is 0
+for a vertical line or no wall (r1*D = r*D1, that is r*d1 = r1*d) and for
+a wall that meets s = s0 only at t = 0; a positive one puts a point of
+the wall at (s0, t), t > 0, so wall_between returns a circle that
+crosses, and the kernel tests no crossing on its shape.  A(v) = 0 at a
 rational s0 happens exactly on the Cor.-square abscissae of the
 finite-wall (square) case, which must be enumerable, so only D(v) = 0
 raises BadCrossSection.
@@ -60,7 +69,9 @@ runs only over the half nearer 0, 0 < |j| <= |q*D|/2, the middle j of an
 even q*D (which pairs with itself) included, and each accepted v1 offers
 both v1 and v - v1 to the witness choice; every witness is one of the two
 for some j of that half.  The cost is about |q*D|/2 * <v^2>/2 pairs
-(j, m1), each with the divisibility tests above.
+(j, m1), each with the divisibility tests above; wall_between runs once
+per candidate that passes the bracket, the integrality of a1 and the
+t^2 sign test, so only on witnesses of walls that cross.
 """
 
 from __future__ import annotations
@@ -267,13 +278,13 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
     """The complete set of walls for v meeting the open ray {s0} x R_{>0}.
 
     Complete by the derivation in the module docstring, with j over the
-    half of its range nearer 0; each candidate is validated by the integer
-    wall test wall_between and the cross-multiplied crossing test
-    `crosses`, so extra candidates are harmless.  The loops run on
-    integers scaled by q^2, q = den(s0): j = q*D(v1), N = q^2*P and
-    X = q^2*(r - r1)(A - A1).  The walls are keyed by wall_between's
-    integer shape, and their Walls are built once per wall, after the
-    loops, from those integers.
+    half of its range nearer 0; each candidate is validated by the m2
+    bracket and the integer sign of t^2 at s0, and only then handed to
+    the integer wall test wall_between for its shape, so extra candidates
+    are harmless.  The loops run on integers scaled by q^2,
+    q = den(s0): j = q*D(v1), N = q^2*P and X = q^2*(r - r1)(A - A1).
+    The walls are keyed by wall_between's integer shape, and their Walls
+    are built once per wall, after the loops, from those integers.
     """
     r, d, a = integral_triple(v, ctx)
     s0 = frac(s0)
@@ -289,13 +300,15 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
     found: dict[IntShape, tuple] = {}  # shape -> witness_key of its best witness yet
 
     def consider(r1: int, a1q: int, j: int):
+        # q^4*n*t^2*(r1*D - r*D1)^2 at s0 (module docstring): no crossing unless > 0
+        if (a1q * Dq - Aq * j) * (r1 * Dq - r * j) <= 0:
+            return
         d1 = (j + r1 * p) // q  # exact: every caller's r1 is c1 mod q
         a1, rest = divmod(a1q + n * (2 * d1 * p * q - r1 * p * p), qq)
         if rest:
             return
+        # the m2 bracket and t^2 > 0 leave a circle crossing {s0} x R_{>0}
         shape = wall_between(n, r, d, a, r1, d1, a1)
-        if shape is None or not crosses(shape, p, q):
-            return
         # v - v1 witnesses the same wall from the paired grid index q*D(v) - j
         key = min(witness_key(r1, d1, a1), witness_key(r - r1, d - d1, a - a1))
         prev = found.get(shape)

@@ -17,6 +17,11 @@ divisor of N, found by trial division up to isqrt|N|.  It validates its
 candidates with `paper_checks.wall_of`, the shipping integer wall test on
 Mukai vectors, so it checks which candidates the search reaches, at the
 Pell cross-sections too.
+
+`reference_brute_walls` is the brute-force oracle as it stood before it
+skipped the a1 outside the interval where wall_between's pairing tests
+hold: it calls the shipping wall test on every vector of the box, so
+`oracle.brute_walls` must match it wall for wall and witness for witness.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ from stabwalls.errors import BadCrossSection, DegenerateV, NonIntegral
 from stabwalls.lattice import Context, MukaiVector, beta_data, pairing, self_pairing
 from stabwalls.surd import RatLike
 from reference_output import circle, t_sq_at, vline
-from stabwalls.walls import Circle, VLine, Wall, sort_walls, witness_key
+from stabwalls.walls import (
+    Circle, VLine, Wall, build_walls, crosses, integral_triple, sort_walls, wall_between,
+    witness_key,
+)
 
 
 def proportional(v: MukaiVector, w: MukaiVector) -> bool:
@@ -289,3 +297,28 @@ def divisor_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:
                     if c1 + q * k:  # r1 = 0 belongs to the family above
                         consider(c1 + q * k, 0, j)
     return sort_walls(found.values())
+
+
+def reference_brute_walls(v: MukaiVector, s0: RatLike, bound: int, ctx: Context) -> list[Wall]:
+    """Exhaustive scan of all integral v1 with |r1|, |d1|, |a1| <= bound
+    through wall_between, keeping the walls that meet {s0} x R_{>0}; v is
+    integral with <v^2> > 0.  Shapes and witnesses stay integers until the
+    scan ends, and the Walls are built once per wall."""
+    r, d, a = integral_triple(v, ctx)
+    s0 = Fraction(s0)
+    p, q = s0.numerator, s0.denominator
+    found: dict[tuple, tuple] = {}  # shape -> witness_key of its best witness yet
+    rng = range(-bound, bound + 1)
+    for r1 in rng:
+        for d1 in rng:
+            for a1 in rng:
+                if not (r1 or d1 or a1):
+                    continue
+                shape = wall_between(ctx.n, r, d, a, r1, d1, a1)
+                if shape is None or not crosses(shape, p, q):
+                    continue
+                key = witness_key(r1, d1, a1)
+                prev = found.get(shape)
+                if prev is None or key < prev:
+                    found[shape] = key
+    return build_walls(found)

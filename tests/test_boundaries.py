@@ -162,9 +162,19 @@ def _command_argvs(svg_path: str) -> list[list[str]]:
     ]
 
 
+# Defs that no command runs yet but that stay under src/, each with its
+# reason.  The test below fails once one of them runs again, so the entry
+# goes when it is no longer needed.
+UNSERVED = {
+    # bench/spans.py traces it by name; `classify` reads the wall's label
+    # instead, and labels on the `walls --v` route will call it again
+    "walls.is_codim0",
+}
+
+
 def test_every_function_serves_a_command(tmp_path, capsys):
     """Every def under src/ runs in some CLI command: what only the tests
-    need lives in the tests."""
+    need lives in the tests, apart from the UNSERVED above."""
     from stabwalls import cli
 
     entered = set()
@@ -197,7 +207,7 @@ def test_every_function_serves_a_command(tmp_path, capsys):
         for name, first in _defs(ast.parse(path.read_text()))
         if (path, first) not in seen
     ]
-    assert missing == []
+    assert sorted(missing) == sorted(UNSERVED)
 
 
 def test_bench_traced_names_resolve():

@@ -4,13 +4,15 @@ five-branch kernel on small cross-sections, and the divisor-driven kernel
 on the Pell cross-sections, where the residue classes mod q = den(s0)
 decide which divisors are found."""
 
+import random
 from fractions import Fraction as F
 
 from reference_kernel import divisor_enumerate, reference_enumerate
 from stabwalls.errors import BadCrossSection
 from stabwalls.lattice import Context, MukaiVector, beta_data, self_pairing
 from stabwalls.surd import is_perfect_square
-from stabwalls.walls import cross_section, enumerate_walls_on_line
+from stabwalls import walls as walls_mod
+from stabwalls.walls import cross_section, crosses, enumerate_walls_on_line
 
 # explicit cross-sections: A = 0 with rank >= 2, rank 0 with A = 0, A != 0
 EXPLICIT = (
@@ -88,3 +90,43 @@ def test_kernel_matches_divisor_kernel_at_pell_cross_sections():
             ], (n, ell)
             checked += 1
     assert checked == 90
+
+
+def _seeded_cases(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        triple = (rng.randint(-3, 3), rng.randint(-4, 4), rng.randint(-10, 10))
+        yield n, triple, F(rng.randint(-9, 9), rng.randint(1, 5))
+
+
+def test_every_kernel_candidate_crosses(monkeypatch):
+    """The kernel calls wall_between only on candidates that pass the m2
+    bracket and the t^2 sign test, and keeps its shape with no crossing
+    test: each call must return a circle that meets {s0} x R_{>0}, on the
+    cases above and on seeded classes and cross-sections."""
+    shapes = []
+    wall_between = walls_mod.wall_between
+
+    def recorded(*args):
+        shapes.append(wall_between(*args))
+        return shapes[-1]
+
+    monkeypatch.setattr(walls_mod, "wall_between", recorded)
+    checked = {"cases": 0, "seeded": 0}
+    for source, cases in (("cases", _cases()), ("seeded", _seeded_cases(450, 2323))):
+        for n, triple, s0 in cases:
+            ctx, v, s0 = Context(n), MukaiVector(*triple), F(s0)
+            if self_pairing(v, ctx) <= 0:
+                continue
+            shapes.clear()
+            try:
+                enumerate_walls_on_line(v, s0, ctx)
+            except BadCrossSection:
+                continue
+            for shape in shapes:
+                assert shape is not None and crosses(shape, s0.numerator, s0.denominator), (
+                    n, triple, s0, shape
+                )
+            checked[source] += 1
+    assert checked["cases"] > 700 and checked["seeded"] >= 300, checked

@@ -241,13 +241,14 @@ def test_enumerate_positive_side_mirror():
 def test_enumerate_half_grid_and_one_shape_build_per_wall(monkeypatch):
     """The kernel's two savings as machine-independent counts, at the
     cross-section of (1,13) and for a class with D(v) < 0: every candidate
-    it validates has its grid index j = q*D(v1) in the half of the range
-    nearer 0, up to and including the middle j of an even q*D(v) (v - v1
-    stands for the other half), and it builds no Fraction per candidate or
-    per wall it returns, only the few of `integral_triple`'s <v^2>: its
-    Walls hold the integers of the kernel."""
+    it passes to wall_between has its grid index j = q*D(v1) in the half of
+    the range nearer 0, up to and including the middle j of an even q*D(v)
+    (v - v1 stands for the other half; both classes have a crossing wall
+    there, so the t^2 sign test lets the middle j through), and it builds
+    no Fraction per candidate or per wall it returns, only the few of
+    `integral_triple`'s <v^2>: its Walls hold the integers of the kernel."""
     signs = set()
-    for triple, s0 in (((1, 0, -13), cross_section(1, 13)[0]), ((3, -1, -4), F(5, 3))):
+    for triple, s0 in (((1, 0, -13), cross_section(1, 13)[0]), ((2, -3, -8), F(3, 2))):
         r, d, a = triple
         p, q = s0.numerator, s0.denominator
         grid = []
@@ -262,7 +263,7 @@ def test_enumerate_half_grid_and_one_shape_build_per_wall(monkeypatch):
         got, built = fraction_builds(enumerate_walls_on_line, v, s0, C1)
         _, base = fraction_builds(integral_triple, v, C1)
         monkeypatch.undo()
-        Dq = d * q - r * p  # q*D(v): 18 and -18
+        Dq = d * q - r * p  # q*D(v): 18 and -12
         signs.add(Dq > 0)
         half = range(1, Dq // 2 + 1) if Dq > 0 else range(Dq // 2, 0)
         assert grid and set(grid) <= set(half), triple
