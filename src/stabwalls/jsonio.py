@@ -4,7 +4,8 @@ All rationals serialize as strings "p/q" (plain "p" for integers), never as
 floats; vectors as "r,d,a"; surds as "a*sqrt(r)" or plain integers.  Every
 integer becomes text through `int_str`, which prints ints of any size.  A
 wall is written from the integers of its shape and witness by
-`wall_record`, straight to its JSON text.  Parsers for the same grammar
+`wall_record`, straight to its JSON text, with plain `str` unless one of
+them is past the interpreter's limit on int-to-str conversion.  Parsers for the same grammar
 read the CLI input flags.
 """
 
@@ -44,9 +45,10 @@ def int_str(x: int) -> str:
     return ("-" if x < 0 else "") + "".join(reversed(chunks))
 
 
-def ratio_str(num: int, den: int) -> str:
-    """num/den in lowest terms (den > 0) as "p/q", or "p" when den is 1."""
-    return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
+def ratio_str(num: int, den: int, text=int_str) -> str:
+    """num/den in lowest terms (den > 0) as "p/q", or "p" when den is 1,
+    with `text` turning each integer into digits."""
+    return text(num) if den == 1 else f"{text(num)}/{text(den)}"
 
 
 def frac_str(x: RatLike) -> str:
@@ -109,26 +111,36 @@ def wall_record(w: Wall, pad: str) -> str:
     writes the record {"codim0", "m" (labelled walls only), "shape",
     "witness"} at indent pad, from the integers of the shape and witness.
     Every entry is a string of digits, "-" and "/", or an int, so nothing
-    needs escaping."""
+    needs escaping.  The integers are printed with `str` under one `try`;
+    a record holding one past the interpreter's int-to-str limit is
+    printed again through `int_str`."""
+    try:
+        return _wall_text(w, pad, str)
+    except ValueError:
+        return _wall_text(w, pad, int_str)
+
+
+def _wall_text(w: Wall, pad: str, text) -> str:
+    """wall_record's text, with `text` turning each integer into digits."""
     shape = w.shape
     r, d, a = w.witness
     if w.label is None:
         head = f'{{\n{pad}  "codim0": false,\n{pad}  "shape": {{\n{pad}    '
     else:
         head = (
-            f'{{\n{pad}  "codim0": true,\n{pad}  "m": {int_str(w.label)},'
+            f'{{\n{pad}  "codim0": true,\n{pad}  "m": {text(w.label)},'
             f'\n{pad}  "shape": {{\n{pad}    '
         )
     tail = (
         f'\n{pad}    }}\n{pad}  }},'
-        f'\n{pad}  "witness": "{int_str(r)},{int_str(d)},{int_str(a)}"\n{pad}}}'
+        f'\n{pad}  "witness": "{text(r)},{text(d)},{text(a)}"\n{pad}}}'
     )
     if isinstance(shape, Circle):
         return (
-            f'{head}"circle": {{\n{pad}      "center": "{ratio_str(shape.cn, shape.cd)}",'
-            f'\n{pad}      "radius_sq": "{ratio_str(shape.rn, shape.rd)}"{tail}'
+            f'{head}"circle": {{\n{pad}      "center": "{ratio_str(shape.cn, shape.cd, text)}",'
+            f'\n{pad}      "radius_sq": "{ratio_str(shape.rn, shape.rd, text)}"{tail}'
         )
-    return f'{head}"vline": {{\n{pad}      "s": "{ratio_str(shape.sn, shape.sd)}"{tail}'
+    return f'{head}"vline": {{\n{pad}      "s": "{ratio_str(shape.sn, shape.sd, text)}"{tail}'
 
 
 def solution_record(sol: NumericalSolution) -> dict:

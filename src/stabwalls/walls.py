@@ -42,10 +42,13 @@ Two cases exhaust the candidates:
     residue classes", Math. Comp. 42, 1984);
   * P == 0: r1 = 0 or A1 = 0.  r1 = 0 needs q | j and an integral a1; two
     rank-0 vectors define no wall, so r != 0 and the bracket below bounds
-    r*(A - A1).  A1 = 0 fixes r1 mod q; the bracket bounds (r - r1)*A, and
-    A = 0 leaves no crossing, since Z(v1) and Z(v) are collinear at height
-    t exactly when n*t^2*(r1*D - r*D1) = A1*D - A*D1, and with
-    A = A1 = 0 that forces r1*D = r*D1: v1 proportional to v.
+    r*(A - A1).  A1 = 0 leaves r1 = c1 + q*k, and q^2*a1 =
+    n*p*(2*j + r1*p) makes a1 integral only when n*q*p*k = -n*(2*j + c1*p)
+    (mod q^2): for no k unless gcd(n*q*p, q^2) divides the right side, and
+    otherwise for one class of k mod q/gcd(n, q).  The bracket bounds
+    (r - r1)*A, and A = 0 leaves no crossing, since Z(v1) and Z(v) are
+    collinear at height t exactly when n*t^2*(r1*D - r*D1) = A1*D - A*D1,
+    and with A = A1 = 0 that forces r1*D = r*D1: v1 proportional to v.
 The two-sided bracket 0 <= m2 = n*(D - D1)^2 - (r - r1)*(A - A1) <=
 <v^2>/2 - 1 - m1 then filters every candidate exactly, and with it
 <v1^2> >= 0, <(v-v1)^2> >= 0 and <v1, v-v1> >= 1 hold.  Whether the wall
@@ -61,6 +64,23 @@ rational s0 happens exactly on the Cor.-square abscissae of the
 finite-wall (square) case, which must be enumerable, so only D(v) = 0
 raises BadCrossSection.
 
+The bracket and the sign test are one window on L := r*a1q + Aq*r1.  In
+either case r1*a1q = N, so with T := N + r*Aq and u2 := n*(Dq - j)^2,
+q^2*m2 = u2 - (T - L), and the bracket is
+T - u2 <= L <= T - u2 + q^2*(<v^2>/2 - 1 - m1).  The sign product is
+(a1q*Dq - Aq*j)*(r1*Dq - r*j) = Dq^2*N - Dq*j*L + r*Aq*j^2 with
+Dq*j > 0, so t^2 > 0 is L <= (Dq^2*N + r*Aq*j^2 - 1) // (Dq*j).  A
+candidate is one integer L tested against that window, and for P = 0 the
+window bounds a1 (L = r*a1q) or r1 (L = Aq*r1) directly.  The window is
+empty unless m1*|Dq| < |j|*<v^2>/2, so m1 stops below
+ceil(j*<v^2>/2 / Dq):
+  Dq^2*N + r*Aq*j^2 - Dq*j*(T - u2)
+    = (Dq - j)*(Dq*N - r*Aq*j + n*Dq*j*(Dq - j))
+    = (Dq - j)*q^2*(j*<v^2>/2 - Dq*m1),
+by N = n*j^2 - m1*q^2 and n*Dq^2 - r*Aq = q^2*<v^2>/2; the lower end
+passes the sign bound only if this is positive, and dividing by
+Dq*(Dq - j) > 0 leaves m1 < j*<v^2>/2 / Dq.
+
 Complement pairing: the conditions on v1 are symmetric in v1 and v - v1
 (m1 and m2 swap, k stays), and both define the same wall.  D(v - v1) =
 D - D1, so v - v1 sits at the grid index q*D - j: the pairing
@@ -68,10 +88,11 @@ j <-> q*D - j maps the open range between 0 and q*D onto itself.  So j
 runs only over the half nearer 0, 0 < |j| <= |q*D|/2, the middle j of an
 even q*D (which pairs with itself) included, and each accepted v1 offers
 both v1 and v - v1 to the witness choice; every witness is one of the two
-for some j of that half.  The cost is about |q*D|/2 * <v^2>/2 pairs
-(j, m1), each with the divisibility tests above; wall_between runs once
-per candidate that passes the bracket, the integrality of a1 and the
-t^2 sign test, so only on witnesses of walls that cross.
+for some j of that half.  With the m1 bound, the cost is
+sum_j ceil(|j|*<v^2>/2 / |q*D|), about |q*D| * <v^2>/16 pairs (j, m1)
+instead of |q*D|/2 * <v^2>/2, each with the divisibility tests above;
+wall_between runs once per candidate that passes the window and the
+integrality of a1, so only on witnesses of walls that cross.
 """
 
 from __future__ import annotations
@@ -278,11 +299,14 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
     """The complete set of walls for v meeting the open ray {s0} x R_{>0}.
 
     Complete by the derivation in the module docstring, with j over the
-    half of its range nearer 0; each candidate is validated by the m2
-    bracket and the integer sign of t^2 at s0, and only then handed to
-    the integer wall test wall_between for its shape, so extra candidates
-    are harmless.  The loops run on integers scaled by q^2,
-    q = den(s0): j = q*D(v1), N = q^2*P and X = q^2*(r - r1)(A - A1).
+    half of its range nearer 0 and m1 below ceil(j*<v^2>/2 / (q*D(v)));
+    each candidate is validated by one window on L = r*a1q + Aq*r1, the
+    m2 bracket cut by the integer sign of t^2 at s0, and only then handed
+    to the integer wall test wall_between for its shape, so extra
+    candidates are harmless.  The loops run on integers scaled by q^2,
+    q = den(s0): j = q*D(v1), N = q^2*P and a1q = q^2*A(v1).  The cost is
+    about |q*D(v)| * <v^2>/16 pairs (j, m1), a quarter of the
+    |q*D(v)|/2 * <v^2>/2 that the half range of j holds.
     The walls are keyed by wall_between's integer shape, and their Walls
     are built once per wall, after the loops, from those integers.
     """
@@ -300,9 +324,6 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
     found: dict[IntShape, tuple] = {}  # shape -> witness_key of its best witness yet
 
     def consider(r1: int, a1q: int, j: int):
-        # q^4*n*t^2*(r1*D - r*D1)^2 at s0 (module docstring): no crossing unless > 0
-        if (a1q * Dq - Aq * j) * (r1 * Dq - r * j) <= 0:
-            return
         d1 = (j + r1 * p) // q  # exact: every caller's r1 is c1 mod q
         a1, rest = divmod(a1q + n * (2 * d1 * p * q - r1 * p * p), qq)
         if rest:
@@ -317,13 +338,18 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
 
     mid = abs(Dq) // 2  # j and Dq - j pair up; the middle j of an even Dq pairs with itself
     for j in range(1, mid + 1) if Dq > 0 else range(-mid, 0):
-        u2 = n * (Dq - j) ** 2  # q^2 * n*D(v - v1)^2: m2 = 0 at X = u2
+        u2 = n * (Dq - j) ** 2  # q^2 * n*D(v - v1)^2: m2 = 0 at L = T - u2
         c1 = -j * p_inv % q  # residue of r1 mod q
         e1 = n * p * p * c1 % q  # residue of a1q = N/r1 mod q (a1 integral)
         classes = {c1, -c1 % q, e1, -e1 % q}  # of i = |r1| or |N/r1|
-        for m1 in range(half):
-            lo = u2 - (half - 1 - m1) * qq  # m2 <= <v^2>/2 - 1 - m1 at X = lo
+        dj = Dq * j  # > 0
+        sign_rest = r * Aq * j * j
+        # the window on L is empty from m1 >= j*<v^2>/2 / (q*D) on
+        for m1 in range(-(-j * half // Dq)):
             N = n * j * j - m1 * qq
+            # the window on L = r*a1q + Aq*r1: the m2 bracket, then t^2 > 0
+            low = N + r * Aq - u2
+            high = min(low + (half - 1 - m1) * qq, (Dq * Dq * N + sign_rest - 1) // dj)
             if N:
                 # case 1: r1 != 0 divides N, A1 = P/r1; i = min(|r1|, |N/r1|) <= isqrt|N|
                 sq = math.isqrt(abs(N))
@@ -332,19 +358,29 @@ def enumerate_walls_on_line(v: MukaiVector, s0: RatLike, ctx: Context) -> list[W
                         if N % i:
                             continue
                         for r1 in {i, -i, N // i, -N // i}:
-                            if r1 % q == c1 and lo <= (r - r1) * (Aq - N // r1) <= u2:
+                            if r1 % q == c1 and low <= r * (N // r1) + Aq * r1 <= high:
                                 consider(r1, N // r1, j)
                 continue
-            # case 2, P = 0: the r1 = 0 family (q | j; two rank-0 vectors give no wall)
+            # case 2, P = 0: the r1 = 0 family (q | j; two rank-0 vectors give no wall),
+            # L = r*a1q with a1q = a1*q^2 - 2n*p*j
             if r and c1 == 0:
-                base = Aq + 2 * n * p * j  # q^2*(A + 2n*d1*s0), d1 = j/q
-                for a1 in _multiples(r * base - u2, r * base - lo, r * qq):
+                shift = 2 * n * p * j * r
+                for a1 in _multiples(low + shift, high + shift, r * qq):
                     consider(0, a1 * qq - 2 * n * p * j, j)
-            # and the A1 = 0 family, r1 = c1 + q*k (A = 0 gives no crossing)
+            # and the A1 = 0 family, L = Aq*r1 (A = 0 gives no crossing); with
+            # r1 = c1 + q*k, q^2*a1 = n*p*(2j + r1*p) is a multiple of q^2 iff
+            # n*q*p*k = -n*(2j + c1*p) mod q^2, one class of k mod q/gcd(n, q)
             if Aq:
-                for k in _multiples((r - c1) * Aq - u2, (r - c1) * Aq - lo, q * Aq):
-                    if c1 + q * k:  # r1 = 0 belongs to the family above
-                        consider(c1 + q * k, 0, j)
+                g = math.gcd(n * q * p, qq)
+                rhs = -n * (2 * j + c1 * p)
+                if rhs % g:
+                    continue
+                step = qq // g
+                first = c1 + q * (rhs // g * pow(n * q * p // g, -1, step) % step)
+                stride = q * step
+                for k in _multiples(low - Aq * first, high - Aq * first, stride * Aq):
+                    if first + stride * k:  # r1 = 0 belongs to the family above
+                        consider(first + stride * k, 0, j)
     return build_walls(found)
 
 

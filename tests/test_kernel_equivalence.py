@@ -4,9 +4,12 @@ five-branch kernel on small cross-sections, and the divisor-driven kernel
 on the Pell cross-sections, where the residue classes mod q = den(s0)
 decide which divisors are found."""
 
+import math
 import random
+import sys
 from fractions import Fraction as F
 
+import reference_kernel
 from reference_kernel import divisor_enumerate, reference_enumerate
 from stabwalls.errors import BadCrossSection
 from stabwalls.lattice import Context, MukaiVector, beta_data, self_pairing
@@ -130,3 +133,112 @@ def test_every_kernel_candidate_crosses(monkeypatch):
                 )
             checked[source] += 1
     assert checked["cases"] > 700 and checked["seeded"] >= 300, checked
+
+
+def _pell_sections(limit: int):
+    """The cases (n, v, lambda_0) of the non-square (n, l) with n*l < limit."""
+    for n in range(1, limit):
+        for ell in range(1, (limit - 1) // n + 1):
+            if not is_perfect_square(n * ell):
+                yield n, (1, 0, -ell), cross_section(n, ell)[0]
+
+
+def _grid(n, triple, s0) -> int:
+    """|q*D(v)| * <v^2>/2 at s0 = p/q, the size of the grid of pairs
+    (j, m1) before the m1 bound; 0 when <v^2> <= 0 or D(v) = 0."""
+    ctx, v, s0 = Context(n), MukaiVector(*triple), F(s0)
+    _, D, _ = beta_data(v, s0, ctx)
+    return max(0, int(abs(D) * s0.denominator * self_pairing(v, ctx) / 2))
+
+
+def test_m1_bound_holds_for_every_reference_witness(monkeypatch):
+    """The kernel stops its m1 loop at j*<v^2>/2 / (q*D(v)).  Checked here
+    without it: every v1 whose wall the reference kernel finds crossing
+    {s0} x R_{>0}, and its complement v - v1, has
+    m1*|q*D(v)| < |j|*<v^2>/2 with j = q*D(v1) and m1 = <v1^2>/2.  The
+    cases are seeded classes and cross-sections with a grid of at most 100
+    pairs (j, m1), rank 0, D(v) < 0 and P = 0 rows among them, and the Pell
+    lambda_0 of n*l < 200 with such a grid and a denominator of at most 3:
+    the reference kernel's r1 ranges grow with the denominator, to over a
+    minute at (59,1)'s lambda_0 = -69/530."""
+    seen = []
+    wall_between = reference_kernel.reference_wall_between
+
+    def recorded(v, v1, ctx):
+        w = wall_between(v, v1, ctx)
+        seen.append((v1, w))
+        return w
+
+    monkeypatch.setattr(reference_kernel, "reference_wall_between", recorded)
+    seeded = [case for case in _seeded_cases(450, 2424) if 0 < _grid(*case) <= 100]
+    pell = [
+        case for case in _pell_sections(200) if case[2].denominator <= 3 and _grid(*case) <= 100
+    ]
+    reached = set()
+    witnesses = 0
+    for n, triple, s0 in seeded + pell:
+        ctx, v, s0 = Context(n), MukaiVector(*triple), F(s0)
+        seen.clear()
+        reference_enumerate(v, s0, ctx)
+        r, d, a = triple
+        if beta_data(v, s0, ctx)[1] < 0:
+            # the reference enumerates the mirror (r, -d, a) at -s0 instead
+            reached.add("D < 0")
+            d, s0 = -d, -s0
+        p, q = s0.numerator, s0.denominator
+        Dq, half = q * d - r * p, n * d * d - r * a
+        for v1, w in seen:
+            if w is None or reference_kernel._crossing_t_sq(w, s0) is None:
+                continue
+            r1, d1, a1 = v1.r, int(v1.d), int(v1.a)
+            for rw, dw, aw in ((r1, d1, a1), (r - r1, d - d1, a - a1)):
+                j, m1 = q * dw - rw * p, n * dw * dw - rw * aw
+                assert m1 * abs(Dq) < abs(j) * half, (n, triple, s0, (rw, dw, aw))
+                reached |= {"rank 0"} if r == 0 else set()
+                reached |= {"P = 0"} if n * j * j == m1 * q * q else set()
+                witnesses += 1
+    assert len(seeded) > 150 and len(pell) > 100 and witnesses > 3000, (
+        len(seeded), len(pell), witnesses
+    )
+    assert reached == {"rank 0", "D < 0", "P = 0"}
+
+
+def _isqrt_calls(fn, *args):
+    """fn(*args) and the number of math.isqrt calls it made."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call" and arg is math.isqrt:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, count
+
+
+def test_kernel_stops_m1_at_the_bound():
+    """The kernel takes one isqrt per grid pair (j, m1) with P != 0, and
+    visits m1 only below ceil(|j|*<v^2>/2 / |q*D(v)|): 591 pairs instead
+    of 2,154 at (1,22)'s lambda_0 = -197/42, 246 instead of 858 at
+    (1,144)'s s0 = -12."""
+    cases = [(1, (1, 0, -22), cross_section(1, 22)[0]), (1, (1, 0, -144), F(-12))]
+    cases += [case for case in _pell_sections(60) if _grid(*case) <= 2000]
+    cases += [case for case in _seeded_cases(200, 2525) if _grid(*case)]
+    counts = {}
+    for n, triple, s0 in cases:
+        ctx, v, s0 = Context(n), MukaiVector(*triple), F(s0)
+        r, d, a = triple
+        Dq, half = s0.denominator * d - r * s0.numerator, n * d * d - r * a
+        mid = abs(Dq) // 2
+        bound = sum(-(-j * half // abs(Dq)) for j in range(1, mid + 1))
+        _, calls = _isqrt_calls(enumerate_walls_on_line, v, s0, ctx)
+        assert calls <= bound, (n, triple, s0, calls, bound)
+        counts[(n, triple, s0)] = calls
+    assert counts[(1, (1, 0, -22), F(-197, 42))] == 591
+    assert counts[(1, (1, 0, -144), F(-12))] == 246
+    assert len(counts) > 150
