@@ -19,13 +19,15 @@ RatLike = Union[int, Fraction]
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
-    """m = k^2 * d with d squarefree; returns (k, d). m must be positive."""
+    """m = k^2 * d with d squarefree; returns (k, d). m must be positive.
+    Trial division stops at p^3 > rest, whose primes are then at least p:
+    at most two of them, so rest is a square or squarefree."""
     if m <= 0:
         raise ValueError("radicand must be positive")
     k, d = 1, 1
     rest = m
     p = 2
-    while p * p <= rest:
+    while p * p * p <= rest:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -35,8 +37,10 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= rest
-    return k, d
+    root = math.isqrt(rest)
+    if root * root == rest:
+        return k * root, d
+    return k, d * rest
 
 
 def is_perfect_square(m: int) -> bool:
@@ -85,11 +89,9 @@ class Surd:
         object.__setattr__(self, "rad", d)
 
     @staticmethod
-    def reduced(coef: RatLike, rad: int) -> "Surd":
+    def reduced(coef: int, rad: int) -> "Surd":
         """coef * sqrt(rad) for a rad already squarefree: the canonical form
         without factoring rad again."""
-        if type(coef) is not int and coef.denominator == 1:
-            coef = coef.numerator
         out = object.__new__(Surd)
         object.__setattr__(out, "coef", coef)
         object.__setattr__(out, "rad", rad if coef else 1)

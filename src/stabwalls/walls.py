@@ -7,9 +7,12 @@ is decided in Q.  A shape holds the lowest-terms integers that the wall
 test `wall_between` computes, (cn, cd, rn, rd) for a circle and (sn, sd)
 for a line, and a wall's witness is an integer triple (r, d, a).  Sorting
 (`sort_walls`, by an exact integer key), mirroring and the chamber
-predicates cross-multiply those integers; Fractions appear only at the
-edges: the cross-section, a classified point, and the Fraction views
+classification cross-multiply those integers; Fractions appear only at
+the edges: the cross-section, a classified point, and the Fraction views
 `Circle.center` and `Circle.radius_sq` that `w_max_report` reads once.
+The walls of (1, 0, -l) are C_0 and the pencil radius^2 = center^2 - l/n:
+`classify_point` compares each with the pencil circle through the point,
+and `w_max_report` takes the circle with the most negative center.
 
 Completeness of `enumerate_walls_on_line` (why the search space is finite):
 write D(w), A(w) for the twisted d- and a-components of w at base s0*H,
@@ -127,12 +130,6 @@ class Circle(NamedTuple):
     @property
     def radius_sq(self) -> Fraction:
         return Fraction(self.rn, self.rd)
-
-    def endpoints(self) -> tuple[QnNumber, QnNumber]:
-        """Exact real-axis abscissae center -+ sqrt(radius_sq)."""
-        rad = sqrt_of_fraction(self.radius_sq)
-        center = self.center
-        return QnNumber(center, -rad.coef, rad.rad), QnNumber(center, rad.coef, rad.rad)
 
 
 class VLine(NamedTuple):
@@ -511,78 +508,46 @@ class ChamberReport:
     inner: Optional[Wall] = None
 
 
-Point = tuple[int, int, int, int]  # (sp, sq, tp, tq): s = sp/sq, t^2 = tp/tq, sq, tq > 0
-
-
-def _power_terms(shape: Circle, pt: Point) -> tuple[int, int]:
-    """(s - center)^2 + t^2 and radius^2 at pt, both multiplied by
-    tq*rd*(sq*cd)^2 > 0, so they compare as the rationals do."""
-    sp, sq, tp, tq = pt
-    cn, cd, rn, rd = shape
-    x, y = sp * cd - cn * sq, sq * cd
-    return (x * x * tq + tp * y * y) * rd, rn * y * y * tq
-
-
-def _on_wall(shape: Shape, pt: Point) -> bool:
-    if len(shape) == 2:
-        return pt[0] * shape[1] == shape[0] * pt[1]
-    lhs, rhs = _power_terms(shape, pt)
-    return lhs == rhs
-
-
-def _strictly_inside(shape: Shape, pt: Point) -> bool:
-    if len(shape) == 2:
-        return False
-    lhs, rhs = _power_terms(shape, pt)
-    return lhs < rhs
-
-
-def _by_radius(walls: list[Wall]):
-    """A key ordering these circle walls exactly by radius^2 (see
-    `exact_bits`), for min() and max()."""
-    k = exact_bits(max(w.shape.rd for w in walls))
-    return lambda w: (w.shape.rn << k) // w.shape.rd
-
-
-def _circle_inside_circle(inner: Circle, outer: Circle) -> bool:
-    """For disjoint pencil circles: containment iff the center point lies
-    strictly inside the outer disk, cross-multiplied by rd*(cd*cd')^2."""
-    x = inner.cn * outer.cd - outer.cn * inner.cd
-    y = inner.cd * outer.cd
-    return x * x * outer.rd < outer.rn * y * y
-
-
 def classify_point(
     v: MukaiVector, pt: StabilityPoint, walls: Iterable[Wall], ctx: Context
 ) -> ChamberReport:
-    """Chamber classification of pt against a computed wall set.
+    """Chamber classification of pt = (s, t) against a wall set of
+    v = (1, 0, -l), the class of `cmd_classify`.
 
-    Unbounded chambers split by the sign of d_{beta+sH}(v): positive gives
-    the Gieseker side, otherwise the dual side.  Points strictly inside some
-    circle get the nearest enclosing wall and, when present in the set, the
-    largest wall nested immediately inside.  Every test runs on the
-    integers of the shapes and of pt, cross-multiplied.
+    The walls are C_0 (s = 0) and circles of the pencil
+    radius^2 = center^2 - l/n, and (s - c)^2 + t^2 - radius^2 = 2*s*(x - c)
+    for x = (s^2 + t^2 + l/n)/(2*s), the center of the pencil circle
+    through pt.  So a circle on pt's side of s = 0 holds pt, or encloses
+    it, as s*(c - x) is 0 or positive.  The outer wall is the enclosing
+    circle with center nearest x, the inner wall the other circle on pt's
+    side with center nearest x.  With no enclosing circle the sign of
+    d_{beta+sH}(v) splits the unbounded chambers: positive is the Gieseker
+    side.  All on integers: x = xn/xd, cross-multiplied.
     """
-    walls = sort_walls(walls)
-    point = (pt.s.numerator, pt.s.denominator, pt.t_sq.numerator, pt.t_sq.denominator)
+    (sp, sq), (tp, tq) = pt.s.as_integer_ratio(), pt.t_sq.as_integer_ratio()
+    n, ell = ctx.n, -int(v.a)  # an int, so the products below stay on ints
+    xn = n * tq * sp * sp + n * sq * sq * tp + ell * sq * sq * tq
+    xd = 2 * n * sq * tq * sp  # the sign of s, so cn*xd - xn*cd is cd*xd*(c - x)
+    outer = inner = None
     for w in walls:
-        if _on_wall(w.shape, point):
+        shape = w.shape
+        if isinstance(shape, VLine):
+            if sp * shape.sd == shape.sn * sq:
+                return ChamberReport("OnWall", wall=w)
+            continue
+        cn, cd = shape.cn, shape.cd
+        if cn * sp <= 0:
+            continue  # the other side of s = 0
+        power = cn * xd - xn * cd
+        if power > 0 and (outer is None or abs(cn) * outer.shape.cd < abs(outer.shape.cn) * cd):
+            outer = w
+        elif power < 0 and (inner is None or abs(cn) * inner.shape.cd > abs(inner.shape.cn) * cd):
+            inner = w
+        elif power == 0:
             return ChamberReport("OnWall", wall=w)
-    enclosing = [w for w in walls if _strictly_inside(w.shape, point)]
-    if not enclosing:
+    if outer is None:
         _, d_b, _ = beta_data(v, pt.s, ctx)
-        kind = "Gieseker" if d_b > 0 else "DualGieseker"
-        return ChamberReport(kind)
-    outer = min(enclosing, key=_by_radius(enclosing))
-    nested = [
-        w
-        for w in walls
-        if isinstance(w.shape, Circle)
-        and w.shape != outer.shape
-        and _circle_inside_circle(w.shape, outer.shape)
-        and not _strictly_inside(w.shape, point)
-    ]
-    inner = max(nested, key=_by_radius(nested)) if nested else None
+        return ChamberReport("Gieseker" if d_b > 0 else "DualGieseker")
     return ChamberReport("Bounded", outer=outer, inner=inner)
 
 
@@ -596,10 +561,12 @@ class WMaxReport:
 def w_max_report(walls: Iterable[Wall]) -> WMaxReport:
     """The outermost wall of (1, 0, -l) in the region r*s < d_beta, which is
     s < 0, and its real-axis abscissae; Fourier-Mukai transforms based
-    outside [lambda1, lambda2] preserve Gieseker semistability."""
+    outside [lambda1, lambda2] preserve Gieseker semistability.  The walls
+    there are pencil circles, radius^2 = center^2 - l/n, so the outermost
+    is the one with the most negative center, first in `sort_walls`."""
     left = [w for w in walls if isinstance(w.shape, Circle) and w.shape.cn < 0]
     if not left:
         raise NoWalls("no walls on the r*s < d_beta side")
-    top = max(left, key=_by_radius(left))
-    lam1, lam2 = top.shape.endpoints()
-    return WMaxReport(top, lam1, lam2)
+    top = sort_walls(left)[0]
+    c, rad = top.shape.center, sqrt_of_fraction(top.shape.radius_sq)
+    return WMaxReport(top, QnNumber(c, -rad.coef, rad.rad), QnNumber(c, rad.coef, rad.rad))

@@ -138,14 +138,21 @@ class MixedRadicand(InvariantViolation):
     keeps every entry a single term, so this flags a broken product."""
 
 
+def _reduced(coef, rad: int) -> Surd:
+    """Surd.reduced for a rational coef: an integral one is stored as an int."""
+    if type(coef) is not int and coef.denominator == 1:
+        coef = coef.numerator
+    return Surd.reduced(coef, rad)
+
+
 def surd_mul(x: Surd, y) -> Surd:
     """x*y for a surd or a rational y.  Squarefree r1*r2 = g^2*(r1/g)*(r2/g)
     with g = gcd: the cofactors are coprime and squarefree, so their
     product is too."""
     if isinstance(y, Surd):
         g = math.gcd(x.rad, y.rad)
-        return Surd.reduced(x.coef * y.coef * g, (x.rad // g) * (y.rad // g))
-    return Surd.reduced(x.coef * (y if type(y) is int else Fraction(y)), x.rad)
+        return _reduced(x.coef * y.coef * g, (x.rad // g) * (y.rad // g))
+    return _reduced(x.coef * (y if type(y) is int else Fraction(y)), x.rad)
 
 
 def surd_add(x: Surd, y: Surd) -> Surd:
@@ -155,11 +162,11 @@ def surd_add(x: Surd, y: Surd) -> Surd:
         return x
     if x.rad != y.rad:
         raise MixedRadicand(f"cannot add {x} and {y}")
-    return Surd.reduced(x.coef + y.coef, x.rad)
+    return _reduced(x.coef + y.coef, x.rad)
 
 
 def surd_neg(x: Surd) -> Surd:
-    return Surd.reduced(-x.coef, x.rad)
+    return _reduced(-x.coef, x.rad)
 
 
 def surd_as_fraction(x: Surd) -> Fraction:

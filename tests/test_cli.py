@@ -208,6 +208,39 @@ def test_huge_n_pell_group_answers_at_once(capsys):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_radicands_with_two_large_primes_answer_at_once(capsys):
+    """Factoring stops at the cube root of what is left: the Pell generator
+    of n = (10^10 + 46)^2 + 1 = 206367977 * 484571309821 (period 1) builds
+    Surd(b, n), and the group member with sqrt(p) entries for the prime
+    p = 10^18 + 3 parses them; full trial division of either runs for
+    minutes.  pell, act and mobius each answer within 2 s."""
+    big = "1000000000000000003"
+    g = f"--g=sqrt({big}),1000000000000000002;1,sqrt({big})"
+
+    def overdue(signum, frame):
+        raise TimeoutError("command still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(5)
+    try:
+        for argv in (
+            ["pell", "--n", "100000000920000002117", "--ell", "1"],
+            ["act", "--n", big, g, "--v=1,0,0"],
+            ["mobius", "--n", big, g, "--z=1/2+1*i"],
+        ):
+            t0 = time.perf_counter()
+            code, data = run(capsys, *argv)
+            assert time.perf_counter() - t0 < 2, argv
+            assert code == 0, (argv, data)
+            if argv[0] == "pell":
+                assert data["generator"]["p"] == "10000000046" and data["epsilon"] == 1
+            if argv[0] == "act":
+                assert data["g"]["det"] == "1" and data["image"].startswith(f"{big},")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_non_member_of_square_factor_n_is_rejected(capsys):
     """For n = 4, (1, 1; 0, 1) has determinant 1 and n/(1*1) = 4 is a
     square, but no radicands r*s = 4 make a = 1 an integer times sqrt(r)

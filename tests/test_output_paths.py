@@ -1,6 +1,7 @@
 """The three integer paths that read wall shapes, against their Fraction
 references in reference_output.py: the wall text of `jsonio.wall_record`,
-`svg.render`, and `walls.classify_point` with its point predicates."""
+`svg.render`, and `walls.classify_point`; and `walls.w_max_report`
+against the largest circle by Fraction."""
 
 import json
 import math
@@ -8,16 +9,17 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from reference_output import (
     circle,
     reference_classify_point,
     reference_render,
     reference_wall_record,
-    strictly_inside,
     vline,
 )
-from stabwalls import walls as walls_mod
 from stabwalls.charge import StabilityPoint
+from stabwalls.errors import NoWalls
 from stabwalls.jsonio import wall_record
 from stabwalls.lattice import Context, MukaiVector
 from stabwalls.svg import render
@@ -27,6 +29,7 @@ from stabwalls.walls import (
     Wall,
     classify_point,
     enumerate_walls_on_line,
+    w_max_report,
     wall_set,
 )
 
@@ -141,24 +144,56 @@ def _points(rng, walls):
     return pts
 
 
-def test_classify_matches_the_fraction_reference():
-    """classify_point and its two point predicates agree with the Fraction
-    forms at seeded points on the walls, inside bounded chambers with and
-    without an inner wall, and in both unbounded chambers, over the square
-    and Pell routes."""
-    rng = random.Random(2201)
-    kinds = set()
+def _classify_sets():
+    """(name, n, v, walls) for classify: the square and Pell sets, sets
+    without C_0, and the far labels of (1,2) unsorted, each wall twice."""
     for name, n, v, walls in _wall_sets():
         if v.r == 0:
             continue  # classify serves the class (1, 0, -l)
+        yield name, n, v, walls
+        if name in ("square (1,16)", "pell (1,3)"):
+            yield f"{name} without C_0", n, v, [w for w in walls if w.label != 0]
+    twice = wall_set(1, 2, range(-40, 41))[0] * 2
+    random.Random(2202).shuffle(twice)
+    yield "pell (1,2) labels -40..40, unsorted, each wall twice", 1, MukaiVector(1, 0, -2), twice
+
+
+def test_classify_matches_the_fraction_reference():
+    """classify_point agrees with the Fraction form at seeded points on the
+    walls, inside bounded chambers with and without an inner wall, and in
+    both unbounded chambers, over the square and Pell routes, far labels,
+    an unsorted set with repeated walls, and sets without C_0."""
+    rng = random.Random(2201)
+    kinds = set()
+    for name, n, v, walls in _classify_sets():
         ctx = Context(n)
-        for pt in _points(rng, walls):
+        # points on at most 40 walls of each set keep the Fraction reference quick
+        for pt in _points(rng, rng.sample(walls, min(len(walls), 40))):
             got = classify_point(v, pt, walls, ctx)
             assert got == reference_classify_point(v, pt, walls, ctx), (name, pt)
             kinds.add((got.kind, got.inner is not None))
-            point = (pt.s.numerator, pt.s.denominator, pt.t_sq.numerator, pt.t_sq.denominator)
-            for w in walls:
-                inside = walls_mod._strictly_inside(w.shape, point)
-                assert inside == strictly_inside(w.shape, pt), (name, w, pt)
     assert kinds == {("OnWall", False), ("Bounded", True), ("Bounded", False),
                      ("Gieseker", False), ("DualGieseker", False)}
+
+
+def test_w_max_is_the_largest_circle_in_s_below_0():
+    """w_max_report picks the circle of largest radius^2 in s < 0, by
+    Fraction, and raises NoWalls when there is none, over n <= 6, l < 40."""
+    raised = 0
+    for n in range(1, 7):
+        for ell in range(1, 40):
+            walls = wall_set(n, ell)[0]
+            left = [w for w in walls if isinstance(w.shape, Circle) and w.shape.center < 0]
+            if not left:
+                with pytest.raises(NoWalls):
+                    w_max_report(walls)
+                raised += 1
+                continue
+            top = max(left, key=lambda w: w.shape.radius_sq)
+            rep = w_max_report(walls)
+            assert rep.wall == top, (n, ell)
+            c, r2 = top.shape.center, top.shape.radius_sq
+            for lam in (rep.lambda1, rep.lambda2):  # (lam - c)^2 = r2
+                assert (lam.u - c) * lam.v == 0 and (lam.u - c) ** 2 + lam.v**2 * lam.n == r2
+            assert (rep.lambda2 - rep.lambda1).sign() > 0, (n, ell)
+    assert 0 < raised < 6 * 39

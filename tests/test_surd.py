@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +23,57 @@ def test_squarefree_decompose():
     assert squarefree_decompose(12) == (2, 3)
     assert squarefree_decompose(49) == (7, 1)
     assert squarefree_decompose(360) == (6, 10)
+
+
+def _full_trial_division(m: int) -> tuple[int, int]:
+    """(k, d) with m = k^2 * d, d squarefree, by trial division while
+    p^2 <= rest: the reference for the cube-root bound."""
+    k, d, rest, p = 1, 1, m, 2
+    while p * p <= rest:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        k *= p ** (e // 2)
+        d *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    return k, d * rest
+
+
+def _primes_below(bound: int) -> list[int]:
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, bound, p)))
+    return [p for p in range(bound) if sieve[p]]
+
+
+def test_squarefree_decompose_matches_full_trial_division():
+    """Trial division to the cube root, then a square test of the rest,
+    splits m as full trial division does: every m < 20,000 and seeded
+    m < 10^8.  Seeded products of primes with exponents 1..3 (p^2, p*q,
+    p^2*q, p*q*r, p^3, ...) and squares and products of primes near 10^9
+    split as their exponents say.  The rest left by the cube-root bound is
+    1, a prime, a product of two primes or a prime square."""
+    for m in range(1, 20_000):
+        assert squarefree_decompose(m) == _full_trial_division(m), m
+    rng = random.Random(2501)
+    for _ in range(2_000):
+        m = rng.randrange(1, 10**8)
+        assert squarefree_decompose(m) == _full_trial_division(m), m
+    primes = _primes_below(20_000)
+    small, medium = primes[:25], primes[168:]  # below 100, and 1,000..20,000
+    big = (999_999_937, 1_000_000_007)
+    cases = [{p: 2} for p in big] + [{big[0]: 1, big[1]: 1}, {2: 1, big[1]: 2}, {big[0]: 1}]
+    while len(cases) < 3_000:
+        picked = rng.sample(small, rng.randint(0, 2)) + rng.sample(medium, rng.randint(1, 3))
+        cases.append({p: rng.randint(1, 3) for p in picked})
+    for exps in cases:
+        m = k = d = 1
+        for p, e in exps.items():
+            m, k, d = m * p**e, k * p ** (e // 2), d * p ** (e % 2)
+        assert squarefree_decompose(m) == (k, d), exps
 
 
 def test_mul_examples():
