@@ -563,10 +563,10 @@ def w_max_report(walls: Iterable[Wall]) -> WMaxReport:
     s < 0, and its real-axis abscissae; Fourier-Mukai transforms based
     outside [lambda1, lambda2] preserve Gieseker semistability.  The walls
     there are pencil circles, radius^2 = center^2 - l/n, so the outermost
-    is the one with the most negative center, first in `sort_walls`."""
+    is the first one with the most negative center."""
     left = [w for w in walls if isinstance(w.shape, Circle) and w.shape.cn < 0]
     if not left:
         raise NoWalls("no walls on the r*s < d_beta side")
-    top = sort_walls(left)[0]
+    top = min(left, key=lambda w: w.shape.center)
     c, rad = top.shape.center, sqrt_of_fraction(top.shape.radius_sq)
     return WMaxReport(top, QnNumber(c, -rad.coef, rad.rad), QnNumber(c, rad.coef, rad.rad))

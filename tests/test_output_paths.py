@@ -145,17 +145,23 @@ def _points(rng, walls):
 
 
 def _classify_sets():
-    """(name, n, v, walls) for classify: the square and Pell sets, sets
-    without C_0, and the far labels of (1,2) unsorted, each wall twice."""
+    """(name, n, v, walls, drawn) for classify: the square and Pell sets,
+    sets without C_0, and the far labels of (1,2) unsorted, each wall
+    twice.  Points are drawn on every wall in `drawn`: all walls of each
+    set but the last, whose 162 walls would keep the Fraction reference
+    busy for seconds, so points go on a seeded 40 of them."""
     for name, n, v, walls in _wall_sets():
         if v.r == 0:
             continue  # classify serves the class (1, 0, -l)
-        yield name, n, v, walls
+        yield name, n, v, walls, walls
         if name in ("square (1,16)", "pell (1,3)"):
-            yield f"{name} without C_0", n, v, [w for w in walls if w.label != 0]
+            no_c0 = [w for w in walls if w.label != 0]
+            yield f"{name} without C_0", n, v, no_c0, no_c0
+    rng = random.Random(2202)
     twice = wall_set(1, 2, range(-40, 41))[0] * 2
-    random.Random(2202).shuffle(twice)
-    yield "pell (1,2) labels -40..40, unsorted, each wall twice", 1, MukaiVector(1, 0, -2), twice
+    rng.shuffle(twice)
+    yield ("pell (1,2) labels -40..40, unsorted, each wall twice", 1, MukaiVector(1, 0, -2),
+           twice, rng.sample(twice, 40))
 
 
 def test_classify_matches_the_fraction_reference():
@@ -165,10 +171,9 @@ def test_classify_matches_the_fraction_reference():
     an unsorted set with repeated walls, and sets without C_0."""
     rng = random.Random(2201)
     kinds = set()
-    for name, n, v, walls in _classify_sets():
+    for name, n, v, walls, drawn in _classify_sets():
         ctx = Context(n)
-        # points on at most 40 walls of each set keep the Fraction reference quick
-        for pt in _points(rng, rng.sample(walls, min(len(walls), 40))):
+        for pt in _points(rng, drawn):
             got = classify_point(v, pt, walls, ctx)
             assert got == reference_classify_point(v, pt, walls, ctx), (name, pt)
             kinds.add((got.kind, got.inner is not None))
@@ -178,7 +183,9 @@ def test_classify_matches_the_fraction_reference():
 
 def test_w_max_is_the_largest_circle_in_s_below_0():
     """w_max_report picks the circle of largest radius^2 in s < 0, by
-    Fraction, and raises NoWalls when there is none, over n <= 6, l < 40."""
+    Fraction, and raises NoWalls when there is none, over n <= 6, l < 40,
+    in sorted order and shuffled."""
+    rng = random.Random(2203)
     raised = 0
     for n in range(1, 7):
         for ell in range(1, 40):
@@ -196,4 +203,7 @@ def test_w_max_is_the_largest_circle_in_s_below_0():
             for lam in (rep.lambda1, rep.lambda2):  # (lam - c)^2 = r2
                 assert (lam.u - c) * lam.v == 0 and (lam.u - c) ** 2 + lam.v**2 * lam.n == r2
             assert (rep.lambda2 - rep.lambda1).sign() > 0, (n, ell)
+            shuffled = list(walls)
+            rng.shuffle(shuffled)
+            assert w_max_report(shuffled) == rep, (n, ell)
     assert 0 < raised < 6 * 39
