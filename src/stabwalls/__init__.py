@@ -1,7 +1,7 @@
 """Exact wall-and-chamber computations for Bridgeland stability conditions
 on abelian surfaces with Picard rank 1."""
 
-from .lattice import Context, MukaiVector, RHO, UNIT, pairing, twist
+from .lattice import Context, MukaiVector, RHO, UNIT, pairing
 from .surd import Surd, QnComplex, QnNumber
 from .walls import Circle, VLine, Wall
 
@@ -13,7 +13,6 @@ __all__ = [
     "RHO",
     "UNIT",
     "pairing",
-    "twist",
     "Surd",
     "QnComplex",
     "QnNumber",

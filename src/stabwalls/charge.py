@@ -4,9 +4,10 @@ At the stability parameter (sH, tH) the charge of v is
 
     Z(t) = (-a_b + n*r*t^2) + i * (2n*d_b*t)
 
-with (r, d_b, a_b) the components of v twisted to base sH.  Points carry
-t^2, not t: every wall formula involves only t^2, which keeps all geometry
-in Q.  The charges and phases themselves are checked by the test suite
+with (r, d_b, a_b) the components of v * e^{-sH}, rational for an
+integral v.  Points carry t^2, not t: every wall formula involves only
+t^2, which keeps all geometry in Q.  The charges and phases themselves,
+and the twist they rest on, are checked by the test suite
 (tests/paper_checks.py); no command needs them.
 """
 

@@ -379,6 +379,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         payload = args.fn(args)
     except (PreconditionError, ValueError, ZeroDivisionError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not a bad --svg path but a timeout or an OS failure
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
     except InvariantViolation as exc:

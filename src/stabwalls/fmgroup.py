@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .errors import LowerHalfPlane, NonIntegral, NotInGHat
+from .errors import LowerHalfPlane, NotInGHat
 from .lattice import Context, MukaiVector
 from .pell import GMatrix
 from .surd import QnComplex, QnNumber, exact_root, qn_rat
@@ -94,10 +94,8 @@ def act_on_vector(v: MukaiVector, g: GMatrix, ctx: Context) -> MukaiVector:
     sqrt(r*s) = sqrt(n)/k.  Its off-diagonal entry is d'*sqrt(n) with
     d' = (v_r*a*b + v_a*c*d)/k + v_d*(a*d*r + b*c*s), and k divides both
     a*b and c*d, since k = t*u with t | gcd(a, d) and u | gcd(b, c)."""
-    if not v.is_integral:
-        raise NonIntegral(f"{v} is not integral")
     a, b, c, d, r, s, k, _ = require_member(g, ctx)
-    vr, vd, va = v.r, int(v.d), int(v.a)
+    vr, vd, va = v.r, v.d, v.a
     krs = k * r * s
     return MukaiVector(
         vr * a * a * r + 2 * vd * a * c * krs + va * c * c * s,

@@ -103,7 +103,7 @@ def parse_surd(text: str, n: int) -> Surd:
 
 
 def vector_str(v: MukaiVector) -> str:
-    return f"{int_str(v.r)},{frac_str(v.d)},{frac_str(v.a)}"
+    return f"{int_str(v.r)},{int_str(v.d)},{int_str(v.a)}"
 
 
 def wall_record(w: Wall, pad: str) -> str:

@@ -3,10 +3,14 @@
 A vector (r, d, a) means r + dH + a*rho, paired by
 <v, w> = 2n*d_v*d_w - (r_v*a_w + r_w*a_v) where n = (H^2)/2.
 
-The d-component is stored as the rational H-coefficient; with Picard rank 1
-this is lossless and the component orthogonal to H is identically zero, so
-it is not modeled.  Twisted vectors (rational d, a) are first-class values;
-`is_integral` gates the operations that need honest lattice points.
+The d-component is the integer H-coefficient; with Picard rank 1 the
+component orthogonal to H is identically zero, so it is not modeled.  The
+walls are cut out by lattice vectors, so a `MukaiVector` is integral: its
+constructor stores an integral rational entry as an int and raises
+NonIntegral on any other, and no other code tests integrality.  The twist
+by e^{sH}, a change of base in the paper's proofs, makes rational vectors;
+no command computes with one, and the tests keep it as a reference
+(tests/paper_checks.py).
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surd import RatLike, frac
+from .errors import NonIntegral
+from .surd import RatLike
 
 
 @dataclass(frozen=True)
@@ -31,22 +36,16 @@ class Context:
 @dataclass(frozen=True)
 class MukaiVector:
     r: int
-    d: Fraction
-    a: Fraction
+    d: int
+    a: int
 
-    def __init__(self, r: int, d: RatLike, a: RatLike):
-        object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "d", frac(d))
-        object.__setattr__(self, "a", frac(a))
-
-    @property
-    def is_integral(self) -> bool:
-        return self.d.denominator == 1 and self.a.denominator == 1
-
-    def __str__(self):
-        return f"{self.r},{self.d},{self.a}"
-
-    __repr__ = __str__
+    def __init__(self, r: RatLike, d: RatLike, a: RatLike):
+        # an int is its own numerator, with denominator 1
+        if r.denominator != 1 or d.denominator != 1 or a.denominator != 1:
+            raise NonIntegral(f"{r},{d},{a} is not integral")
+        object.__setattr__(self, "r", r.numerator)
+        object.__setattr__(self, "d", d.numerator)
+        object.__setattr__(self, "a", a.numerator)
 
     @staticmethod
     def parse(text: str) -> "MukaiVector":
@@ -56,31 +55,16 @@ class MukaiVector:
         r = Fraction(parts[0].strip())
         if r.denominator != 1:
             raise ValueError("rank must be an integer")
-        return MukaiVector(int(r), Fraction(parts[1].strip()), Fraction(parts[2].strip()))
+        return MukaiVector(r, Fraction(parts[1].strip()), Fraction(parts[2].strip()))
 
 
 RHO = MukaiVector(0, 0, 1)
 UNIT = MukaiVector(1, 0, 0)
 
 
-def pairing(v: MukaiVector, w: MukaiVector, ctx: Context) -> Fraction:
+def pairing(v: MukaiVector, w: MukaiVector, ctx: Context) -> int:
     return 2 * ctx.n * v.d * w.d - (v.r * w.a + w.r * v.a)
 
 
-def self_pairing(v: MukaiVector, ctx: Context) -> Fraction:
+def self_pairing(v: MukaiVector, ctx: Context) -> int:
     return pairing(v, v, ctx)
-
-
-def twist(v: MukaiVector, s: RatLike, ctx: Context) -> MukaiVector:
-    """v * e^{sH}: the pairing-preserving twist."""
-    s = frac(s)
-    n = ctx.n
-    return MukaiVector(v.r, v.d + v.r * s, v.a + 2 * n * v.d * s + n * v.r * s * s)
-
-
-def beta_data(v: MukaiVector, s: RatLike, ctx: Context) -> tuple[int, Fraction, Fraction]:
-    """(r_b, d_b, a_b) of v at beta = sH, the components of v * e^{-sH}:
-    r, d - r*s, a - 2n*d*s + n*r*s^2."""
-    w = twist(v, -frac(s), ctx)
-    return (w.r, w.d, w.a)
-

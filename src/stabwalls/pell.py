@@ -291,18 +291,13 @@ def slope_endpoints(pell: PellContext, it: Iterate) -> tuple[Fraction, Fraction]
     return Fraction(d, r), Fraction(pell.ell * d, a)
 
 
-def _u_triples(ell: int, it: Iterate) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """(u_m, u_m') as integer triples: u_m' = (b_m^2, l*d, l^2*a_m^2) for
-    u_m = (a_m^2, d, b_m^2)."""
-    r, d, a = it.u()
-    return (r, d, a), (a, ell * d, ell * ell * r)
-
-
 def u_vectors(pell: PellContext, it: Iterate) -> tuple[MukaiVector, MukaiVector]:
     """The isotropic pair (u_m, u_m') = (a_m^2 e^{...}, b_m^2 e^{...}) with
-    <u_m^2> = <u_m'^2> = 0 and <u_m, u_m'> = -1; m = 0 gives (rho, 1)."""
-    u, u_prime = _u_triples(pell.ell, it)
-    return MukaiVector(*u), MukaiVector(*u_prime)
+    <u_m^2> = <u_m'^2> = 0 and <u_m, u_m'> = -1; m = 0 gives (rho, 1).
+    u_m' = (b_m^2, l*d, l^2*a_m^2) for u_m = (a_m^2, d, b_m^2)."""
+    r, d, a = it.u()
+    ell = pell.ell
+    return MukaiVector(r, d, a), MukaiVector(a, ell * d, ell * ell * r)
 
 
 def isotropic_pairs(
@@ -321,22 +316,17 @@ def numerical_solutions(
     `isotropic_pairs` returns them): v = +-(l1*v1 - l2*v2) with both v_i
     positive isotropic primitive, <v1,v2> = -1 and (l1-1)(l2-1) = 0.  They
     are (u_m, u_m') with (l1, l2) = (l, 1), and (1, rho) = (u_0', u_0) with
-    (1, l) at m = 0; both conditions are checked on integer triples."""
+    (1, l) at m = 0; both conditions are checked on their integers."""
     n, ell = pell.n, pell.ell
     out = []
     for it, u, u_prime in pairs:
-        v1, v2 = _u_triples(ell, it)
-        if it.m == 0:
-            v1, v2, sol = v2, v1, NumericalSolution(u_prime, u, 1, ell)
-        else:
-            sol = NumericalSolution(u, u_prime, ell, 1)
-        (r1, d1, a1), (r2, d2, a2), l1, l2 = v1, v2, sol.l1, sol.l2
-        combo = (l1 * r1 - l2 * r2, l1 * d1 - l2 * d2, l1 * a1 - l2 * a2)
+        v1, v2, l1, l2 = (u_prime, u, 1, ell) if it.m == 0 else (u, u_prime, ell, 1)
+        combo = (l1 * v1.r - l2 * v2.r, l1 * v1.d - l2 * v2.d, l1 * v1.a - l2 * v2.a)
         if combo != (1, 0, -ell) and combo != (-1, 0, ell):
             raise InvariantViolation(f"m={it.m}: {combo} != +-(1, 0, {-ell})")
-        if 2 * n * d1 * d2 - r1 * a2 - r2 * a1 != -1:
+        if 2 * n * v1.d * v2.d - v1.r * v2.a - v2.r * v1.a != -1:
             raise InvariantViolation(f"m={it.m}: <v1, v2> != -1")
-        out.append(sol)
+        out.append(NumericalSolution(v1, v2, l1, l2))
     return out
 
 

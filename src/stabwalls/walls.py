@@ -7,9 +7,10 @@ is decided in Q.  A shape holds the lowest-terms integers that the wall
 test `wall_between` computes, (cn, cd, rn, rd) for a circle and (sn, sd)
 for a line, and a wall's witness is an integer triple (r, d, a).  Sorting
 (`sort_walls`, by an exact integer key), mirroring and the chamber
-classification cross-multiply those integers; Fractions appear only at
-the edges: the cross-section, a classified point, and the Fraction views
-`Circle.center` and `Circle.radius_sq` that `w_max_report` reads once.
+classification cross-multiply those integers.  A class v is a
+`MukaiVector`, integral by type; Fractions appear only at the edges: the
+cross-section, a classified point, and the Fraction views `Circle.center`
+and `Circle.radius_sq` that `w_max_report` reads once.
 The walls of (1, 0, -l) are C_0 and the pencil radius^2 = center^2 - l/n:
 `classify_point` compares each with the pencil circle through the point,
 and `w_max_report` takes the circle with the most negative center.
@@ -106,8 +107,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .errors import BadCrossSection, DegenerateV, InvariantViolation, NonIntegral, NoWalls
-from .lattice import Context, MukaiVector, beta_data, self_pairing
+from .errors import BadCrossSection, DegenerateV, InvariantViolation, NoWalls
+from .lattice import Context, MukaiVector, self_pairing
 from .charge import StabilityPoint
 from .pell import PellContext, orbit, solve_generator
 from .surd import QnNumber, RatLike, frac, is_perfect_square, sqrt_of_fraction
@@ -186,7 +187,7 @@ def sort_walls(walls: Iterable[Wall]) -> list[Wall]:
     return sorted(walls, key=key)
 
 
-def witness_key(r: int, d: RatLike, a: RatLike) -> tuple:
+def witness_key(r: int, d: int, a: int) -> tuple:
     """Order in which a wall's witnesses (r, d, a) compete: smallest
     entries win.  The key ends with the witness itself."""
     return (abs(r), abs(d), abs(a), r, d, a)
@@ -198,8 +199,7 @@ IntShape = tuple[int, ...]  # (cn, cd, rn, rd) for a circle, (sn, sd) for a vert
 def wall_between(n: int, r: int, d: int, a: int, r1: int, d1: int, a1: int) -> Optional[IntShape]:
     """The shape of the wall for v = (r, d, a) defined by v1 = (r1, d1, a1),
     on integers, or None when v1 defines none.  All six entries are
-    integers and <v^2> > 0 (see integral_triple); a rational pair is scaled
-    to integers first, which changes no sign and no shape.
+    integers and <v^2> > 0 (see integral_triple).
 
     v1 qualifies when <v1^2> >= 0, <(v-v1)^2> >= 0, <v1, v-v1> > 0 and the
     triples are not proportional; the locus is then a circle, a vertical
@@ -269,13 +269,11 @@ def build_walls(found: dict[IntShape, tuple]) -> list[Wall]:
 
 
 def integral_triple(v: MukaiVector, ctx: Context) -> tuple[int, int, int]:
-    """(r, d, a) of v as integers, for an integral v with <v^2> > 0."""
-    if not v.is_integral:
-        raise NonIntegral(f"{v} is not integral")
+    """(r, d, a) of v, for v with <v^2> > 0."""
     vv = self_pairing(v, ctx)
     if vv <= 0:
         raise DegenerateV(f"<v^2> = {vv} <= 0")
-    return v.r, int(v.d), int(v.a)
+    return v.r, v.d, v.a
 
 
 def _mirror_wall(w: Wall) -> Wall:
@@ -521,11 +519,12 @@ def classify_point(
     it, as s*(c - x) is 0 or positive.  The outer wall is the enclosing
     circle with center nearest x, the inner wall the other circle on pt's
     side with center nearest x.  With no enclosing circle the sign of
-    d_{beta+sH}(v) splits the unbounded chambers: positive is the Gieseker
-    side.  All on integers: x = xn/xd, cross-multiplied.
+    d_beta(v) at beta = sH splits the unbounded chambers: positive is the
+    Gieseker side, and d_beta(1, 0, -l) = -s.  All on integers:
+    x = xn/xd, cross-multiplied.
     """
     (sp, sq), (tp, tq) = pt.s.as_integer_ratio(), pt.t_sq.as_integer_ratio()
-    n, ell = ctx.n, -int(v.a)  # an int, so the products below stay on ints
+    n, ell = ctx.n, -v.a
     xn = n * tq * sp * sp + n * sq * sq * tp + ell * sq * sq * tq
     xd = 2 * n * sq * tq * sp  # the sign of s, so cn*xd - xn*cd is cd*xd*(c - x)
     outer = inner = None
@@ -546,8 +545,7 @@ def classify_point(
         elif power == 0:
             return ChamberReport("OnWall", wall=w)
     if outer is None:
-        _, d_b, _ = beta_data(v, pt.s, ctx)
-        return ChamberReport("Gieseker" if d_b > 0 else "DualGieseker")
+        return ChamberReport("Gieseker" if sp < 0 else "DualGieseker")
     return ChamberReport("Bounded", outer=outer, inner=inner)
 
 

@@ -13,9 +13,12 @@ square and float view of surds that the cross-checks compare with; the
 products of surds and of surd matrices, with the surd-product forms of
 `pell.iterate`, `fmgroup.act_on_vector` and `fmgroup.mobius`, the
 reference for the integer forms the commands run; the difference,
-negation and scaling of Mukai vectors, which only the tests use; and
-`wall_of`, the wall test on rational Mukai vectors.  The tests import
-this module as they import reference_kernel.
+negation and scaling of Mukai vectors, which only the tests use; the
+twist of a Mukai vector by e^{sH} and its components at base sH (`twist`,
+`beta_data`), the change of base of the paper's proofs, whose rational
+entries a `MukaiVector` does not hold; and `wall_of`, the wall test on
+Mukai vectors and on those rational ones.  The tests import this module
+as they import reference_kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from stabwalls.charge import StabilityPoint
 from stabwalls.errors import (
@@ -40,7 +43,7 @@ from stabwalls.fmgroup import (
     mobius,
     require_member,
 )
-from stabwalls.lattice import Context, MukaiVector, beta_data
+from stabwalls.lattice import Context, MukaiVector
 from stabwalls.pell import GMatrix, PellContext, iterate
 from stabwalls.surd import QnComplex, QnNumber, RatLike, Surd, qn_rat
 from reference_output import s0_of, shape_of
@@ -59,9 +62,34 @@ class DegenerateGamma(PreconditionError):
     pass
 
 
-def wall_of(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Optional[Wall]:
+class RationalVector(NamedTuple):
+    """(r, d, a) with rational d and a, which a `MukaiVector` does not
+    hold: a Mukai vector twisted by e^{sH}, or a rational input of
+    `wall_of`."""
+
+    r: int
+    d: Fraction
+    a: Fraction
+
+
+def twist(v, s: RatLike, ctx: Context) -> RationalVector:
+    """v * e^{sH}, for a `MukaiVector` or a `RationalVector` v: the
+    pairing-preserving twist."""
+    s = Fraction(s)
+    n = ctx.n
+    return RationalVector(v.r, v.d + v.r * s, v.a + 2 * n * v.d * s + n * v.r * s * s)
+
+
+def beta_data(v, s: RatLike, ctx: Context) -> RationalVector:
+    """(r_b, d_b, a_b) of v at beta = sH, the components of v * e^{-sH}:
+    r, d - r*s, a - 2n*d*s + n*r*s^2."""
+    return twist(v, -Fraction(s), ctx)
+
+
+def wall_of(v, v1, ctx: Context) -> Optional[Wall]:
     """The wall for v defined by v1, or None when v1 defines none: the
-    integer test `walls.wall_between` on rational vectors.
+    integer test `walls.wall_between` on Mukai vectors and on
+    `RationalVector`s.
 
     Both vectors are scaled by the lcm L of the denominators of their d and
     a.  Scaling multiplies each pairing and each 2x2 minor by L^2, so no
@@ -106,8 +134,9 @@ def surd_compare(x: Surd, y: Surd) -> int:
     return sx * ((a > b) - (a < b))
 
 
-def vec_sub(v: MukaiVector, w: MukaiVector) -> MukaiVector:
-    return MukaiVector(v.r - w.r, v.d - w.d, v.a - w.a)
+def vec_sub(v, w):
+    """v - w, of the type of v: a `MukaiVector` or a `RationalVector`."""
+    return type(v)(v.r - w.r, v.d - w.d, v.a - w.a)
 
 
 def vec_neg(v: MukaiVector) -> MukaiVector:
@@ -277,7 +306,7 @@ def reference_mobius(g: GMatrix, z: QnComplex, ctx: Context) -> QnComplex:
 #
 # At the stability parameter (sH, tH) the charge of v is
 #     Z(t) = (-a_b + n*r*t^2) + i * (2n*d_b*t)
-# with (r, d_b, a_b) the components of v twisted to base sH.  Only `phase`
+# with (r, d_b, a_b) = beta_data(v, s), the components of v * e^{-sH}.  Only `phase`
 # converts to floating point.
 
 

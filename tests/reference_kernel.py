@@ -30,10 +30,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from paper_checks import vec_sub, wall_of
+from paper_checks import beta_data, vec_sub, wall_of
 from reference_pell import divisors
-from stabwalls.errors import BadCrossSection, DegenerateV, NonIntegral
-from stabwalls.lattice import Context, MukaiVector, beta_data, pairing, self_pairing
+from stabwalls.errors import BadCrossSection, DegenerateV
+from stabwalls.lattice import Context, MukaiVector, pairing, self_pairing
 from stabwalls.surd import RatLike
 from reference_output import circle, t_sq_at, vline
 from stabwalls.walls import (
@@ -76,8 +76,8 @@ def reference_wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Opt
     if v.r != 0:
         denom = v.r * v1.d - v1.r * v.d
         if denom != 0:
-            center = (v1.a * v.r - v.a * v1.r) / (2 * n * denom)
-            radius_sq = (v.d / v.r - center) ** 2 - vv / (2 * n * v.r**2)
+            center = Fraction(v1.a * v.r - v.a * v1.r, 2 * n * denom)
+            radius_sq = (Fraction(v.d, v.r) - center) ** 2 - Fraction(vv, 2 * n * v.r**2)
             if radius_sq <= 0:
                 return None
             return Wall(circle(center, radius_sq), (v1.r, v1.d, v1.a))
@@ -86,9 +86,9 @@ def reference_wall_between(v: MukaiVector, v1: MukaiVector, ctx: Context) -> Opt
     # around a/(2n*d)
     if v1.r == 0:
         return None
-    center = v.a / (2 * n * v.d)
-    radius_sq = (center - Fraction(v1.d) / v1.r) ** 2 - self_pairing(v1, ctx) / (
-        2 * n * v1.r**2
+    center = Fraction(v.a, 2 * n * v.d)
+    radius_sq = (center - Fraction(v1.d, v1.r)) ** 2 - Fraction(
+        self_pairing(v1, ctx), 2 * n * v1.r**2
     )
     if radius_sq <= 0:
         return None
@@ -131,8 +131,6 @@ def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]
     is validated through reference_wall_between and the exact crossing test,
     so extra candidates are harmless.
     """
-    if not v.is_integral:
-        raise NonIntegral(f"{v} is not integral")
     s0 = Fraction(s0)
     vv = self_pairing(v, ctx)
     if vv <= 0:
@@ -145,7 +143,7 @@ def reference_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]
         mirrored = reference_enumerate(_mirror_vector(v), -s0, ctx)
         return sort_walls(_mirror_wall(w) for w in mirrored)
 
-    half = vv / 2
+    half = Fraction(vv, 2)
     assert half.denominator == 1
     half = int(half)
     q = s0.denominator
@@ -236,8 +234,6 @@ def divisor_enumerate(v: MukaiVector, s0: RatLike, ctx: Context) -> list[Wall]:
     scaled by q^2, q = den(s0): j = q*D(v1), N = q^2*P and
     X = q^2*(r - r1)(A - A1).
     """
-    if not v.is_integral:
-        raise NonIntegral(f"{v} is not integral")
     s0 = Fraction(s0)
     vv = self_pairing(v, ctx)
     if vv <= 0:

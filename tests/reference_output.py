@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 from stabwalls.charge import StabilityPoint
 from stabwalls.jsonio import frac_str, vector_str
-from stabwalls.lattice import Context, MukaiVector, beta_data
+from stabwalls.lattice import Context, MukaiVector
 from stabwalls.surd import RatLike, rational_sqrt
 from stabwalls.walls import ChamberReport, Circle, Shape, VLine, Wall
 
@@ -131,6 +131,8 @@ def reference_classify_point(
             return ChamberReport("OnWall", wall=w)
     enclosing = [w for w in walls if strictly_inside(w.shape, pt)]
     if not enclosing:
+        from paper_checks import beta_data  # paper_checks imports this module
+
         _, d_b, _ = beta_data(v, pt.s, ctx)
         kind = "Gieseker" if d_b > 0 else "DualGieseker"
         return ChamberReport(kind)

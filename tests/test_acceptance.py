@@ -24,6 +24,7 @@ from paper_checks import (
     psi_map,
     surd_float,
     surd_square,
+    twist,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -35,7 +36,7 @@ from stabwalls.fmgroup import (
     mobius,
     require_member,
 )
-from stabwalls.lattice import Context, MukaiVector, pairing, self_pairing, twist
+from stabwalls.lattice import Context, MukaiVector, pairing, self_pairing
 from stabwalls.oracle import brute_walls
 from stabwalls.pell import (
     GMatrix,
@@ -145,7 +146,7 @@ def test_criterion_4_lattice_properties():
         g = g_mul(rng.choice(mats[n]), rng.choice(mats[n]))
         require_member(g, ctx)
         vi, wi = act_on_vector(v, g, ctx), act_on_vector(w, g, ctx)
-        assert vi.is_integral and wi.is_integral
+        assert all(type(x) is int for x in (vi.r, vi.d, vi.a, wi.r, wi.d, wi.a))
         assert pairing(vi, wi, ctx) == pairing(v, w, ctx)
     for n, ell in PELL_PAIRS:
         ctx = Context(n)
@@ -170,7 +171,7 @@ def test_criterion_5_geometry_properties():
             list(wall_set(n, ell)[0]) + list(codim0_walls(pc, range(-4, 5)))
         )
         # the pencil of v: p = d/r, q = <v^2>/(2n r^2)
-        p, q = F(v.d) / v.r, self_pairing(v, ctx) / (2 * ctx.n * v.r**2)
+        p, q = F(v.d, v.r), F(self_pairing(v, ctx), 2 * ctx.n * v.r**2)
         circles = sorted(
             {w.shape for w in walls if isinstance(w.shape, Circle)},
             key=lambda s: (s.center, s.radius_sq),

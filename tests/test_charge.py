@@ -10,12 +10,13 @@ from paper_checks import (
     charge,
     phase,
     phase_window,
+    twist,
     vec_neg,
     wall_of,
 )
 from reference_output import t_sq_at
 from stabwalls.charge import StabilityPoint
-from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, twist
+from stabwalls.lattice import Context, MukaiVector, RHO, UNIT
 from stabwalls.walls import Circle
 
 C1 = Context(1)

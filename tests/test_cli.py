@@ -326,6 +326,16 @@ def test_exit_code_on_precondition(capsys):
     assert code == 2 and data["error"]["type"] == "SquareCase"
     code, data = run(capsys, "act", "--n", "1", "--g", "2,0;0,1", "--v", "1,0,0")
     assert code == 2 and data["error"]["type"] == "NotInGHat"
+    # a lattice vector has integer entries
+    for argv in (
+        ["walls", "--n", "1", "--v", "1,1/2,0", "--s0=1"],
+        ["act", "--n", "1", "--g", "1,0;0,1", "--v", "1,1/2,0"],
+    ):
+        code, data = run(capsys, *argv)
+        assert code == 2 and data["error"] == {
+            "type": "NonIntegral",
+            "message": "1,1/2,0 is not integral",
+        }, argv
     # a polarization needs n >= 1, on the Pell path too
     for argv in (
         ["numsol", "--n", "0", "--ell", "3"],
@@ -410,6 +420,20 @@ def test_unwritable_svg_path_is_an_input_error(tmp_path, capsys):
     assert str(path) in data["error"]["message"] and not path.exists()
 
 
+def test_timeout_inside_a_command_escapes_main(monkeypatch, capsys):
+    """A TimeoutError is an OSError, but not a bad --svg path: raised
+    inside a command, as a fired SIGALRM guard raises it, it leaves main
+    instead of printing as an input error."""
+
+    def overdue(*args):
+        raise TimeoutError("command still running after 5 s")
+
+    monkeypatch.setattr(walls_mod, "wall_set", overdue)
+    with pytest.raises(TimeoutError):
+        main(["walls", "--n", "1", "--ell", "2"])
+    assert capsys.readouterr().out == ""
+
+
 @contextlib.contextmanager
 def _no_digit_limit():
     """Lift the interpreter's limit on int-to-str conversion inside the
@@ -452,7 +476,9 @@ def test_integers_of_any_size_print(capsys):
         assert (entry["a"], entry["b"]) == (str(it.a.coef), str(it.b.coef))
         u, u_prime = u_vectors(pc, it)
         (entry,) = answer["u_vectors"]
-        assert (entry["u"], entry["u_prime"]) == (str(u), str(u_prime))
+        assert (entry["u"], entry["u_prime"]) == tuple(
+            ",".join(map(str, (x.r, x.d, x.a))) for x in (u, u_prime)
+        )
         assert len(str(u.a)) > 4300
 
 

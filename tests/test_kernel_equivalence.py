@@ -9,10 +9,11 @@ import random
 import sys
 from fractions import Fraction as F
 
+from paper_checks import beta_data
 import reference_kernel
 from reference_kernel import divisor_enumerate, reference_enumerate
 from stabwalls.errors import BadCrossSection
-from stabwalls.lattice import Context, MukaiVector, beta_data, self_pairing
+from stabwalls.lattice import Context, MukaiVector, self_pairing
 from stabwalls.surd import is_perfect_square
 from stabwalls import walls as walls_mod
 from stabwalls.walls import cross_section, crosses, enumerate_walls_on_line

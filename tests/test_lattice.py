@@ -1,17 +1,12 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from paper_checks import beta_data, twist
 from reference_kernel import proportional
-from stabwalls.lattice import (
-    Context,
-    MukaiVector,
-    RHO,
-    UNIT,
-    beta_data,
-    pairing,
-    self_pairing,
-    twist,
-)
+from stabwalls.errors import NonIntegral
+from stabwalls.lattice import Context, MukaiVector, RHO, UNIT, pairing, self_pairing
 
 C1 = Context(1)
 
@@ -23,11 +18,28 @@ def test_pairing_known_values():
     assert pairing(MukaiVector(1, -1, 1), MukaiVector(1, -2, 4), C1) == -1
 
 
+def test_entries_are_integers():
+    """An integral rational entry is stored as an int, and any other
+    entry raises NonIntegral, naming the entries as given."""
+    for v in (MukaiVector(F(2), F(-6, 3), F(0)), MukaiVector.parse(" 2, -4/2 ,0/5")):
+        assert v == MukaiVector(2, -2, 0) and hash(v) == hash(MukaiVector(2, -2, 0))
+        assert [type(x) for x in (v.r, v.d, v.a)] == [int, int, int]
+    for build, text in (
+        (lambda: MukaiVector(1, F(1, 2), 0), "1,1/2,0"),
+        (lambda: MukaiVector(F(1, 3), 0, 0), "1/3,0,0"),
+        (lambda: MukaiVector(0, F(4, 2), F(-5, 2)), "0,2,-5/2"),
+        (lambda: MukaiVector.parse("1,1/2,4/2"), "1,1/2,2"),
+    ):
+        with pytest.raises(NonIntegral) as err:
+            build()
+        assert str(err.value) == f"{text} is not integral"
+
+
 def test_twist_examples():
-    assert twist(MukaiVector(1, 0, -3), 2, C1) == MukaiVector(1, 2, 1)
-    assert twist(RHO, F(7, 3), C1) == RHO
+    assert twist(MukaiVector(1, 0, -3), 2, C1) == (1, 2, 1)
+    assert twist(RHO, F(7, 3), C1) == (0, 0, 1)
     w = twist(MukaiVector(1, 0, -2), -2, C1)
-    assert w == MukaiVector(1, -2, 2)
+    assert w == (1, -2, 2)
     assert self_pairing(w, C1) == 4
 
 

@@ -139,6 +139,8 @@ def _points(rng, walls):
             pts.append(StabilityPoint(c, r2 * scale))  # inside, under the top
     for s in (F(-200), F(-3, 7), F(0), F(1, 5), F(200)):
         pts.append(StabilityPoint(s, F(10**6)))  # above every wall
+    for s in (F(-1, 1000), F(1, 1000)):
+        pts.append(StabilityPoint(s, F(1, 10**6)))  # near s = 0, below every circle
     s, t_sq = F(rng.randint(-300, 300), 7), F(rng.randint(1, 50), rng.randint(1, 50))
     pts.append(StabilityPoint(s, t_sq))
     return pts
@@ -168,17 +170,23 @@ def test_classify_matches_the_fraction_reference():
     """classify_point agrees with the Fraction form at seeded points on the
     walls, inside bounded chambers with and without an inner wall, and in
     both unbounded chambers, over the square and Pell routes, far labels,
-    an unsorted set with repeated walls, and sets without C_0."""
+    an unsorted set with repeated walls, and sets without C_0; the
+    unbounded chambers on both sides of s = 0, and at s = 0 off C_0."""
     rng = random.Random(2201)
-    kinds = set()
+    kinds, unbounded = set(), set()
     for name, n, v, walls, drawn in _classify_sets():
         ctx = Context(n)
         for pt in _points(rng, drawn):
             got = classify_point(v, pt, walls, ctx)
             assert got == reference_classify_point(v, pt, walls, ctx), (name, pt)
             kinds.add((got.kind, got.inner is not None))
+            if got.outer is None and got.wall is None:  # (kind, sign of s, t^2 < 1)
+                unbounded.add((got.kind, (pt.s > 0) - (pt.s < 0), pt.t_sq < 1))
     assert kinds == {("OnWall", False), ("Bounded", True), ("Bounded", False),
                      ("Gieseker", False), ("DualGieseker", False)}
+    assert unbounded == {("Gieseker", -1, False), ("Gieseker", -1, True),
+                         ("DualGieseker", 1, False), ("DualGieseker", 1, True),
+                         ("DualGieseker", 0, False)}
 
 
 def test_w_max_is_the_largest_circle_in_s_below_0():

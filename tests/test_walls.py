@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from paper_checks import delta_matrix, g_mul, g_power, vec_neg, vec_sub, wall_of
+from paper_checks import RationalVector, delta_matrix, g_mul, g_power, vec_neg, vec_sub, wall_of
 from reference_kernel import proportional, reference_wall_between
 from reference_output import circle, fraction_builds, plain_key, s0_of, t_sq_at, vline
 from stabwalls import walls as walls_mod
@@ -116,8 +116,8 @@ def test_wall_between_matches_reference():
     reached = set()
     for _ in range(20000):
         ctx = Context(rng.randint(1, 6))
-        v = MukaiVector(rng.randint(-3, 3), entry(), entry())
-        v1 = MukaiVector(rng.randint(-3, 3), entry(), entry())
+        v = RationalVector(rng.randint(-3, 3), entry(), entry())
+        v1 = RationalVector(rng.randint(-3, 3), entry(), entry())
         expected, rule = _wall_between_outcome(v, v1, ctx)
         reached.add(rule)
         try:
@@ -138,7 +138,7 @@ def test_wall_between_matches_reference():
 
 
 def _pencil(v, ctx):
-    return F(v.d) / v.r, self_pairing(v, ctx) / (2 * ctx.n * v.r**2)
+    return F(v.d, v.r), F(self_pairing(v, ctx), 2 * ctx.n * v.r**2)
 
 
 def test_pencil_membership_and_disjointness():
