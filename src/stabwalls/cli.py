@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: the argparse parser, one payload function per
+command, and the dispatch in `main`.  The flags are read, and the payloads
+written, by `jsonio`.
 
 Commands: walls | pell | numsol | classify | intervals | act | mobius |
 wmax | verify.  Results print as JSON on stdout; rationals are strings
@@ -15,22 +17,23 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InvariantViolation, PreconditionError, SquareCase, UsageError
 from .jsonio import (
     chamber_record,
+    emit,
     frac_str,
     gmatrix_record,
-    int_str,
     parse_frac,
     parse_gmatrix_text,
+    parse_m_range,
     parse_qnc,
+    parse_vector,
+    parse_window,
     qnc_str,
     solution_record,
     surd_str,
     vector_str,
-    wall_record,
     wmax_record,
 )
 from .lattice import Context, MukaiVector, RHO, UNIT
@@ -50,87 +53,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_window(text: str) -> tuple[Fraction, Fraction, Fraction]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("window must be smin:smax:tmax")
-    s_min, s_max, t_max = (Fraction(p) for p in parts)
-    if s_max <= s_min or t_max <= 0:
-        raise ValueError("window must have positive extent")
-    return s_min, s_max, t_max
-
-
-def _parse_m_range(text: str) -> range:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise ValueError("m-range must be lo..hi")
-    lo, hi = int(parts[0]), int(parts[1])
-    if lo > hi:
-        raise ValueError("m-range must be lo..hi with lo <= hi")
-    return range(lo, hi + 1)
-
-
-def _write_json(x, out: list, pad: str) -> None:
-    """Append the JSON text of x to out, indented below pad.  Handles
-    dict (str keys), list, str, int, bool, None and Wall, written by
-    `wall_record`; anything else, or a non-str key, raises TypeError."""
-    if isinstance(x, walls_mod.Wall):
-        out.append(wall_record(x, pad))
-    elif isinstance(x, str):
-        out.append(_quote(x))
-    elif isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for key in sorted(x):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(f"{sep}{_quote(key)}: ")
-            _write_json(x[key], out, inner)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(x, list):
-        if not x:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[\n" + inner
-        for item in x:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "]")
-    elif x is None:
-        out.append("null")
-    elif x is True:  # bool before int: True is an int
-        out.append("true")
-    elif x is False:
-        out.append("false")
-    elif isinstance(x, int):
-        out.append(int_str(x))
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _emit(payload) -> None:
-    """Print payload as `json.dumps(payload, indent=2, sort_keys=True)`
-    does, plus a newline, byte for byte, with each Wall in it printed as
-    its record (see `wall_record`).  With `indent` set, `json` always runs
-    its pure-Python encoder; `_write_json` appends the same pieces to one
-    list and quotes strings with the C `encode_basestring_ascii` that
-    `json` uses, at about twice the speed."""
-    out: list[str] = []
-    _write_json(payload, out, "")
-    out.append("\n")
-    sys.stdout.write("".join(out))
-
-
 def cmd_walls(args) -> dict:
     ctx = Context(args.n)
-    window = _parse_window(args.window)
-    m_range = _parse_m_range(args.m_range)  # checked on the --v route too
+    window = parse_window(args.window)
+    m_range = parse_m_range(args.m_range)  # checked on the --v route too
     if args.v is None:
         if args.s0 is not None:
             raise ValueError("--s0 needs --v (an explicit class)")
@@ -142,29 +68,18 @@ def cmd_walls(args) -> dict:
         # explicit class: enumerate the walls crossing a chosen cross-section
         if args.s0 is None:
             raise ValueError("--v needs --s0 (a rational cross-section)")
-        v = MukaiVector.parse(args.v)
+        v = parse_vector(args.v)
         s0 = parse_frac(args.s0)
         wall_list = walls_mod.enumerate_walls_on_line(v, s0, ctx)
-        payload = {
-            "n": args.n,
-            "v": vector_str(v),
-            "s0": frac_str(s0),
-            "walls": wall_list,
-        }
-        if args.verify:
-            payload["verify"] = _verify_report(v, s0, wall_list, ctx)
+        payload = {"n": args.n, "v": vector_str(v), "s0": frac_str(s0), "walls": wall_list}
         title = f"Walls for {vector_str(v)}"
     else:
+        v = MukaiVector(1, 0, -args.ell)
         wall_list, s0, _ = walls_mod.wall_set(args.n, args.ell, m_range)
-        payload = {
-            "n": args.n,
-            "ell": args.ell,
-            "v": vector_str(MukaiVector(1, 0, -args.ell)),
-            "walls": wall_list,
-        }
-        if args.verify:
-            payload["verify"] = _verify_wall_set(args.ell, s0, wall_list, ctx)
+        payload = {"n": args.n, "ell": args.ell, "v": vector_str(v), "walls": wall_list}
         title = f"Walls for 1 - {args.ell}rho (n = {args.n})"
+    if args.verify:
+        payload["verify"] = _verify_report(v, s0, wall_list, ctx)
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(svg_mod.render(wall_list, window, title=title))
@@ -174,7 +89,7 @@ def cmd_walls(args) -> dict:
 
 def cmd_pell(args) -> dict:
     pc = pell_mod.solve_generator(args.n, args.ell)
-    m_range = _parse_m_range(args.m_range)
+    m_range = parse_m_range(args.m_range)
     pairs = pell_mod.isotropic_pairs(pc, m_range)
     iterates = [{"m": it.m, "a": surd_str(it.a), "b": surd_str(it.b)} for it, _, _ in pairs]
     u_vecs = [
@@ -204,7 +119,7 @@ def cmd_pell(args) -> dict:
 
 
 def cmd_numsol(args) -> dict:
-    m_range = _parse_m_range(args.m_range)
+    m_range = parse_m_range(args.m_range)
     try:
         pc = pell_mod.solve_generator(args.n, args.ell)
     except SquareCase:
@@ -221,7 +136,7 @@ def cmd_classify(args) -> dict:
     ctx = Context(args.n)
     v = MukaiVector(1, 0, -args.ell)
     pt = StabilityPoint(parse_frac(args.s), parse_frac(args.t2))
-    wall_list, _, pc = walls_mod.wall_set(args.n, args.ell, _parse_m_range(args.m_range))
+    wall_list, _, pc = walls_mod.wall_set(args.n, args.ell, parse_m_range(args.m_range))
     rep = walls_mod.classify_point(v, pt, wall_list, ctx)
     out = chamber_record(rep)
     if rep.kind == "OnWall" and pc is not None:
@@ -247,7 +162,7 @@ def cmd_intervals(args) -> dict:
 def cmd_act(args) -> dict:
     ctx = Context(args.n)
     g = parse_gmatrix_text(args.g, args.n)
-    v = MukaiVector.parse(args.v)
+    v = parse_vector(args.v)
     image = fmgroup.act_on_vector(v, g, ctx)
     return {"g": gmatrix_record(g), "v": vector_str(v), "image": vector_str(image)}
 
@@ -265,13 +180,16 @@ def cmd_wmax(args) -> dict:
     return wmax_record(walls_mod.w_max_report(wall_list))
 
 
-def _verify_report(v: MukaiVector, s0: Fraction, enumerated: list, ctx: Context) -> dict:
-    """Oracle cross-check of an enumeration at the cross-section s0.
+def _verify_report(v: MukaiVector, s0: Fraction, wall_list: list, ctx: Context) -> dict:
+    """Oracle cross-check of a route's walls at the cross-section s0: those
+    that cross it are the enumeration there.
 
     The brute scan is bound-limited: it can only see walls owning a witness
     with entries within the bound, so the sound check is containment (every
     brute wall must be enumerated); `exhaustive` reports whether the bound
     happened to cover everything the enumeration found."""
+    p, q = s0.numerator, s0.denominator
+    enumerated = [w for w in wall_list if walls_mod.crosses(w.shape, p, q)]
     bound = 10
     brute = {w.shape for w in oracle_mod.brute_walls(v, s0, bound, ctx)}
     fast = {w.shape for w in enumerated}
@@ -284,18 +202,9 @@ def _verify_report(v: MukaiVector, s0: Fraction, enumerated: list, ctx: Context)
     }
 
 
-def _verify_wall_set(ell: int, s0: Fraction, wall_list: list, ctx: Context) -> dict:
-    """_verify_report for a wall set of (1, 0, -l) from `wall_set` and its
-    cross-section s0: its walls that cross s0 are the enumeration there, as
-    no mirrored wall, C_0 or C_-1 crosses it."""
-    p, q = s0.numerator, s0.denominator
-    crossing = [w for w in wall_list if not w.codim0 and walls_mod.crosses(w.shape, p, q)]
-    return _verify_report(MukaiVector(1, 0, -ell), s0, crossing, ctx)
-
-
 def cmd_verify(args) -> dict:
     wall_list, s0, _ = walls_mod.wall_set(args.n, args.ell)
-    return _verify_wall_set(args.ell, s0, wall_list, Context(args.n))
+    return _verify_report(MukaiVector(1, 0, -args.ell), s0, wall_list, Context(args.n))
 
 
 @functools.cache
@@ -381,12 +290,12 @@ def main(argv=None) -> int:
     except (PreconditionError, ValueError, ZeroDivisionError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is None:
             raise  # not a bad --svg path but a timeout or an OS failure
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
     except InvariantViolation as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3
-    _emit(payload)
+    emit(payload)
     return 0
 
 

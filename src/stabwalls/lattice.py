@@ -10,13 +10,14 @@ constructor stores an integral rational entry as an int and raises
 NonIntegral on any other, and no other code tests integrality.  The twist
 by e^{sH}, a change of base in the paper's proofs, makes rational vectors;
 no command computes with one, and the tests keep it as a reference
-(tests/paper_checks.py).
+(tests/paper_checks.py).  The module holds only the lattice: the text
+"r,d,a" of a vector is read by `jsonio.parse_vector` and written by
+`jsonio.vector_str`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonIntegral
 from .surd import RatLike
@@ -46,16 +47,6 @@ class MukaiVector:
         object.__setattr__(self, "r", r.numerator)
         object.__setattr__(self, "d", d.numerator)
         object.__setattr__(self, "a", a.numerator)
-
-    @staticmethod
-    def parse(text: str) -> "MukaiVector":
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected 'r,d,a', got {text!r}")
-        r = Fraction(parts[0].strip())
-        if r.denominator != 1:
-            raise ValueError("rank must be an integer")
-        return MukaiVector(r, Fraction(parts[1].strip()), Fraction(parts[2].strip()))
 
 
 RHO = MukaiVector(0, 0, 1)

@@ -50,7 +50,7 @@ from .errors import (
     NotInGHat,
     SquareCase,
 )
-from .lattice import MukaiVector
+from .lattice import Context, MukaiVector
 from .surd import RatLike, Surd, exact_root, is_perfect_square
 
 
@@ -173,8 +173,7 @@ def solve_generator(n: int, ell: int) -> PellContext:
 
     For l = 1 the extra torsion element (0, 1; 1, 0) is reported alongside.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    Context(n)  # rejects n < 1
     if ell < 1:
         raise ValueError("ell must be >= 1")
     d = ell * n

@@ -127,6 +127,40 @@ def _defs(tree: ast.Module):
                 stack.append((child, prefix))
 
 
+def _imported_packages(tree: ast.Module) -> set[str]:
+    """The top-level packages a module imports from, relative imports
+    aside."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+    return out
+
+
+def test_text_formats_live_in_jsonio():
+    """jsonio owns every text format: each parser under src/ is one of
+    its `parse_*` defs.  cli keeps flags, payloads and dispatch: it defines
+    no flag parser, no JSON writer and no second `verify` crossing rule
+    (`_verify_wall_set`), imports nothing from `json` and never touches
+    stdout.  lattice reads no text, so it needs no `fractions`."""
+    parsers = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, _ in _defs(ast.parse(path.read_text()))
+        if name.split(".")[-1].lstrip("_").startswith("parse")
+    ]
+    assert parsers and [p for p in parsers if not p.startswith("jsonio.parse_")] == []
+    cli = ast.parse((SRC / "cli.py").read_text())
+    names = {name.split(".")[-1].lstrip("_") for name, _ in _defs(cli)}
+    assert {x for x in names if x.startswith(("parse", "emit", "write"))} == set()
+    assert "verify_wall_set" not in names
+    assert "json" not in _imported_packages(cli)
+    assert not any(isinstance(x, ast.Attribute) and x.attr == "stdout" for x in ast.walk(cli))
+    assert "fractions" not in _imported_packages(ast.parse((SRC / "lattice.py").read_text()))
+
+
 def _command_argvs(svg_path: str) -> list[list[str]]:
     """Every command, the square and Pell routes and the error exits."""
     return [

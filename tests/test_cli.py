@@ -14,9 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from paper_checks import sheaf_verdict
 from stabwalls import walls as walls_mod
-from stabwalls.cli import _emit, build_parser, main
+from stabwalls.cli import build_parser, main
 from stabwalls.errors import NotInGHat
-from stabwalls.jsonio import frac_str, parse_surd
+from stabwalls.jsonio import emit, frac_str, parse_surd
 from stabwalls.lattice import Context, MukaiVector
 from stabwalls.pell import iterate, slope_endpoints, solve_generator, u_vectors
 from stabwalls.surd import Surd, squarefree_decompose
@@ -276,7 +276,7 @@ def test_parse_surd_is_the_surd_on_group_radicands():
 def emitted(payload) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        _emit(payload)
+        emit(payload)
     return buf.getvalue()
 
 
@@ -300,7 +300,7 @@ JSON_VALUES = st.recursive(
 @example([2**64 + 1, -(2**64) - 1, -(2**100), 2**200, True, 1, False, 0])
 @example({"z": {"y": [{"x": []}], "\t": "\u2028"}, "a": [[], {}, [{}]]})
 def test_emit_matches_json_dumps(payload):
-    """_emit prints exactly json.dumps(indent=2, sort_keys=True) and a
+    """emit prints exactly json.dumps(indent=2, sort_keys=True) and a
     newline: sorted keys, bools as true/false and not as ints, escaped
     control and non-ASCII characters, empty containers, huge ints."""
     assert emitted(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -636,6 +636,8 @@ def test_verify_matches_walls_verify(case):
     assert code == 0
     for key in ("agree", "enumerated", "exhaustive", "cross_section"):
         assert walls["verify"][key] == verify[key], key
+    code, wall_set = query("walls", "--n", str(n), "--ell", str(ell), "--verify")
+    assert code == 0 and wall_set["verify"] == verify
 
 
 @CLI_PROFILE
